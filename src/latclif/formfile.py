@@ -21,7 +21,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coeffs import BoxFunction, ExactPolynomial, box_points
+from .coeffs import (
+    BoxFunction,
+    EmptyValidityError,
+    ExactPolynomial,
+    box_contains,
+    box_points,
+)
 from .forms import Blade, Form
 from .scalars import Scalar
 
@@ -37,22 +43,44 @@ def _axes_text(axes):
     return ",".join(str(a) for a in axes) if axes else "-"
 
 
-def _parse_axes(text):
+def _ints(text, line):
+    """The comma-separated integers of ``text``, a field of ``line``."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise FormFileError(f"bad integers {text!r} in {line!r}") from None
+
+
+def _parse_axes(text, n, line):
     if text == "-":
         return ()
-    return tuple(int(a) for a in text.split(","))
+    axes = _ints(text, line)
+    if any(a < 1 or a > n for a in axes):
+        raise FormFileError(f"axis outside 1..{n} in {line!r}")
+    if list(axes) != sorted(set(axes)):
+        raise FormFileError(f"axes not strictly ascending in {line!r}")
+    return axes
 
 
 def _box_text(box):
     return ",".join(f"{lo}:{hi}" for lo, hi in box)
 
 
-def _parse_box(text):
-    out = []
+def _parse_box(text, n, line):
+    box = []
     for part in text.split(","):
-        lo, hi = part.split(":")
-        out.append((int(lo), int(hi)))
-    return tuple(out)
+        lo, _, hi = part.partition(":")
+        box.append(_ints(f"{lo},{hi}", line))
+    if len(box) != n:
+        raise FormFileError(f"box arity mismatch in {line!r}")
+    return tuple(box)
+
+
+def _scalar(text, line):
+    try:
+        return Scalar.from_text(text)
+    except (ValueError, ZeroDivisionError):
+        raise FormFileError(f"bad scalar {text!r} in {line!r}") from None
 
 
 def dump_form(form):
@@ -82,11 +110,11 @@ def dump_form(form):
 
 
 def parse_form(text):
+    """Parse the canonical layout; any malformed input raises FormFileError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(FORMAT_NAME):
         raise FormFileError("missing format header")
-    header = lines[0].split()
-    if len(header) != 2 or int(header[1]) != FORMAT_VERSION:
+    if lines[0].split() != [FORMAT_NAME, str(FORMAT_VERSION)]:
         raise FormFileError(f"unsupported format version in {lines[0]!r}")
     fields = {}
     i = 1
@@ -95,11 +123,18 @@ def parse_form(text):
         fields[key] = value.strip()
         i += 1
     try:
-        n = int(fields["n"])
-        h = Fraction(fields["h"])
-        kind = fields["coeff"]
+        n_text, h_text, kind = fields["n"], fields["h"], fields["coeff"]
     except KeyError as exc:
         raise FormFileError(f"missing header field {exc}") from exc
+    try:
+        n = int(n_text)
+        h = Fraction(h_text)
+    except (ValueError, ZeroDivisionError):
+        raise FormFileError(f"bad header field n {n_text!r} or h {h_text!r}") from None
+    if n < 1:
+        raise FormFileError(f"n must be at least 1, got {n}")
+    if h <= 0:
+        raise FormFileError(f"mesh width must be positive, got {h}")
     if kind not in ("poly", "box"):
         raise FormFileError(f"unknown coefficient kind {kind!r}")
 
@@ -108,7 +143,11 @@ def parse_form(text):
         head = lines[i].split()
         if head[0] != "term" or len(head) != 3:
             raise FormFileError(f"expected term header, got {lines[i]!r}")
-        blade = Blade(_parse_axes(head[1]), _parse_axes(head[2]))
+        blade = Blade(
+            _parse_axes(head[1], n, lines[i]), _parse_axes(head[2], n, lines[i])
+        )
+        if blade in terms:
+            raise FormFileError(f"duplicate term block {lines[i]!r}")
         i += 1
         body = []
         while i < len(lines) and lines[i].strip() != "end":
@@ -121,30 +160,50 @@ def parse_form(text):
             poly_terms = {}
             for ln in body:
                 exps_text, _, val_text = ln.partition(" ")
-                exps = tuple(int(e) for e in exps_text.split(","))
+                exps = _ints(exps_text, ln)
                 if len(exps) != n:
                     raise FormFileError(f"exponent arity mismatch in {ln!r}")
-                poly_terms[exps] = Scalar.from_text(val_text)
+                if exps in poly_terms:
+                    raise FormFileError(f"duplicate exponent line {ln!r}")
+                poly_terms[exps] = _scalar(val_text, ln)
             terms[blade] = ExactPolynomial(n, h, poly_terms)
         else:
-            support = validity = None
-            values = {}
-            for ln in body:
-                tag, _, rest = ln.partition(" ")
-                if tag == "support":
-                    support = _parse_box(rest)
-                elif tag == "validity":
-                    validity = _parse_box(rest)
-                elif tag == "v":
-                    pt_text, _, val_text = rest.partition(" ")
-                    pt = tuple(int(c) for c in pt_text.split(","))
-                    values[pt] = Scalar.from_text(val_text)
-                else:
-                    raise FormFileError(f"unknown box line {ln!r}")
-            if support is None or validity is None:
-                raise FormFileError("box term lacks support or validity")
-            terms[blade] = BoxFunction(n, h, support, validity, values)
+            terms[blade] = _parse_box_term(body, n, h)
     return Form(n, h, terms)
+
+
+def _parse_box_term(body, n, h):
+    support = validity = None
+    values = {}
+    for ln in body:
+        tag, _, rest = ln.partition(" ")
+        if tag == "support":
+            support = _parse_box(rest, n, ln)
+        elif tag == "validity":
+            validity = _parse_box(rest, n, ln)
+        elif tag == "v":
+            pt_text, _, val_text = rest.partition(" ")
+            pt = _ints(pt_text, ln)
+            if len(pt) != n:
+                raise FormFileError(f"point arity mismatch in {ln!r}")
+            if pt in values:
+                raise FormFileError(f"duplicate value line {ln!r}")
+            values[pt] = _scalar(val_text, ln)
+        else:
+            raise FormFileError(f"unknown box line {ln!r}")
+    if support is None or validity is None:
+        raise FormFileError("box term lacks support or validity")
+    for pt in values:
+        if not box_contains(support, pt):
+            raise FormFileError(f"box value line outside the support at point {pt}")
+    # Every value lies in the support, so this stops within len(values) + 1 steps.
+    for pt in box_points(support):
+        if pt not in values:
+            raise FormFileError(f"box term lacks a value line for point {pt}")
+    try:
+        return BoxFunction(n, h, support, validity, values)
+    except (ValueError, EmptyValidityError) as exc:
+        raise FormFileError(f"bad box term: {exc}") from None
 
 
 def write_form(form, path):

@@ -3,7 +3,14 @@
 Two independent elimination routes are kept deliberately separate: a
 reduced row echelon form over the scalar field (used to produce kernel
 bases), and a fraction-free Bareiss elimination over Gaussian integers
-(used as the rank oracle the solver results are checked against).
+(used as the rank oracle the solver results are checked against).  They
+share no elimination code, so an error in one cannot hide in the other.
+
+Both routes run on sparse rows, one ``{column: value}`` dict per row with
+all-zero rows dropped.  An operator moves each basis monomial to a few
+lattice neighbours, so the solver's stacked matrices hold about one
+nonzero per nonzero row, and most of their rows are zero.  The public
+functions still take and return dense rows and convert once on entry.
 """
 
 from __future__ import annotations
@@ -13,64 +20,90 @@ from math import lcm
 from .scalars import ONE, ZERO
 
 
+def _sparse_rows(rows, zero):
+    """The nonzero entries of each row as ``{column: value}``; zero rows dropped."""
+    out = []
+    for row in rows:
+        entries = {c: v for c, v in enumerate(row) if v is not zero and v != zero}
+        if entries:
+            out.append(entries)
+    return out
+
+
+def _subtract_multiple(row, f, src):
+    """``row -= f * src`` in place, dropping entries that cancel."""
+    for k, v in src.items():
+        x = row.get(k, ZERO) - f * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def _gauss_jordan(rows):
+    """Sparse reduced row echelon form over Q(i).
+
+    Returns ``{pivot column: reduced row}``: each reduced row is one at its
+    pivot and has no entry in any other pivot column.  Rows are added one
+    at a time; the reduced row echelon form of a span is unique, so the
+    order of the rows does not change the result.
+    """
+    basis = {}
+    for row in _sparse_rows(rows, ZERO):
+        # Reduced basis rows have no entry in other pivot columns, so one
+        # pass over the row's pivot columns clears them all.
+        for c in [c for c in row if c in basis]:
+            _subtract_multiple(row, row[c], basis[c])
+        if not row:
+            continue
+        lead = min(row)
+        inv = ONE / row[lead]
+        row = {k: v * inv for k, v in row.items()}
+        for other in basis.values():
+            f = other.get(lead)
+            if f is not None:
+                _subtract_multiple(other, f, row)
+        basis[lead] = row
+    return basis
+
+
 def rref(rows):
     """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    rows = list(rows)
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    basis = _gauss_jordan(rows)
+    pivots = sorted(basis)
+    reduced = [[basis[p].get(c, ZERO) for c in range(ncols)] for p in pivots]
+    reduced.extend([ZERO] * ncols for _ in range(len(rows) - len(pivots)))
+    return reduced, pivots
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(_gauss_jordan(rows))
 
 
 def kernel_basis(rows, ncols):
     """Exact basis of the null space of the matrix (rows of length ncols)."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
+    basis = _gauss_jordan(rows)
+    out = []
+    for fc in range(ncols):
+        if fc in basis:
+            continue
         vec = [ZERO] * ncols
         vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
+        for pc, row in basis.items():
+            if fc in row:
+                vec[pc] = -row[fc]
+        out.append(vec)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Fraction-free rank oracle over Gaussian integers.
 
-def _gauss_mul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gauss_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
+_GZERO = (0, 0)
 
 
 def _gauss_divexact(a, b):
@@ -89,10 +122,16 @@ def scalars_to_gaussian(rows):
     for row in rows:
         denom = 1
         for s in row:
-            denom = lcm(denom, s.re.denominator, s.im.denominator)
+            if s is not ZERO and s:
+                denom = lcm(denom, s.re.denominator, s.im.denominator)
         out.append(
             tuple(
-                (int(s.re * denom), int(s.im * denom))
+                (
+                    s.re.numerator * (denom // s.re.denominator),
+                    s.im.numerator * (denom // s.im.denominator),
+                )
+                if s is not ZERO and s
+                else _GZERO
                 for s in row
             )
         )
@@ -103,36 +142,47 @@ def bareiss_rank(int_rows):
     """Rank by fraction-free forward elimination over Gaussian integers.
 
     Entries are (re, im) integer pairs.  The one-step division by the
-    previous pivot is exact provided every row below the pivot is updated
-    at every step, including rows whose leading entry is already zero.
+    previous pivot is exact provided every remaining row is updated at
+    every step, including rows with no entry in the pivot column: those are
+    scaled by pivot / previous pivot.
     """
-    m = [list(r) for r in int_rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
+    rows = _sparse_rows(int_rows, _GZERO)
     prev = (1, 0)
     r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != (0, 0):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, len(m)):
-            fi = m[i][c]
-            m[i] = [
-                _gauss_divexact(
-                    _gauss_sub(_gauss_mul(pv, m[i][k]), _gauss_mul(fi, m[r][k])),
-                    prev,
-                )
-                for k in range(ncols)
-            ]
+    while rows:
+        # Taking columns in order keeps the solver's pivots at one; an
+        # arbitrary pivot choice is also exact but lets the entries grow.
+        c = min(min(row) for row in rows)
+        prow = rows.pop(next(i for i, row in enumerate(rows) if c in row))
+        pv = prow.pop(c)
+        pr, pi = pv
+        remaining = []
+        for row in rows:
+            fi = row.pop(c, None)
+            if fi is None:
+                # Scaling by pv / prev is a no-op when the pivots agree.
+                if pv != prev:
+                    row = {
+                        k: _gauss_divexact((pr * a - pi * b, pr * b + pi * a), prev)
+                        for k, (a, b) in row.items()
+                    }
+            else:
+                fr, fim = fi
+                new = {}
+                for k in row.keys() | prow.keys():
+                    a, b = row.get(k, _GZERO)
+                    x, y = prow.get(k, _GZERO)
+                    v = _gauss_divexact(
+                        (pr * a - pi * b - fr * x + fim * y,
+                         pr * b + pi * a - fr * y - fim * x),
+                        prev,
+                    )
+                    if v != _GZERO:
+                        new[k] = v
+                row = new
+            if row:
+                remaining.append(row)
+        rows = remaining
         prev = pv
         r += 1
-        if r == len(m):
-            break
     return r

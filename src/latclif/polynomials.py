@@ -215,7 +215,7 @@ def solve_kernel(operators, candidates):
 
 
 def oracle_kernel_dimension(rows, ncols):
-    """Independent dense rank route: fraction-free Bareiss over Z[i]."""
+    """Independent rank route: fraction-free Bareiss over Z[i]."""
     if not rows:
         return ncols
     return ncols - bareiss_rank(scalars_to_gaussian(rows))

@@ -9,6 +9,8 @@ from latclif.forms import Form
 from latclif.opexpr import ExprError, parse_expression
 from latclif.scalars import Scalar
 
+from test_formfile import MALFORMED
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -179,3 +181,31 @@ def test_roundtrip_rejects_garbage(capsys, tmp_path):
     path.write_text("not a form\n")
     code, _, err = run(capsys, "roundtrip", str(path))
     assert code == 2
+
+
+def reads_form(command, path):
+    """argv for a ``roundtrip`` or ``apply`` run that reads the form file."""
+    if command == "roundtrip":
+        return [command, str(path)]
+    return [command, "Ez", str(path)]
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "apply"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_form_file_exits_2(capsys, tmp_path, command, case):
+    path = tmp_path / "bad.form"
+    path.write_text(MALFORMED[case])
+    code, out, err = run(capsys, *reads_form(command, path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "CHECK" not in out
+
+
+@pytest.mark.parametrize("command", ["roundtrip", "apply"])
+def test_unreadable_form_file_exits_2(capsys, tmp_path, command):
+    binary = tmp_path / "binary.form"
+    binary.write_bytes(b"latclif-form 1\nn 1\nh 1\ncoeff poly\n\xff\n")
+    for path in (binary, tmp_path):
+        code, _, err = run(capsys, *reads_form(command, path))
+        assert code == 2
+        assert err.startswith("error: ")

@@ -73,3 +73,47 @@ def test_exact_scalars_survive():
 def test_empty_form_round_trips():
     f = Form.zero(2, Fraction(1, 2))
     assert parse_form(dump_form(f)) == f
+
+
+POLY_HEAD = "latclif-form 1\nn 2\nh 1\ncoeff poly\n"
+BOX_HEAD = "latclif-form 1\nn 1\nh 1\ncoeff box\n"
+BOX_TERM = "term - 1\n  support -1:1\n  validity 0:0\n{}end\n"
+BOX_VALUES = "  v -1 1\n  v 0 2\n  v 1 3\n"
+
+MALFORMED = {
+    "version-token": "latclif-form x\nn 1\nh 1\ncoeff poly\n",
+    "bad-n": "latclif-form 1\nn two\nh 1\ncoeff poly\n",
+    "zero-n": "latclif-form 1\nn 0\nh 1\ncoeff poly\n",
+    "bad-h": "latclif-form 1\nn 1\nh 1/0\ncoeff poly\n",
+    "negative-h": "latclif-form 1\nn 1\nh -1\ncoeff poly\n",
+    "unsorted-axes": POLY_HEAD + "term 2,1 -\n  0,0 1\nend\n",
+    "repeated-axes": POLY_HEAD + "term - 1,1\n  0,0 1\nend\n",
+    "axis-above-n": POLY_HEAD + "term 5 -\n  0,0 1\nend\n",
+    "axis-zero": POLY_HEAD + "term - 0\n  0,0 1\nend\n",
+    "bad-axis-token": POLY_HEAD + "term a -\n  0,0 1\nend\n",
+    "bad-exponent": POLY_HEAD + "term - -\n  0,x 1\nend\n",
+    "bad-scalar": POLY_HEAD + "term - -\n  0,0 1+i\nend\n",
+    "zero-denominator": POLY_HEAD + "term - -\n  0,0 1/0\nend\n",
+    "duplicate-term": POLY_HEAD + "term - -\n  1,0 1\nend\nterm - -\n  2,0 1\nend\n",
+    "duplicate-exponent": POLY_HEAD + "term - -\n  1,0 1\n  1,0 2\nend\n",
+    "missing-value-line": BOX_HEAD + BOX_TERM.format("  v -1 1\n  v 1 3\n"),
+    "duplicate-value-line": BOX_HEAD + BOX_TERM.format(BOX_VALUES + "  v 0 4\n"),
+    "value-outside-support": BOX_HEAD + BOX_TERM.format(BOX_VALUES + "  v 2 4\n"),
+    "point-arity": BOX_HEAD + BOX_TERM.format(BOX_VALUES + "  v 0,0 4\n"),
+    "bad-interval": BOX_HEAD + "term - 1\n  support -1\n  validity 0:0\n  v -1 1\nend\n",
+    "box-arity": BOX_HEAD + "term - 1\n  support -1:1,0:0\n  validity 0:0\nend\n",
+    "validity-outside-support": BOX_HEAD + "term - 1\n  support 0:0\n  validity 0:1\n"
+    "  v 0 1\nend\n",
+    "empty-validity": BOX_HEAD + BOX_TERM.replace("0:0", "1:0").format(BOX_VALUES),
+}
+
+
+def test_well_formed_box_fixture_parses():
+    parsed = parse_form(BOX_HEAD + BOX_TERM.format(BOX_VALUES))
+    assert dump_form(parsed) == BOX_HEAD + BOX_TERM.format(BOX_VALUES)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_raises_form_file_error(case):
+    with pytest.raises(FormFileError):
+        parse_form(MALFORMED[case])

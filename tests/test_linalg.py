@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,113 @@ from latclif.linalg import (
     scalars_to_gaussian,
 )
 from latclif.scalars import ONE, ZERO, Scalar
+
+
+# ---------------------------------------------------------------------------
+# Dense reference eliminations: the straightforward loops the sparse routes
+# in latclif.linalg must agree with.
+
+def dense_rref(rows):
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(m)):
+            if m[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = ONE / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def dense_kernel_basis(rows, ncols):
+    reduced, pivots = dense_rref(rows)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [ZERO] * ncols
+        vec[fc] = ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def dense_scalars_to_gaussian(rows):
+    out = []
+    for row in rows:
+        denom = 1
+        for s in row:
+            denom = lcm(denom, s.re.denominator, s.im.denominator)
+        out.append(tuple((int(s.re * denom), int(s.im * denom)) for s in row))
+    return out
+
+
+def _gauss_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gauss_divexact(a, b):
+    d = b[0] * b[0] + b[1] * b[1]
+    re = a[0] * b[0] + a[1] * b[1]
+    im = a[1] * b[0] - a[0] * b[1]
+    if re % d or im % d:
+        raise ArithmeticError("inexact Gaussian division in Bareiss step")
+    return (re // d, im // d)
+
+
+def dense_bareiss_rank(int_rows):
+    m = [list(r) for r in int_rows]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    prev = (1, 0)
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(m)):
+            if m[i][c] != (0, 0):
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        for i in range(r + 1, len(m)):
+            fi = m[i][c]
+            m[i] = [
+                _gauss_divexact(
+                    tuple(
+                        x - y
+                        for x, y in zip(_gauss_mul(pv, m[i][k]), _gauss_mul(fi, m[r][k]))
+                    ),
+                    prev,
+                )
+                for k in range(ncols)
+            ]
+        prev = pv
+        r += 1
+        if r == len(m):
+            break
+    return r
+
 
 entries = st.builds(
     Scalar,
@@ -23,6 +131,38 @@ def matrices(draw):
     nrows = draw(st.integers(1, 5))
     ncols = draw(st.integers(1, 5))
     return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+# Drawing from fixed pools keeps generation cheap for 40-row matrices.
+sparse_entries = st.sampled_from([
+    Scalar(Fraction(a), Fraction(b))
+    for a in ("-3", "-1", "-1/2", "1/3", "1", "2", "5/2")
+    for b in ("0", "1", "-1/2")
+])
+factors = [ONE, ZERO, Scalar(-1), Scalar(0, 1), Scalar(Fraction(2, 3), -2), Scalar(3)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Tall, sparse, rank-deficient matrices shaped like the solver's.
+
+    Up to 20 base rows with 0-2 nonzeros each, then up to 20 copies of base
+    rows, each duplicated or scaled by a Q(i) factor (zero among them),
+    all shuffled: at most 40 x 8.
+    """
+    ncols = draw(st.integers(1, 8))
+    base = []
+    for _ in range(draw(st.integers(1, 20))):
+        row = [ZERO] * ncols
+        for c in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+            row[c] = draw(sparse_entries)
+        base.append(row)
+    copies = draw(st.lists(
+        st.tuples(st.integers(0, len(base) - 1), st.sampled_from(factors)),
+        max_size=20,
+    ))
+    rows = base + [[f * v for v in base[i]] for i, f in copies]
+    return draw(st.permutations(rows))
 
 
 def test_rref_simple():
@@ -74,3 +214,14 @@ def test_gaussian_conversion_scales_rows():
     m = [[Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3), Fraction(1, 6))]]
     g = scalars_to_gaussian(m)
     assert g == [((3, 0), (2, 1))]
+
+
+@given(st.one_of(sparse_matrices(), matrices()))
+@settings(max_examples=120, deadline=None)
+def test_sparse_routes_match_dense_reference(m):
+    ncols = len(m[0])
+    assert rref(m) == dense_rref(m)
+    assert kernel_basis(m, ncols) == dense_kernel_basis(m, ncols)
+    g = scalars_to_gaussian(m)
+    assert g == dense_scalars_to_gaussian(m)
+    assert bareiss_rank(g) == dense_bareiss_rank(g) == rank(m)
