@@ -1,7 +1,7 @@
 """Command line interface: verify, apply, monogenic, oracle, roundtrip.
 
 Reports are line protocols (``CHECK``, ``RELATION``, ``DIM`` prefixes) in
-a canonical sorted order, independent of the parallelism degree.  Exit
+a canonical order: checks run one at a time, in suite order.  Exit
 codes: 0 when every check passes, 1 on check failures, 2 on configuration
 or parse errors, 3 when a box runs out of validity margin (the offending
 check is named).
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import dirac as dirac_mod
@@ -37,16 +36,17 @@ def _parse_h(text):
     return h
 
 
-def _jobs(args):
+def _check_jobs(args):
+    """Reject a non-integer LATCLIF_THREADS unless --jobs is given.
+
+    Checks always run serially, so neither value is used beyond this.
+    """
     env = os.environ.get("LATCLIF_THREADS")
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    if env:
+    if args.jobs is None and env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise ConfigError(f"bad LATCLIF_THREADS value {env!r}")
-    return 1
 
 
 def _validate(args, suites):
@@ -61,61 +61,43 @@ def _validate(args, suites):
         raise ConfigError("box margin too small for the deepest operator (need >= 2)")
 
 
-def _run_checks(checks, jobs):
-    """Execute checks, emit lines in canonical order; returns (lines, ok)."""
-    def run_one(idx_check):
-        idx, check = idx_check
-        lines, passed = check.run()
-        return idx, lines, passed
-
-    indexed = list(enumerate(checks))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, indexed))
-    else:
-        results = [run_one(ic) for ic in indexed]
-    results.sort(key=lambda r: r[0])
+def _run_checks(checks):
+    """Run checks in order; returns (lines, ok)."""
     lines = []
     ok = True
-    for _, ls, passed in results:
+    for check in checks:
+        ls, passed = check.run()
         lines.extend(ls)
         ok = ok and passed
     return lines, ok
 
 
-def cmd_verify(args):
-    if args.suite == "all":
-        suites = list(SUITE_BUILDERS)
-    else:
-        suites = [args.suite]
-        if args.suite not in SUITE_BUILDERS:
-            raise ConfigError(f"unknown suite {args.suite!r}")
+def _run_suites(args, suites):
     _validate(args, suites)
+    _check_jobs(args)
     checks = []
     for name in suites:
         checks.extend(SUITE_BUILDERS[name](args))
     try:
-        lines, ok = _run_checks(checks, _jobs(args))
+        lines, ok = _run_checks(checks)
     except SuiteMarginError as exc:
         print(f"CHECK {exc.check_name} ERROR margin exhausted: {exc}")
         return 3
     for line in lines:
         print(line)
     return 0 if ok else 1
+
+
+def cmd_verify(args):
+    if args.suite == "all":
+        return _run_suites(args, list(SUITE_BUILDERS))
+    if args.suite not in SUITE_BUILDERS:
+        raise ConfigError(f"unknown suite {args.suite!r}")
+    return _run_suites(args, [args.suite])
 
 
 def cmd_oracle(args):
-    args.suite = "universal"
-    _validate(args, ["universal", "reduction"])
-    checks = SUITE_BUILDERS["universal"](args) + SUITE_BUILDERS["reduction"](args)
-    try:
-        lines, ok = _run_checks(checks, _jobs(args))
-    except SuiteMarginError as exc:
-        print(f"CHECK {exc.check_name} ERROR margin exhausted: {exc}")
-        return 3
-    for line in lines:
-        print(line)
-    return 0 if ok else 1
+    return _run_suites(args, ["universal", "reduction"])
 
 
 def cmd_apply(args):
@@ -220,7 +202,8 @@ def build_parser():
         p.add_argument("--convention", choices=("plus", "minus"),
                        default=dirac_mod.DEFAULT_CONVENTION)
         p.add_argument("--jobs", type=int, default=None,
-                       help="parallel checks (default LATCLIF_THREADS or 1)")
+                       help="kept for compatibility and ignored: checks run serially "
+                            "(LATCLIF_THREADS, if set, must still be an integer)")
         p.add_argument("--box-halfwidth", type=int, default=5,
                        help="half width of sample boxes in the core suite")
         if torus:

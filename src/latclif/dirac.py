@@ -107,51 +107,53 @@ class DiracFamily:
 
     n: int
     convention: str
-    d_plus: Operator = field(repr=False, default=None)
-    d_minus: Operator = field(repr=False, default=None)
-    dirac: Operator = field(repr=False, default=None)
-    dz: Operator = field(repr=False, default=None)
-    dzdag: Operator = field(repr=False, default=None)
-    dX: Operator = field(repr=False, default=None)
-    dXbar: Operator = field(repr=False, default=None)
-    z: Operator = field(repr=False, default=None)
-    zdag: Operator = field(repr=False, default=None)
-    X: Operator = field(repr=False, default=None)
-    Xbar: Operator = field(repr=False, default=None)
-    E_z: Operator = field(repr=False, default=None)
-    E_zdag: Operator = field(repr=False, default=None)
-    beta: Operator = field(repr=False, default=None)
-    Gamma_z: Operator = field(repr=False, default=None)
-    Gamma_zdag: Operator = field(repr=False, default=None)
-    E_X: Operator = field(repr=False, default=None)
-    Gamma_X: Operator = field(repr=False, default=None)
-    Gamma_Xbar: Operator = field(repr=False, default=None)
+    d_plus: Operator = field(repr=False)
+    d_minus: Operator = field(repr=False)
+    dirac: Operator = field(repr=False)
+    dz: Operator = field(repr=False)
+    dzdag: Operator = field(repr=False)
+    dX: Operator = field(repr=False)
+    dXbar: Operator = field(repr=False)
+    z: Operator = field(repr=False)
+    zdag: Operator = field(repr=False)
+    X: Operator = field(repr=False)
+    Xbar: Operator = field(repr=False)
+    E_z: Operator = field(repr=False)
+    E_zdag: Operator = field(repr=False)
+    beta: Operator = field(repr=False)
+    Gamma_z: Operator = field(repr=False)
+    Gamma_zdag: Operator = field(repr=False)
+    E_X: Operator = field(repr=False)
+    Gamma_X: Operator = field(repr=False)
+    Gamma_Xbar: Operator = field(repr=False)
 
 
 def build_family(n, convention=DEFAULT_CONVENTION):
-    fam = DiracFamily(n=n, convention=convention)
-    fam.d_plus = dirac_pm(n, 1)
-    fam.d_minus = dirac_pm(n, -1)
-    fam.dirac = dirac_kahler(n)
-    fam.dz, fam.dzdag = hermitian_pair(n, convention)
-    fam.dX, fam.dXbar = orthogonal_pair(n, convention)
-    fam.z, fam.zdag, fam.X, fam.Xbar = vector_variables(n, convention)
-    fam.E_z = opsum(*[coord_shift(1, j) * diff_op(-1, j) for j in range(1, n + 1)])
-    fam.E_zdag = opsum(*[coord_shift(-1, j) * diff_op(1, j) for j in range(1, n + 1)])
-    fam.beta = opsum(*[xi(-1, j) * xi(1, j) for j in range(1, n + 1)])
-    fam.Gamma_z = commutator(fam.z, fam.dz) + fam.beta
-    n_id = Operator.identity().scaled(Scalar(n))
-    fam.Gamma_zdag = commutator(fam.zdag, fam.dzdag) + (n_id - fam.beta)
-    fam.E_X = fam.E_z + fam.E_zdag
-    mixed = fam.zdag * fam.dz + fam.z * fam.dzdag
-    fam.Gamma_X = fam.Gamma_z + fam.Gamma_zdag - mixed.scaled(Scalar(2))
-    fam.Gamma_Xbar = fam.Gamma_z + fam.Gamma_zdag + mixed.scaled(Scalar(2))
-    return fam
+    dz, dzdag = hermitian_pair(n, convention)
+    dX, dXbar = orthogonal_pair(n, convention)
+    z, zdag, X, Xbar = vector_variables(n, convention)
+    E_z = opsum(*[coord_shift(1, j) * diff_op(-1, j) for j in range(1, n + 1)])
+    E_zdag = opsum(*[coord_shift(-1, j) * diff_op(1, j) for j in range(1, n + 1)])
+    beta = opsum(*[xi(-1, j) * xi(1, j) for j in range(1, n + 1)])
+    Gamma_z = commutator(z, dz) + beta
+    Gamma_zdag = commutator(zdag, dzdag) + (Operator.constant(n) - beta)
+    mixed = zdag * dz + z * dzdag
+    return DiracFamily(
+        n=n, convention=convention,
+        d_plus=dirac_pm(n, 1), d_minus=dirac_pm(n, -1), dirac=dirac_kahler(n),
+        dz=dz, dzdag=dzdag, dX=dX, dXbar=dXbar,
+        z=z, zdag=zdag, X=X, Xbar=Xbar,
+        E_z=E_z, E_zdag=E_zdag, beta=beta, Gamma_z=Gamma_z, Gamma_zdag=Gamma_zdag,
+        E_X=E_z + E_zdag,
+        Gamma_X=Gamma_z + Gamma_zdag - mixed.scaled(Scalar(2)),
+        Gamma_Xbar=Gamma_z + Gamma_zdag + mixed.scaled(Scalar(2)),
+    )
 
 
 def intertwining_relations(fam):
     """The six relations, as (name, lhs, rhs) triples."""
-    n_id = Operator.identity().scaled(Scalar(fam.n))
+    n_id = Operator.constant(fam.n)
+    zero = Operator.constant(0)
     return [
         ("acomm(z,dz)=beta+Ez", anticommutator(fam.z, fam.dz), fam.beta + fam.E_z),
         ("comm(z,dz)=-beta+Gz", commutator(fam.z, fam.dz), fam.Gamma_z - fam.beta),
@@ -165,13 +167,9 @@ def intertwining_relations(fam):
             commutator(fam.zdag, fam.dzdag),
             fam.Gamma_zdag - (n_id - fam.beta),
         ),
-        ("acomm(zdag,dz)=0", anticommutator(fam.zdag, fam.dz), _zero_op()),
-        ("acomm(z,dzdag)=0", anticommutator(fam.z, fam.dzdag), _zero_op()),
+        ("acomm(zdag,dz)=0", anticommutator(fam.zdag, fam.dz), zero),
+        ("acomm(z,dzdag)=0", anticommutator(fam.z, fam.dzdag), zero),
     ]
-
-
-def _zero_op():
-    return Operator.identity().scaled(Scalar(0))
 
 
 def verify_intertwining(fam, test_forms):
@@ -180,7 +178,7 @@ def verify_intertwining(fam, test_forms):
     for name, lhs, rhs in intertwining_relations(fam):
         rep = verify_identity(name, lhs, rhs, test_forms)
         reports.append(rep)
-    n_id = Operator.identity().scaled(Scalar(fam.n))
+    n_id = Operator.constant(fam.n)
     from_z = anticommutator(fam.z, fam.dz) + anticommutator(fam.zdag, fam.dzdag) - n_id
     from_xbar = -anticommutator(fam.Xbar, fam.dXbar) - n_id
     reports.append(verify_identity("EX=Ez+Ezdag(z-side)", from_z, fam.E_X, test_forms))

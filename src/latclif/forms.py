@@ -12,6 +12,12 @@ axis j, each dx_j^- one negative step.  This single rule reproduces the
 non-commutativity of functions and 1-forms in the reduced universal
 calculus, and :func:`to_universal` / :func:`from_universal` provide the
 exact bridge used by the oracle suite.
+
+Blade products take their sign from :func:`latclif.universal.grassmann_sort`,
+the same rule that orders the steps of reduced paths.  Every form built
+term by term (products, derivatives, automorphisms and the primitive
+operators of :mod:`latclif.operators`) goes through :meth:`Form.collect`,
+which drops a polynomial sum that cancels and keeps every box sum.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .coeffs import (
     diff,
 )
 from .scalars import Scalar, as_scalar
-from .universal import Reduction, Torus, UForm
+from .universal import Reduction, Torus, UForm, grassmann_sort
 
 
 class BridgeError(Exception):
@@ -85,17 +91,13 @@ EMPTY_BLADE = Blade((), ())
 
 def blade_from_factors(factors):
     """Canonicalize a factor sequence; returns (sign, Blade) or None if zero."""
-    seq = list(factors)
-    if len(set(seq)) != len(seq):
+    canon = grassmann_sort(factors)
+    if canon is None:
         return None
-    inversions = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
-    minus = tuple(sorted(a for t, a in seq if t == 0))
-    plus = tuple(sorted(a for t, a in seq if t == 1))
-    return (-1 if inversions % 2 else 1), Blade(minus, plus)
+    sgn, keys = canon
+    minus = tuple(a for t, a in keys if t == 0)
+    plus = tuple(a for t, a in keys if t == 1)
+    return sgn, Blade(minus, plus)
 
 
 def blade_mul(b1, b2):
@@ -123,6 +125,12 @@ def all_blades(n):
     return out
 
 
+def _cancelled(coeff):
+    """A polynomial that summed to zero; a box is never dropped, since its
+    validity box carries information even when every value is zero."""
+    return isinstance(coeff, ExactPolynomial) and not coeff.terms
+
+
 class Form:
     """Sparse blade -> coefficient association with a fixed n and mesh h."""
 
@@ -139,9 +147,8 @@ class Form:
                 hh = coeff.h
             elif type(coeff) is not kind or coeff.h != hh:
                 raise ValueError("coefficient algebra mismatch")
-            if isinstance(coeff, ExactPolynomial) and coeff.is_zero():
-                continue
-            self.terms[blade] = coeff
+            if not _cancelled(coeff):
+                self.terms[blade] = coeff
         self.h = Fraction(h)
         if hh is not None and hh != self.h:
             raise ValueError("coefficient mesh width differs from form mesh width")
@@ -157,6 +164,22 @@ class Form:
     def _raw(self, terms):
         out = Form.__new__(Form)
         out.n, out.h, out.terms = self.n, self.h, terms
+        return out
+
+    @classmethod
+    def collect(cls, n, h, triples):
+        """The sum of sign * coeff * blade over (sign, blade, coeff) triples."""
+        out = cls.zero(n, h)
+        terms = out.terms
+        for sign, blade, coeff in triples:
+            if sign < 0:
+                coeff = coeff.neg()
+            if blade in terms:
+                coeff = terms[blade].add(coeff)
+            if _cancelled(coeff):
+                terms.pop(blade, None)
+            else:
+                terms[blade] = coeff
         return out
 
     @classmethod
@@ -180,33 +203,25 @@ class Form:
         if k1 and k2 and k1 != k2:
             raise ValueError("coefficient algebra mismatch")
 
-    def add(self, other):
+    def _merge(self, other, subtract):
         self._compatible(other)
         terms = dict(self.terms)
         for b, c in other.terms.items():
-            if b in terms:
-                s = terms[b].add(c)
-                if isinstance(s, ExactPolynomial) and not s.terms:
-                    del terms[b]
-                else:
-                    terms[b] = s
+            if b not in terms:
+                terms[b] = c.neg() if subtract else c
+                continue
+            s = terms[b].sub(c) if subtract else terms[b].add(c)
+            if _cancelled(s):
+                del terms[b]
             else:
-                terms[b] = c
+                terms[b] = s
         return self._raw(terms)
 
+    def add(self, other):
+        return self._merge(other, subtract=False)
+
     def sub(self, other):
-        self._compatible(other)
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            if b in terms:
-                s = terms[b].sub(c)
-                if isinstance(s, ExactPolynomial) and not s.terms:
-                    del terms[b]
-                else:
-                    terms[b] = s
-            else:
-                terms[b] = c.neg()
-        return self._raw(terms)
+        return self._merge(other, subtract=True)
 
     def scale(self, s):
         s = as_scalar(s)
@@ -221,37 +236,27 @@ class Form:
         terms = {}
         for b, c in self.terms.items():
             nc = fn(c)
-            if isinstance(nc, ExactPolynomial) and not nc.terms:
-                continue
-            terms[b] = nc
+            if not _cancelled(nc):
+                terms[b] = nc
         return self._raw(terms)
 
     def mul(self, other):
         """Form product; moving a coefficient left through a blade shifts it."""
         self._compatible(other)
-        terms = {}
-        for b1, f in self.terms.items():
-            for b2, g in other.terms.items():
-                prod = blade_mul(b1, b2)
-                if prod is None:
-                    continue
-                sgn, blade = prod
-                moved = g
-                for step in b1.displacement_steps():
-                    moved = moved.shift(step.axis, step.sign)
-                coeff = f.mul(moved)
-                if sgn < 0:
-                    coeff = coeff.neg()
-                if blade in terms:
-                    terms[blade] = terms[blade].add(coeff)
-                else:
-                    terms[blade] = coeff
-        terms = {
-            b: c
-            for b, c in terms.items()
-            if not (isinstance(c, ExactPolynomial) and not c.terms)
-        }
-        return self._raw(terms)
+
+        def triples():
+            for b1, f in self.terms.items():
+                steps = b1.displacement_steps()
+                for b2, g in other.terms.items():
+                    prod = blade_mul(b1, b2)
+                    if prod is None:
+                        continue
+                    moved = g
+                    for step in steps:
+                        moved = moved.shift(step.axis, step.sign)
+                    yield prod[0], prod[1], f.mul(moved)
+
+        return Form.collect(self.n, self.h, triples())
 
     def component(self, p, q):
         """The bihomogeneous part with p minus factors and q plus factors."""
@@ -303,23 +308,14 @@ def d_minus(form):
 
 
 def _d_signed(form, sign):
-    out = Form.zero(form.n, form.h)
-    for blade, coeff in form.terms.items():
-        for axis in range(1, form.n + 1):
-            prod = blade_mul(single_blade(sign, axis), blade)
-            if prod is None:
-                continue
-            sgn, nb = prod
-            c = diff(coeff, LatticeStep(axis, sign))
-            if sgn < 0:
-                c = c.neg()
-            if isinstance(c, ExactPolynomial) and c.is_zero():
-                continue
-            if nb in out.terms:
-                out.terms[nb] = out.terms[nb].add(c)
-            else:
-                out.terms[nb] = c
-    return out
+    def triples():
+        for blade, coeff in form.terms.items():
+            for axis in range(1, form.n + 1):
+                prod = blade_mul(single_blade(sign, axis), blade)
+                if prod is not None:
+                    yield prod[0], prod[1], diff(coeff, LatticeStep(axis, sign))
+
+    return Form.collect(form.n, form.h, triples())
 
 
 def d(form):
@@ -332,31 +328,25 @@ def d(form):
 
 def involution(form):
     """Swap dx_j^+ <-> dx_j^- factorwise, keeping order and coefficients."""
-    out = Form.zero(form.n, form.h)
-    for blade, coeff in form.terms.items():
-        swapped = tuple((1 - t, a) for t, a in blade.factors())
-        sgn, nb = blade_from_factors(swapped)
-        c = coeff if sgn > 0 else coeff.neg()
-        out.terms[nb] = out.terms[nb].add(c) if nb in out.terms else c
-    return out
+    def triples():
+        for blade, coeff in form.terms.items():
+            sgn, nb = blade_from_factors((1 - t, a) for t, a in blade.factors())
+            yield sgn, nb, coeff
+
+    return Form.collect(form.n, form.h, triples())
 
 
 def _reversal(form, conjugate):
-    out = Form.zero(form.n, form.h)
-    for blade, coeff in form.terms.items():
-        r = blade.degree
-        seq = tuple((1 - t, a) for t, a in reversed(blade.factors()))
-        sgn, nb = blade_from_factors(seq)
-        if r % 2:
-            sgn = -sgn
-        c = coeff.conj() if conjugate else coeff
-        # the coefficient re-enters from the right of the reversed blade
-        for step in nb.displacement_steps():
-            c = c.shift(step.axis, step.sign)
-        if sgn < 0:
-            c = c.neg()
-        out.terms[nb] = out.terms[nb].add(c) if nb in out.terms else c
-    return out
+    def triples():
+        for blade, coeff in form.terms.items():
+            sgn, nb = blade_from_factors((1 - t, a) for t, a in reversed(blade.factors()))
+            c = coeff.conj() if conjugate else coeff
+            # the coefficient re-enters from the right of the reversed blade
+            for step in nb.displacement_steps():
+                c = c.shift(step.axis, step.sign)
+            yield (-sgn if blade.degree % 2 else sgn), nb, c
+
+    return Form.collect(form.n, form.h, triples())
 
 
 def reversion(form):
@@ -382,7 +372,8 @@ def to_universal(form, N):
     torus = Torus(form.n, N)
     red = Reduction(torus)
     domain = cube(form.n, 0, N - 1)
-    h = form.h
+    # each (blade, start node) pair gives its own path, since N >= 3 keeps
+    # the steps +e_j and -e_j apart
     terms = {}
     for blade, coeff in form.terms.items():
         if isinstance(coeff, ExactPolynomial):
@@ -390,22 +381,12 @@ def to_universal(form, N):
                 raise BridgeError("non-periodic coefficient rejected")
         elif box_intersect(coeff.validity, domain) != domain:
             raise BridgeError("box does not cover the fundamental domain")
-        sample = {m: coeff.value_at(m) for m in torus.nodes()}
-        weight = Scalar(h ** blade.degree)
-        for m, value in sample.items():
-            if not value:
-                continue
-            node = m
-            path = [node]
+        weight = Scalar(form.h ** blade.degree)
+        for m in torus.nodes():
+            path = [m]
             for t, axis in blade.factors():
-                node = torus.add(node, torus.unit_step(axis, 1 if t else -1))
-                path.append(node)
-            key = tuple(path)
-            cur = terms.get(key, Scalar(0)) + value * weight
-            if cur:
-                terms[key] = cur
-            else:
-                terms.pop(key, None)
+                path.append(torus.add(path[-1], torus.unit_step(axis, 1 if t else -1)))
+            terms[tuple(path)] = coeff.value_at(m) * weight
     return UForm(torus, terms, red)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import ExactPolynomial, LatticeStep, coord_shift_mul, diff, shift
-from .forms import Form, all_blades, blade_from_factors, single_blade
+from .forms import Form, all_blades, blade_from_factors, blade_mul, single_blade
 from .scalars import Scalar, as_scalar
 
 
@@ -50,6 +50,11 @@ class Operator:
     @classmethod
     def identity(cls):
         return cls("id", name="id")
+
+    @classmethod
+    def constant(cls, c):
+        """The operator c * id."""
+        return cls.identity().scaled(c)
 
     def __mul__(self, other):
         """Composition: (A * B)(w) = A(B(w))."""
@@ -154,23 +159,15 @@ def gamma(sign, axis):
     blade = single_blade(sign, axis)
 
     def apply(form):
-        out = Form.zero(form.n, form.h)
-        for b, coeff in form.terms.items():
-            prod = _blade_premul(blade, b)
-            if prod is None:
-                continue
-            sgn, nb = prod
-            c = coeff.shift(axis, sign)
-            if sgn < 0:
-                c = c.neg()
-            out.terms[nb] = out.terms[nb].add(c) if nb in out.terms else c
-        return out
+        def triples():
+            for b, coeff in form.terms.items():
+                prod = blade_mul(blade, b)
+                if prod is not None:
+                    yield prod[0], prod[1], coeff.shift(axis, sign)
+
+        return Form.collect(form.n, form.h, triples())
 
     return Operator.prim(f"gamma({_sign_char(sign)},{axis})", apply)
-
-
-def _blade_premul(gblade, blade):
-    return blade_from_factors(gblade.factors() + blade.factors())
 
 
 def vartheta(sign, axis):
@@ -185,19 +182,15 @@ def vartheta(sign, axis):
     target = (0 if sign < 0 else 1, axis)
 
     def apply(form):
-        out = Form.zero(form.n, form.h)
-        for b, coeff in form.terms.items():
-            factors = b.factors()
-            if target not in factors:
-                continue
-            idx = factors.index(target)
-            rest = factors[:idx] + factors[idx + 1:]
-            _, nb = blade_from_factors(rest)
-            c = coeff.shift(axis, -sign)
-            if idx % 2:
-                c = c.neg()
-            out.terms[nb] = out.terms[nb].add(c) if nb in out.terms else c
-        return out
+        def triples():
+            for b, coeff in form.terms.items():
+                factors = b.factors()
+                if target in factors:
+                    idx = factors.index(target)
+                    _, nb = blade_from_factors(factors[:idx] + factors[idx + 1:])
+                    yield (-1 if idx % 2 else 1), nb, coeff.shift(axis, -sign)
+
+        return Form.collect(form.n, form.h, triples())
 
     return Operator.prim(f"vartheta({_sign_char(sign)},{axis})", apply)
 
@@ -228,13 +221,13 @@ def vartheta_recursive(sign, axis):
         return out
 
     def apply(form):
-        out = Form.zero(form.n, form.h)
-        for b, coeff in form.terms.items():
-            pre = coeff.shift(axis, -sign)
-            for c, factors in contract(pre, b.factors()):
-                _, nb = blade_from_factors(factors)
-                out.terms[nb] = out.terms[nb].add(c) if nb in out.terms else c
-        return out
+        def triples():
+            for b, coeff in form.terms.items():
+                for c, factors in contract(coeff.shift(axis, -sign), b.factors()):
+                    _, nb = blade_from_factors(factors)  # factors come out sorted
+                    yield 1, nb, c
+
+        return Form.collect(form.n, form.h, triples())
 
     return Operator.prim(f"varthetaRec({_sign_char(sign)},{axis})", apply)
 
@@ -356,10 +349,6 @@ def spanning_forms(n, h):
         for label, coeff in spanning_coeffs(n, h):
             out.append((f"{label}*{blade.label()}", Form.blade(coeff, blade)))
     return out
-
-
-def apply_operator(op, form):
-    return op(form)
 
 
 def verify_identity(name, lhs, rhs, test_forms):

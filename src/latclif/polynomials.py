@@ -160,6 +160,13 @@ def form_coordinates(form):
     return coords
 
 
+def _coordinate_rows(forms):
+    """Coordinate matrix with one column per form, rows in sorted key order."""
+    coords = [form_coordinates(form) for form in forms]
+    keys = sorted(set().union(*coords))
+    return [[cs.get(k, ZERO) for cs in coords] for k in keys]
+
+
 def reduce_candidates(candidates):
     """A maximal linearly independent subset of the candidate forms.
 
@@ -168,10 +175,7 @@ def reduce_candidates(candidates):
     be dependent; solving on a reduced basis keeps kernel dimensions equal
     to dimensions of actual solution spaces.
     """
-    coords = [form_coordinates(form) for _, form in candidates]
-    keys = sorted(set().union(*coords)) if coords else []
-    rows = [[cs.get(k, ZERO) for cs in coords] for k in keys]
-    _, pivots = rref(rows)
+    _, pivots = rref(_coordinate_rows(form for _, form in candidates))
     return [candidates[i] for i in pivots]
 
 
@@ -221,24 +225,26 @@ def oracle_kernel_dimension(rows, ncols):
     return ncols - bareiss_rank(scalars_to_gaussian(rows))
 
 
-def joint_euler_eigenbasis(n, h, p, q, blades=None, ambient=False):
-    """Exact basis of the coupled Euler eigenspace inside the candidate span."""
-    candidates = reduce_candidates(
+def _candidate_space(n, h, p, q, blades, ambient):
+    """Independent candidates: the (p, q) factorial-power products, or with
+    ``ambient`` every monomial of total degree at most p + q."""
+    return reduce_candidates(
         ambient_space(n, h, p + q, blades)
         if ambient
         else homogeneous_space(n, h, p, q, blades)
     )
+
+
+def joint_euler_eigenbasis(n, h, p, q, blades=None, ambient=False):
+    """Exact basis of the coupled Euler eigenspace inside the candidate span."""
+    candidates = _candidate_space(n, h, p, q, blades, ambient)
     fam = build_family(n)
     ops = [
-        fam.E_z - _const_op(p),
-        fam.E_zdag - _const_op(q),
+        fam.E_z - Operator.constant(p),
+        fam.E_zdag - Operator.constant(q),
     ]
     basis, rows = solve_kernel(ops, candidates)
     return basis, candidates, rows
-
-
-def _const_op(eigenvalue):
-    return Operator.identity().scaled(Scalar(eigenvalue))
 
 
 @dataclass
@@ -263,15 +269,11 @@ def hermitian_monogenic_basis(
 ):
     """Solve the coupled eigenproblem with zero hermitian Dirac constraints."""
     blades = spinor_blades(n) if spinor else None
-    candidates = reduce_candidates(
-        ambient_space(n, h, p + q, blades)
-        if ambient
-        else homogeneous_space(n, h, p, q, blades)
-    )
+    candidates = _candidate_space(n, h, p, q, blades, ambient)
     fam = build_family(n, convention)
     ops = [
-        fam.E_z - _const_op(p),
-        fam.E_zdag - _const_op(q),
+        fam.E_z - Operator.constant(p),
+        fam.E_zdag - Operator.constant(q),
         fam.dz,
         fam.dzdag,
     ]
@@ -294,12 +296,7 @@ def hermitian_monogenic_basis(
 
 def independent_over_scalars(forms):
     """Exact rank check on the coordinate matrix of the given forms."""
-    if not forms:
-        return True
-    coords = [form_coordinates(f) for f in forms]
-    keys = sorted(set().union(*coords))
-    rows = [[cs.get(k, ZERO) for cs in coords] for k in keys]
-    return rank(rows) == len(forms)
+    return rank(_coordinate_rows(forms)) == len(forms)
 
 
 def classical_scaling_residual(form, p, q, factor=2):

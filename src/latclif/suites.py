@@ -1,8 +1,10 @@
 """Named verification suites behind the command line interface.
 
 Each suite is a list of checks; a check runs to a list of report lines
-plus an overall flag.  Inputs are generated from fixed seeds before any
-dispatch, so reports never depend on execution order or parallelism.
+plus an overall flag.  Randomized checks draw their inputs at run time
+from a generator seeded once per suite and shared by its checks; because
+checks run one at a time in list order, the draws, and so the reports,
+are fixed.
 """
 
 from __future__ import annotations
@@ -589,7 +591,7 @@ def forms_suite(n, h):
 
 def endo_suite(n, h):
     tf = spanning_forms(n, h)
-    zero = Operator.identity().scaled(Scalar(0))
+    zero = Operator.constant(0)
     ident = Operator.identity()
     checks = []
     axes = range(1, n + 1)
@@ -759,7 +761,7 @@ def endo_suite(n, h):
 def dirac_suite(n, h, convention=dirac_mod.DEFAULT_CONVENTION):
     tf = spanning_forms(n, h)
     fam = dirac_mod.build_family(n, convention)
-    zero = Operator.identity().scaled(Scalar(0))
+    zero = Operator.constant(0)
     lap = opsum(*[diff_op(-1, j) * diff_op(1, j) for j in range(1, n + 1)])
     summ = opsum(*[coord_shift(1, j) * coord_shift(-1, j) for j in range(1, n + 1)])
     checks = [
@@ -827,8 +829,7 @@ def intertwine_suite(n, h, default=dirac_mod.DEFAULT_CONVENTION):
         unique = passing == [default]
         lines.append(_check_line("dirac.convention-unique", unique,
                                  f"passing conventions: {passing}"))
-        fam = dirac_mod.build_family(n, default)
-        default_ok = all(r.passed for r in dirac_mod.verify_intertwining(fam, tf))
+        default_ok = default in passing
         lines.append(_check_line("dirac.intertwining-default", default_ok))
         return lines, unique and default_ok
 
@@ -877,7 +878,7 @@ def poly_suite(n, h, max_degree=4):
 
     def weyl_heisenberg():
         tf = spanning_forms(min(n, 2), h)
-        zero = Operator.identity().scaled(Scalar(0))
+        zero = Operator.constant(0)
         ident = Operator.identity()
         for s in (1, -1):
             for j in range(1, min(n, 2) + 1):

@@ -17,6 +17,13 @@ this normal form the reduced algebra is exactly functions tensor a
 Grassmann algebra on 2n anticommuting step generators, which is what the
 adjacency-form identities (the vanishing square of the adjacency form, the
 anticommutation of the invariant 1-forms) assert.
+
+The sign rule is :func:`grassmann_sort`, shared with the blades of
+:mod:`latclif.forms`: a step -e_j has the key (0, j) and a step +e_j the key
+(1, j), the same keys as the differentials dx_j^- and dx_j^+ it maps to.
+Every form built from paths (the constructor, the product and the
+derivative) goes through one accumulator that canonicalizes each path,
+absorbs its sign and drops a sum that cancels.
 """
 
 from __future__ import annotations
@@ -85,6 +92,23 @@ class Torus:
         return f"Torus(n={self.n}, N={self.N})"
 
 
+def grassmann_sort(keys):
+    """Sort anticommuting generators: (sign, sorted keys), or None if one repeats.
+
+    The sign is the parity of the permutation, found by counting inversions;
+    a repeated generator makes the product zero.
+    """
+    keys = tuple(keys)
+    if len(set(keys)) != len(keys):
+        return None
+    inversions = 0
+    for i, key in enumerate(keys):
+        for later in keys[i + 1:]:
+            if key > later:
+                inversions += 1
+    return (-1 if inversions % 2 else 1), tuple(sorted(keys))
+
+
 @dataclass(frozen=True)
 class Reduction:
     """The symmetric nearest-neighbour reduction: steps +-e_j only."""
@@ -95,10 +119,6 @@ class Reduction:
         if self.torus.N < 3:
             raise ValueError("reductions need N >= 3")
 
-    def step_key(self, step):
-        axis, sign = step
-        return (0, axis) if sign < 0 else (1, axis)
-
     def canonicalize(self, path):
         """Normal form of a path under the reduced calculus.
 
@@ -108,33 +128,50 @@ class Reduction:
         """
         if len(path) == 1:
             return 1, path
-        steps = []
+        keys = []
         for a, b in zip(path, path[1:]):
             st = self.torus.step_of(a, b)
             if st is None:
                 return None
-            steps.append(st)
-        if len(set(steps)) != len(steps):
+            axis, sign = st
+            keys.append((0 if sign < 0 else 1, axis))
+        canon = grassmann_sort(keys)
+        if canon is None:
             return None
-        keyed = [self.step_key(s) for s in steps]
-        # parity of the sort, by counting inversions
-        inversions = 0
-        for i in range(len(keyed)):
-            for j in range(i + 1, len(keyed)):
-                if keyed[i] > keyed[j]:
-                    inversions += 1
-        order = sorted(range(len(steps)), key=lambda k: keyed[k])
+        sgn, keys = canon
         node = path[0]
         nodes = [node]
-        for k in order:
-            axis, sign = steps[k]
-            node = self.torus.add(node, self.torus.unit_step(axis, sign))
+        for t, axis in keys:
+            node = self.torus.add(node, self.torus.unit_step(axis, 1 if t else -1))
             nodes.append(node)
-        return (-1 if inversions % 2 else 1), tuple(nodes)
+        return sgn, tuple(nodes)
 
 
 def _valid_path(nodes):
     return all(a != b for a, b in zip(nodes, nodes[1:]))
+
+
+def _accumulate(terms, pairs, reduction):
+    """Add (path, coeff) pairs into ``terms`` in place and return it.
+
+    Under a reduction each path is first put in canonical shape, its sign
+    absorbed into the coefficient; a path whose class is zero is skipped.
+    A sum that cancels is removed.
+    """
+    for path, coeff in pairs:
+        if reduction is not None:
+            canon = reduction.canonicalize(path)
+            if canon is None:
+                continue
+            sgn, path = canon
+            if sgn < 0:
+                coeff = -coeff
+        s = terms.get(path, ZERO) + coeff
+        if s:
+            terms[path] = s
+        else:
+            terms.pop(path, None)
+    return terms
 
 
 class UForm:
@@ -150,23 +187,17 @@ class UForm:
             raise ValueError("reduction belongs to a different torus")
         self.torus = torus
         self.reduction = reduction
-        self.terms = {}
-        for path, coeff in (terms or {}).items():
-            coeff = as_scalar(coeff)
-            if not coeff or not _valid_path(path):
-                continue
-            if reduction is not None:
-                canon = reduction.canonicalize(path)
-                if canon is None:
-                    continue
-                sgn, path = canon
-                if sgn < 0:
-                    coeff = -coeff
-            cur = self.terms.get(path, ZERO) + coeff
-            if cur:
-                self.terms[path] = cur
-            else:
-                self.terms.pop(path, None)
+        pairs = (
+            (path, as_scalar(coeff))
+            for path, coeff in (terms or {}).items()
+            if _valid_path(path)
+        )
+        self.terms = _accumulate({}, pairs, reduction)
+
+    def _raw(self, terms):
+        out = UForm.__new__(UForm)
+        out.torus, out.reduction, out.terms = self.torus, self.reduction, terms
+        return out
 
     # -- structure -------------------------------------------------------
     def _compatible(self, other):
@@ -192,26 +223,17 @@ class UForm:
 
     def add(self, other):
         self._compatible(other)
-        terms = dict(self.terms)
-        for p, c in other.terms.items():
-            s = terms.get(p, ZERO) + c
-            if s:
-                terms[p] = s
-            else:
-                terms.pop(p, None)
-        out = UForm(self.torus, reduction=self.reduction)
-        out.terms = terms
-        return out
+        # stored paths are canonical already
+        return self._raw(_accumulate(dict(self.terms), other.terms.items(), None))
 
     def sub(self, other):
         return self.add(other.scale(Scalar(-1)))
 
     def scale(self, s):
         s = as_scalar(s)
-        out = UForm(self.torus, reduction=self.reduction)
-        if s:
-            out.terms = {p: s * c for p, c in self.terms.items()}
-        return out
+        if not s:
+            return self._raw({})
+        return self._raw({p: s * c for p, c in self.terms.items()})
 
     def neg(self):
         return self.scale(Scalar(-1))
@@ -220,66 +242,36 @@ class UForm:
     def uproduct(self, other):
         """Concatenation product: b_{..,p} * b_{q,..} = delta_{pq} b_{..,p,..}."""
         self._compatible(other)
-        terms = {}
-        for p, c in self.terms.items():
-            for q, d in other.terms.items():
-                if p[-1] != q[0]:
-                    continue
-                path = p + q[1:]
-                coeff = c * d
-                if self.reduction is not None:
-                    canon = self.reduction.canonicalize(path)
-                    if canon is None:
-                        continue
-                    sgn, path = canon
-                    if sgn < 0:
-                        coeff = -coeff
-                s = terms.get(path, ZERO) + coeff
-                if s:
-                    terms[path] = s
-                else:
-                    terms.pop(path, None)
-        out = UForm(self.torus, reduction=self.reduction)
-        out.terms = terms
-        return out
+        pairs = (
+            (p + q[1:], c * d)
+            for p, c in self.terms.items()
+            for q, d in other.terms.items()
+            if p[-1] == q[0]
+        )
+        return self._raw(_accumulate({}, pairs, self.reduction))
 
     def uderiv(self):
         """Alternating insertion sum over all nodes and slots."""
-        terms = {}
-        for path, c in self.terms.items():
-            r = len(path)
-            for l in self.torus.nodes():
-                for s in range(r + 1):
-                    if s > 0 and path[s - 1] == l:
-                        continue
-                    if s < r and path[s] == l:
-                        continue
-                    new = path[:s] + (l,) + path[s:]
-                    coeff = c if s % 2 == 0 else -c
-                    if self.reduction is not None:
-                        canon = self.reduction.canonicalize(new)
-                        if canon is None:
+
+        def pairs():
+            for path, c in self.terms.items():
+                r = len(path)
+                for l in self.torus.nodes():
+                    for s in range(r + 1):
+                        if s > 0 and path[s - 1] == l:
                             continue
-                        sgn, new = canon
-                        if sgn < 0:
-                            coeff = -coeff
-                    cur = terms.get(new, ZERO) + coeff
-                    if cur:
-                        terms[new] = cur
-                    else:
-                        terms.pop(new, None)
-        out = UForm(self.torus, reduction=self.reduction)
-        out.terms = terms
-        return out
+                        if s < r and path[s] == l:
+                            continue
+                        yield path[:s] + (l,) + path[s:], (c if s % 2 == 0 else -c)
+
+        return self._raw(_accumulate({}, pairs(), self.reduction))
 
     def translate(self, p):
         """Left translation: every node of every path moves by p."""
-        out = UForm(self.torus, reduction=self.reduction)
-        out.terms = {
+        return self._raw({
             tuple(self.torus.add(m, p) for m in path): c
             for path, c in self.terms.items()
-        }
-        return out
+        })
 
     def __eq__(self, other):
         if not isinstance(other, UForm):

@@ -80,6 +80,14 @@ def test_env_thread_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_bad_env_thread_value_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("LATCLIF_THREADS", "x")
+    code, out, err = run(capsys, "verify", "--suite", "poly", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "bad LATCLIF_THREADS value 'x'" in err
+
+
 def test_apply_star_laplacian(capsys, tmp_path):
     path = x_squared_file(tmp_path)
     code, out, _ = run(capsys, "apply", "compose(dX,dX)", path)

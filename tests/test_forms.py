@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from latclif.coeffs import ExactPolynomial
+from latclif.formfile import dump_form, parse_form
 from latclif.forms import (
     Blade,
     BridgeError,
@@ -261,3 +262,11 @@ def test_first_difference_witness():
     blade, where, value = a.first_difference(b)
     assert blade == EMPTY_BLADE
     assert value == Scalar(-1)
+
+
+def test_vanishing_second_derivatives_keep_no_zero_terms():
+    f = Form.scalar(coord(2, 1, 1).mul(coord(2, 1, 2)))
+    for form in (d_plus(d_plus(f)), d(d(f))):
+        assert form.terms == {}
+        text = dump_form(form)
+        assert dump_form(parse_form(text)) == text

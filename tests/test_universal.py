@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from latclif.scalars import Scalar
 from latclif.universal import (
@@ -13,6 +14,7 @@ from latclif.universal import (
     delta_form,
     function_form,
     g_power,
+    grassmann_sort,
     random_uform,
     theta,
     unit_form,
@@ -219,3 +221,28 @@ def test_mixed_degree_forms_supported():
     assert not mixed.is_homogeneous()
     with pytest.raises(ValueError):
         mixed.degree()
+
+
+def _cycle_sign(keys):
+    """Sign of the permutation sorting distinct keys, from its cycle lengths."""
+    order = sorted(range(len(keys)), key=lambda i: keys[i])
+    seen = set()
+    sign = 1
+    for start in range(len(order)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = order[i]
+            length += 1
+        if length % 2 == 0 and length:
+            sign = -sign
+    return sign
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(1, 4)), max_size=8))
+def test_grassmann_sort_matches_permutation_sign(keys):
+    result = grassmann_sort(keys)
+    if len(set(keys)) != len(keys):
+        assert result is None
+    else:
+        assert result == (_cycle_sign(keys), tuple(sorted(keys)))
