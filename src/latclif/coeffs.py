@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
@@ -67,6 +67,13 @@ def box_translate(box, axis, delta):
     )
 
 
+def _axis_values(h, box, axis):
+    """The coordinate x_axis = h*m as a Scalar, for each m the box spans on that axis."""
+    hs = Scalar(h)
+    lo, hi = box[axis - 1]
+    return {m: hs * m for m in range(lo, hi + 1)}
+
+
 def cube(n, lo, hi):
     """The box [lo, hi]^n."""
     return ((lo, hi),) * n
@@ -103,7 +110,8 @@ class BoxFunction:
     @classmethod
     def coordinate(cls, n, h, axis, box):
         h = Fraction(h)
-        vals = {p: Scalar(h * p[axis - 1]) for p in box_points(box)}
+        xs = _axis_values(h, box, axis)
+        vals = {p: xs[p[axis - 1]] for p in box_points(box)}
         return cls(n, h, box, box, vals)
 
     @classmethod
@@ -165,9 +173,10 @@ class BoxFunction:
 
     def coord_mul(self, axis):
         i = axis - 1
+        xs = _axis_values(self.h, self.support, axis)
         return BoxFunction(
             self.n, self.h, self.support, self.validity,
-            {p: Scalar(self.h * p[i]) * v for p, v in self.values.items()},
+            {p: xs[p[i]] * v for p, v in self.values.items()},
         )
 
     def is_zero(self):
@@ -293,31 +302,29 @@ class ExactPolynomial:
     def shift(self, axis, sign):
         """Exact substitution x_axis -> x_axis + sign*h."""
         i = axis - 1
-        step = sign * self.h
+        # the step sign*h is p/q in lowest terms
+        p, q = sign * self.h.numerator, self.h.denominator
         terms = {}
         for e, c in self.terms.items():
             k = e[i]
-            if k == 0:
-                s = terms.get(e)
-                s = c if s is None else s + c
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-                continue
             for j in range(k + 1):
-                factor = comb(k, j) * step ** (k - j)
-                coeff = c if factor == 1 else c * Scalar(factor)
-                ne = e[:i] + (j,) + e[i + 1:]
+                # c * x^k contributes c * comb(k, j) * (p/q)^(k-j) * x^j
+                m = k - j
+                coeff, ne = c, e
+                if m:
+                    factor = comb(k, j) * p ** m
+                    if factor != 1:
+                        coeff = coeff * factor
+                    if q != 1:
+                        coeff = coeff / q ** m
+                    ne = e[:i] + (j,) + e[i + 1:]
                 s = terms.get(ne)
                 s = coeff if s is None else s + coeff
                 if s:
                     terms[ne] = s
                 else:
                     terms.pop(ne, None)
-        out = ExactPolynomial.__new__(ExactPolynomial)
-        out.n, out.h, out.terms = self.n, self.h, terms
-        return out
+        return self._raw(terms)
 
     def coord_mul(self, axis):
         i = axis - 1
@@ -334,32 +341,55 @@ class ExactPolynomial:
         return max(sum(e) for e in self.terms)
 
     def evaluate(self, coords):
-        """Value at real coordinates x = coords (tuple of Fractions)."""
-        total = ZERO
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(coords, e):
-                if k:
-                    v = v * Scalar(Fraction(x) ** k)
-            total = total + v
-        return total
+        """Value at real coordinates x = coords (ints or Fractions)."""
+        q = lcm(*(x.denominator for x in coords))
+        return self._evaluator(q)(tuple(x.numerator * (q // x.denominator) for x in coords))
 
     def value_at(self, point):
         """Value at lattice point m, i.e. at x = h*m."""
-        return self.evaluate(tuple(self.h * m for m in point))
-
-    def scale_variables(self, factor):
-        """Substitute x -> factor * x on every axis."""
-        factor = Fraction(factor)
-        return ExactPolynomial(
-            self.n, self.h,
-            {e: c * Scalar(factor ** sum(e)) for e, c in self.terms.items()},
-        )
+        p = self.h.numerator
+        return self._evaluator(self.h.denominator)(tuple(p * m for m in point))
 
     def sample(self, box):
         """Sample onto a box, full validity."""
-        vals = {p: self.value_at(p) for p in box_points(box)}
+        value = self._evaluator(self.h.denominator)
+        p = self.h.numerator
+        vals = {m: value(tuple(p * c for c in m)) for m in box_points(box)}
         return BoxFunction(self.n, self.h, box, box, vals)
+
+    def _evaluator(self, q):
+        """The map from integers y to the value at x = y/q.
+
+        With D the degree, c*x^e = c * q^(D-|e|) * y^e / q^D: each term
+        costs one product of a scalar by an int, each point one scaling.
+        """
+        degree = max(self.degree(), 0)
+        weighted = [(e, c, q ** (degree - sum(e))) for e, c in self.terms.items()]
+        den = q ** degree
+        inv = ONE / den
+
+        def value(ys):
+            total = ZERO
+            for e, c, w in weighted:
+                for y, k in zip(ys, e):
+                    if k:
+                        w *= y ** k
+                if w:
+                    total = total + c * w
+            return total if den == 1 else total * inv
+
+        return value
+
+    def scale_variables(self, factor):
+        """Substitute x -> factor * x on every axis."""
+        factor = as_scalar(factor)
+        powers = [ONE]
+        for _ in range(self.degree()):
+            powers.append(powers[-1] * factor)
+        return ExactPolynomial(
+            self.n, self.h,
+            {e: c * powers[sum(e)] for e, c in self.terms.items()},
+        )
 
     def first_nonzero(self):
         if not self.terms:
@@ -401,7 +431,7 @@ def diff(c, step: LatticeStep):
 
     Forward: (T^{+} c - c)/h.  Backward: (c - T^{-} c)/h.
     """
-    inv_h = Scalar(Fraction(1, 1) / c.h)
+    inv_h = Scalar(c.h.denominator) / c.h.numerator
     if step.sign > 0:
         return c.shift(step.axis, 1).sub(c).scale(inv_h)
     return c.sub(c.shift(step.axis, -1)).scale(inv_h)

@@ -120,21 +120,10 @@ def scalars_to_gaussian(rows):
     """Clear denominators rowwise; row scaling leaves the rank unchanged."""
     out = []
     for row in rows:
-        denom = 1
-        for s in row:
-            if s is not ZERO and s:
-                denom = lcm(denom, s.re.denominator, s.im.denominator)
-        out.append(
-            tuple(
-                (
-                    s.re.numerator * (denom // s.re.denominator),
-                    s.im.numerator * (denom // s.im.denominator),
-                )
-                if s is not ZERO and s
-                else _GZERO
-                for s in row
-            )
-        )
+        nonzero = {c: s.triple for c, s in enumerate(row) if s is not ZERO and s}
+        denom = lcm(*(d for _, _, d in nonzero.values()))
+        scaled = {c: (a * (denom // d), b * (denom // d)) for c, (a, b, d) in nonzero.items()}
+        out.append(tuple(scaled.get(c, _GZERO) for c in range(len(row))))
     return out
 
 

@@ -25,6 +25,11 @@ from .scalars import Scalar
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[(),]|[+-]?[0-9/]+i?|[+-])")
 
 
+# Parsing and applying an expression recurse once or twice per bracket
+# level, so this bound keeps both far below the interpreter's recursion limit.
+MAX_DEPTH = 100
+
+
 class ExprError(Exception):
     """Unparseable operator expression."""
 
@@ -122,7 +127,11 @@ class _Parser:
             return build(*parts)
         if name == "scale":
             self.take("(")
-            s = Scalar.from_text(self.take())
+            text = self.take()
+            try:
+                s = Scalar.from_text(text)
+            except (ValueError, ZeroDivisionError):
+                raise ExprError(f"not a scalar: {text!r}") from None
             self.take(",")
             op = self.expr()
             self.take(")")
@@ -177,4 +186,10 @@ class _Parser:
 
 def parse_expression(text, n, convention=dirac.DEFAULT_CONVENTION):
     """Parse operator text into an Operator for dimension n."""
-    return _Parser(_tokenize(text), n, convention).parse()
+    tokens = _tokenize(text)
+    depth = 0
+    for tok in tokens:
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_DEPTH:
+            raise ExprError(f"expression nested deeper than {MAX_DEPTH} brackets")
+    return _Parser(tokens, n, convention).parse()

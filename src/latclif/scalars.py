@@ -3,12 +3,19 @@
 Every identity the package checks is an exact algebraic equality, so the
 whole engine runs over Q(i) with arbitrary-precision rationals.  No float
 ever enters a computation.
+
+A ``Scalar`` is ``(a + b*i) / d``, held as three Python ints in normal form:
+``d > 0``, ``gcd(a, b, d) == 1``, and zero is ``(0, 0, 1)``.  Each operation
+does integer arithmetic and at most one gcd reduction, skipped when the
+denominator is 1, so the common integer case never pays for a gcd.  The
+``re``/``im`` parts are available as ``Fraction``s for reading only.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 _SCALAR_RE = re.compile(
     r"^(?P<re>-?\d+(?:/\d+)?)(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i)?$"
@@ -18,72 +25,109 @@ _SCALAR_RE = re.compile(
 class Scalar:
     """A complex number with exact rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        # Over the lcm of two reduced denominators the three ints share no
+        # common factor, so no gcd is needed.
+        d = lcm(re.denominator, im.denominator)
+        self._a = re.numerator * (d // re.denominator)
+        self._b = im.numerator * (d // im.denominator)
+        self._d = d
+
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
+
+    @property
+    def triple(self):
+        """``(a, b, d)`` with ``self == (a + b*i)/d``, in normal form."""
+        return self._a, self._b, self._d
 
     def __add__(self, other):
-        other = as_scalar(other)
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a + other._a, self._b + other._b, d)
+        return _reduced(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = as_scalar(other)
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        d, e = self._d, other._d
+        if d == e:
+            return _reduced(self._a - other._a, self._b - other._b, d)
+        return _reduced(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
         return as_scalar(other) - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        other = as_scalar(other)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        if type(other) is int:
+            return _reduced(a * other, b * other, d)
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        x, y = other._a, other._b
+        return _reduced(a * x - b * y, a * y + b * x, d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = as_scalar(other)
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if type(other) is not Scalar:
+            other = as_scalar(other)
+        # (a + bi)/d / ((x + yi)/e) = (a + bi)(x - yi) e / (d (x^2 + y^2))
+        a, b = self._a, self._b
+        x, y, e = other._a, other._b, other._d
+        norm = x * x + y * y
+        if norm == 0:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _reduced((a * x + b * y) * e, (b * x - a * y) * e, self._d * norm)
 
     def __rtruediv__(self, other):
         return as_scalar(other) / self
 
     def conj(self):
-        return Scalar(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        try:
-            other = as_scalar(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not Scalar:
+            try:
+                other = as_scalar(other)
+            except (TypeError, ValueError, ZeroDivisionError):
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Equal to the hash of the int or Fraction a real scalar equals.
+        if self._b == 0:
+            return hash(self._a) if self._d == 1 else hash(self.re)
+        return hash((self._a, self._b, self._d))
 
     def to_text(self):
         """Canonical text form: ``a/b`` when real, else ``a/b{+-}c/d i``."""
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re_text = _ratio_text(self._a, self._d)
+        if self._b == 0:
+            return re_text
+        sign = "+" if self._b > 0 else "-"
+        return f"{re_text}{sign}{_ratio_text(abs(self._b), self._d)}i"
 
     @classmethod
     def from_text(cls, text):
@@ -103,6 +147,35 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.to_text()!r})"
+
+
+_new = object.__new__
+
+
+def _triple(a, b, d):
+    """The Scalar (a + b*i)/d; the caller guarantees the normal form."""
+    s = _new(Scalar)
+    s._a, s._b, s._d = a, b, d
+    return s
+
+
+def _reduced(a, b, d):
+    """The Scalar (a + b*i)/d in normal form, for d > 0."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    s = _new(Scalar)
+    s._a, s._b, s._d = a, b, d
+    return s
+
+
+def _ratio_text(num, den):
+    """``str(Fraction(num, den))`` for den > 0, without building the Fraction."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // g)
+    return f"{num // g}/{den // g}"
 
 
 def as_scalar(value) -> Scalar:

@@ -126,6 +126,15 @@ def test_apply_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["scale(1/0,id)", "scale(abc,id)"])
+def test_apply_bad_scalar_exits_2(capsys, tmp_path, expr):
+    path = x_squared_file(tmp_path)
+    code, out, err = run(capsys, "apply", expr, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_apply_box_margin_error(capsys, tmp_path):
     from latclif.coeffs import cube
 

@@ -18,6 +18,7 @@ CASES = {
     # exits 1: the two dirac value checks and five plus-convention
     # relations fail by design
     "verify-all-n1-N3": (["verify", "--suite", "all", "--n", "1", "--N", "3"], 1),
+    "verify-all-n2-N4": (["verify", "--suite", "all", "--n", "2", "--N", "4"], 1),
 }
 
 

@@ -1,7 +1,9 @@
+import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from latclif.scalars import I, Scalar, as_scalar
 
@@ -59,3 +61,105 @@ def test_as_scalar_coercion():
     assert as_scalar(3) == Scalar(3)
     assert as_scalar(Fraction(2, 5)) == Scalar(Fraction(2, 5))
     assert as_scalar("1/2-1/3i") == Scalar(Fraction(1, 2), Fraction(-1, 3))
+
+
+# ---------------------------------------------------------------------------
+# Scalar against a plain (Fraction, Fraction) model of Q(i).
+
+# small denominators often agree, so sums and products often need reducing
+model_rationals = st.one_of(
+    st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=4),
+    rationals,
+    st.fractions(min_value=Fraction(-10**30), max_value=Fraction(10**30), max_denominator=10**12),
+)
+
+
+@st.composite
+def operands(draw):
+    """(operand, model): an int, a Fraction or a Scalar, and its (re, im) pair."""
+    kind = draw(st.sampled_from(["int", "fraction", "scalar"]))
+    if kind == "int":
+        x = draw(st.one_of(st.integers(-5, 5), st.integers(-10**30, 10**30)))
+        return x, (Fraction(x), Fraction(0))
+    if kind == "fraction":
+        x = draw(model_rationals)
+        return x, (x, Fraction(0))
+    re_, im = draw(model_rationals), draw(st.one_of(st.just(Fraction(0)), model_rationals))
+    if re_.denominator == im.denominator == 1:
+        return Scalar(int(re_), int(im)), (re_, im)
+    return Scalar(re_, im), (re_, im)
+
+
+def model_op(op, x, y):
+    (a, b), (c, d) = x, y
+    if op is operator.add:
+        return a + c, b + d
+    if op is operator.sub:
+        return a - c, b - d
+    if op is operator.mul:
+        return a * c - b * d, a * d + b * c
+    norm = c * c + d * d
+    if norm == 0:
+        raise ZeroDivisionError
+    return (a * c + b * d) / norm, (b * c - a * d) / norm
+
+
+def model_text(m):
+    re_, im = m
+    if im == 0:
+        return str(re_)
+    return f"{re_}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+def assert_matches(s, m):
+    assert isinstance(s, Scalar)
+    a, b, d = s.triple
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (s.re, s.im) == m
+    assert s.to_text() == model_text(m)
+    assert Scalar.from_text(s.to_text()) == s
+    assert s.conj().triple == (a, -b, d)
+    assert bool(s) == (m != (0, 0))
+
+
+@settings(max_examples=400)
+@given(operands(), operands(), st.sampled_from(
+    [operator.add, operator.sub, operator.mul, operator.truediv]))
+def test_arithmetic_matches_model(x, y, op):
+    (xv, xm), (yv, ym) = x, y
+    if not isinstance(xv, Scalar) and not isinstance(yv, Scalar):
+        xv = Scalar(xm[0], xm[1])  # at least one operand must be a Scalar
+    try:
+        expected = model_op(op, xm, ym)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            op(xv, yv)
+        return
+    # Scalar op int/Fraction, int/Fraction op Scalar (__radd__, __rsub__,
+    # __rmul__, __rtruediv__) and Scalar op Scalar all land here
+    assert_matches(op(xv, yv), expected)
+
+
+@given(operands(), operands())
+def test_equality_and_hash_match_model(x, y):
+    (xv, xm), (yv, ym) = x, y
+    s = Scalar(xm[0], xm[1])
+    assert_matches(s, xm)
+    assert (s == yv) == (xm == ym)
+    assert (yv == s) == (xm == ym)
+    assert (s != yv) == (xm != ym)
+    if s == yv:
+        assert hash(s) == hash(yv)
+    assert s == xv and hash(s) == hash(xv)
+
+
+@given(operands())
+def test_unary_operations_match_model(x):
+    xv, (a, b) = x
+    s = as_scalar(xv)
+    assert_matches(s, (a, b))
+    assert_matches(-s, (-a, -b))
+    assert_matches(s.conj(), (a, -b))
+    assert_matches(Scalar.from_text(model_text((a, b))), (a, b))
+    assert_matches(Scalar(str(a), str(b)), (a, b))
