@@ -36,7 +36,7 @@ from .operators import (
     nabla_tilde,
     opsum,
     upsilon,
-    verify_identity,
+    verify_identities,
     xi,
 )
 from .scalars import Scalar
@@ -150,18 +150,18 @@ def build_family(n, convention=DEFAULT_CONVENTION):
     )
 
 
-def intertwining_relations(fam):
-    """The six relations, as (name, lhs, rhs) triples."""
+def intertwining_relations(fam, acomm_z, acomm_zdag):
+    """The six relations, as (name, lhs, rhs) triples.
+
+    ``acomm_z`` and ``acomm_zdag`` apply acomm(z,dz) and acomm(zdag,dzdag),
+    the left sides of the first and third relations.
+    """
     n_id = Operator.constant(fam.n)
     zero = Operator.constant(0)
     return [
-        ("acomm(z,dz)=beta+Ez", anticommutator(fam.z, fam.dz), fam.beta + fam.E_z),
+        ("acomm(z,dz)=beta+Ez", acomm_z, fam.beta + fam.E_z),
         ("comm(z,dz)=-beta+Gz", commutator(fam.z, fam.dz), fam.Gamma_z - fam.beta),
-        (
-            "acomm(zdag,dzdag)=n-beta+Ezdag",
-            anticommutator(fam.zdag, fam.dzdag),
-            (n_id - fam.beta) + fam.E_zdag,
-        ),
+        ("acomm(zdag,dzdag)=n-beta+Ezdag", acomm_zdag, (n_id - fam.beta) + fam.E_zdag),
         (
             "comm(zdag,dzdag)=-(n-beta)+Gzdag",
             commutator(fam.zdag, fam.dzdag),
@@ -172,38 +172,42 @@ def intertwining_relations(fam):
     ]
 
 
-def _applied_once(op):
-    """``op`` as a callable that applies it at most once per form object."""
-    images = {}  # id(form) -> (form, image); holding the form pins its id
+def _last_image(op):
+    """``op`` as a callable that reuses its image when given its last form again."""
+    last = (None, None)
 
     def apply(form):
-        hit = images.get(id(form))
-        if hit is None:
-            hit = images[id(form)] = (form, op(form))
-        return hit[1]
+        nonlocal last
+        if last[0] is not form:
+            last = (form, op(form))
+        return last[1]
 
     return apply
 
 
 def verify_intertwining(fam, test_forms):
-    """Reports for the six relations plus the Euler-operator consistency."""
-    relations = intertwining_relations(fam)
-    # acomm(z,dz) and acomm(zdag,dzdag) are the left sides of relations 1
-    # and 3; the z-side Euler check reuses their images on each test form.
-    acomm_z = _applied_once(relations[0][1])
-    acomm_zdag = _applied_once(relations[2][1])
-    relations[0] = (relations[0][0], acomm_z, relations[0][2])
-    relations[2] = (relations[2][0], acomm_zdag, relations[2][2])
-    reports = [verify_identity(name, lhs, rhs, test_forms) for name, lhs, rhs in relations]
+    """Reports for the six relations plus the Euler-operator consistency.
+
+    All eight checks take the test forms in one pass, so the z-side Euler
+    check reuses the images of acomm(z,dz) and acomm(zdag,dzdag) that the
+    first and third relations computed on the same form, and only the
+    current form's two images are held.
+    """
+    acomm_z = _last_image(anticommutator(fam.z, fam.dz))
+    acomm_zdag = _last_image(anticommutator(fam.zdag, fam.dzdag))
     n_id = Operator.constant(fam.n)
 
     def from_z(form):
         return acomm_z(form).add(acomm_zdag(form)).sub(n_id(form))
 
     from_xbar = -anticommutator(fam.Xbar, fam.dXbar) - n_id
-    reports.append(verify_identity("EX=Ez+Ezdag(z-side)", from_z, fam.E_X, test_forms))
-    reports.append(verify_identity("EX=EXbar(Xbar-side)", from_xbar, fam.E_X, test_forms))
-    return reports
+    return verify_identities(
+        intertwining_relations(fam, acomm_z, acomm_zdag) + [
+            ("EX=Ez+Ezdag(z-side)", from_z, fam.E_X),
+            ("EX=EXbar(Xbar-side)", from_xbar, fam.E_X),
+        ],
+        test_forms,
+    )
 
 
 def determine_convention(n, test_forms):

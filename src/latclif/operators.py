@@ -353,13 +353,29 @@ def spanning_forms(n, h):
 
 def verify_identity(name, lhs, rhs, test_forms):
     """Exact residual of lhs - rhs over the test set; first failure wins."""
+    return verify_identities([(name, lhs, rhs)], test_forms)[0]
+
+
+def verify_identities(relations, test_forms):
+    """``verify_identity`` for each (name, lhs, rhs), in one pass over the test set.
+
+    Each relation is applied form by form until its first failure, as in
+    separate calls, so the reports are the same.  Taking the forms in the
+    outer loop lets relations share work done on the current form.
+    """
+    witnesses = [None] * len(relations)
+    live = len(relations)
     for label, form in test_forms:
-        res = lhs(form).sub(rhs(form))
-        if not res.is_zero():
-            blade, where, value = res.first_difference(Form.zero(form.n, form.h))
-            witness = f"on {label}: blade {blade.label()} at {where} = {value}"
-            return OperatorReport(name, False, witness)
-    return OperatorReport(name, True)
+        for k, (_, lhs, rhs) in enumerate(relations):
+            if witnesses[k] is None:
+                res = lhs(form).sub(rhs(form))
+                if not res.is_zero():
+                    blade, where, value = res.first_difference(Form.zero(form.n, form.h))
+                    witnesses[k] = f"on {label}: blade {blade.label()} at {where} = {value}"
+                    live -= 1
+        if not live:
+            break
+    return [OperatorReport(name, w is None, w) for (name, _, _), w in zip(relations, witnesses)]
 
 
 def operators_equal(lhs, rhs, test_forms):

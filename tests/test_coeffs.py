@@ -231,3 +231,21 @@ def test_cross_representation_consistency():
         lambda c: coord_shift_mul(c, 2, -1),
     ):
         assert op(p).sample(cube(n, -2, 2)) == op(p.sample(box))
+
+
+def test_evaluate_matches_term_sum_and_value_at():
+    rng = random.Random(11)
+    n, h = 2, Fraction(2, 3)
+    terms = {
+        (rng.randint(0, 3), rng.randint(0, 3)): Scalar(rng.randint(-4, 4), rng.randint(-2, 2))
+        for _ in range(6)
+    }
+    p = ExactPolynomial(n, h, terms)
+    for coords in ((Fraction(1, 2), Fraction(-3, 5)), (2, Fraction(1, 7)), (0, -1)):
+        re = im = Fraction(0)
+        for (e1, e2), c in terms.items():
+            monomial = Fraction(coords[0]) ** e1 * Fraction(coords[1]) ** e2
+            re, im = re + c.re * monomial, im + c.im * monomial
+        assert p.evaluate(coords) == Scalar(re, im)
+    for point in ((0, 0), (1, -2), (-3, 4)):
+        assert p.evaluate(tuple(h * m for m in point)) == p.value_at(point)

@@ -16,6 +16,7 @@ from latclif.operators import (
     upsilon,
     vartheta,
     vartheta_recursive,
+    verify_identities,
     verify_identity,
     witt,
     xi,
@@ -214,3 +215,24 @@ def test_scaled_operator():
     half = Scalar(Fraction(1, 2))
     w = Form.scalar(const())
     assert gamma(1, 1).scaled(half)(w) == gamma(1, 1)(w).scale(half)
+
+
+def test_verify_identities_matches_separate_checks():
+    relations = [
+        ("holds", anticommutator(gamma(1, 1), gamma(1, 1)), ZERO_OP),
+        ("fails-second", diff_op(1, 1), ZERO_OP),
+        ("fails-first", ID, ZERO_OP),
+        ("shift", shift_op(1, 1) * shift_op(-1, 1), ID),
+    ]
+    separate = [verify_identity(*rel, TF) for rel in relations]
+    assert [r.passed for r in separate] == [True, False, False, True]
+    assert verify_identities(relations, TF) == separate
+
+    seen = []
+
+    def failing(form):
+        seen.append(form)
+        return ID(form)
+
+    verify_identities([("fails-first", failing, ZERO_OP)], TF)
+    assert len(seen) == 1  # a failed relation is not applied to later forms
