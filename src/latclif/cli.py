@@ -19,7 +19,7 @@ from .coeffs import EmptyValidityError
 from .formfile import FormFileError, dump_form, parse_form, read_form
 from .opexpr import ExprError, parse_expression
 from .polynomials import hermitian_monogenic_basis
-from .suites import SUITE_BUILDERS, SUITE_NEEDS_TORUS, SuiteMarginError
+from .suites import SUITE_BUILDERS, SUITE_NEEDS_TORUS, SuiteMarginError, check_line
 
 
 class ConfigError(Exception):
@@ -102,11 +102,7 @@ def cmd_oracle(args):
 
 def cmd_apply(args):
     form = read_form(args.form)
-    try:
-        op = parse_expression(args.expression, form.n, args.convention)
-    except ExprError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    op = parse_expression(args.expression, form.n, args.convention)
     try:
         result = op(form)
     except EmptyValidityError as exc:
@@ -153,13 +149,9 @@ def cmd_monogenic(args):
         convention=args.convention, spinor=args.spinor, ambient=args.ambient,
     )
     print(f"DIM {args.p} {args.q} {basis.dimension}")
-    certs_ok = all(all(c.values()) for c in basis.certificates)
-    dims_ok = basis.dimension == basis.oracle_dimension
-    print(f"CHECK monogenic.certificates {'PASS' if certs_ok else 'FAIL'}")
-    print(
-        f"CHECK monogenic.oracle-dimension {'PASS' if dims_ok else 'FAIL'}"
-        + ("" if dims_ok else f" kernel {basis.dimension} vs oracle {basis.oracle_dimension}")
-    )
+    print(check_line("monogenic.certificates", basis.certified))
+    print(check_line("monogenic.oracle-dimension", basis.oracle_agrees,
+                     f"kernel {basis.dimension} vs oracle {basis.oracle_dimension}"))
     for idx, element in enumerate(basis.elements):
         text = dump_form(element)
         if args.out:
@@ -169,23 +161,17 @@ def cmd_monogenic(args):
             print(f"WROTE {path}")
         else:
             sys.stdout.write(text)
-    return 0 if (certs_ok and dims_ok) else 1
+    return 0 if (basis.certified and basis.oracle_agrees) else 1
 
 
 def cmd_roundtrip(args):
     with open(args.form) as fh:
         original = fh.read()
-    try:
-        form = parse_form(original)
-    except FormFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    canonical = dump_form(form)
-    again = dump_form(parse_form(canonical))
-    ok = canonical == again
+    canonical = dump_form(parse_form(original))
+    ok = canonical == dump_form(parse_form(canonical))
     byte_stable = original == canonical
-    print(f"CHECK roundtrip.idempotent {'PASS' if ok else 'FAIL'}")
-    print(f"CHECK roundtrip.canonical-input {'PASS' if byte_stable else 'FAIL'}")
+    print(check_line("roundtrip.idempotent", ok))
+    print(check_line("roundtrip.canonical-input", byte_stable))
     return 0 if ok and byte_stable else 1
 
 
@@ -252,13 +238,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, FormFileError, ExprError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -121,7 +121,7 @@ class BoxFunction:
     def _compatible(self, other):
         if not isinstance(other, BoxFunction):
             raise TypeError("mixed coefficient algebras")
-        if self.n != other.n or self.h != other.h:
+        if self.n != other.n or (self.h is not other.h and self.h != other.h):
             raise ValueError("mismatched dimension or mesh width")
 
     def _binary(self, other, fn):
@@ -240,7 +240,7 @@ class ExactPolynomial:
     def _compatible(self, other):
         if not isinstance(other, ExactPolynomial):
             raise TypeError("mixed coefficient algebras")
-        if self.n != other.n or self.h != other.h:
+        if self.n != other.n or (self.h is not other.h and self.h != other.h):
             raise ValueError("mismatched dimension or mesh width")
 
     def _raw(self, terms):

@@ -149,8 +149,8 @@ class Form:
                 raise ValueError("coefficient algebra mismatch")
             if not _cancelled(coeff):
                 self.terms[blade] = coeff
-        self.h = Fraction(h)
-        if hh is not None and hh != self.h:
+        self.h = h if isinstance(h, Fraction) else Fraction(h)
+        if hh is not None and hh is not self.h and hh != self.h:
             raise ValueError("coefficient mesh width differs from form mesh width")
 
     @classmethod
@@ -197,7 +197,7 @@ class Form:
         return None
 
     def _compatible(self, other):
-        if self.n != other.n or self.h != other.h:
+        if self.n != other.n or (self.h is not other.h and self.h != other.h):
             raise ValueError("form dimension or mesh mismatch")
         k1, k2 = self.coeff_kind(), other.coeff_kind()
         if k1 and k2 and k1 != k2:

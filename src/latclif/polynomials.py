@@ -17,7 +17,7 @@ from .coeffs import ExactPolynomial, LatticeStep, coord_shift_mul, diff
 from .dirac import DEFAULT_CONVENTION, build_family
 from .forms import Form, all_blades
 from .linalg import bareiss_rank, kernel_basis, rank, rref, scalars_to_gaussian
-from .operators import Operator
+from .operators import Operator, OperatorReport
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -65,21 +65,14 @@ def euler_operator(poly, sign):
     return out
 
 
-@dataclass
-class PrincipleReport:
-    name: str
-    passed: bool
-    witness: str | None = None
-
-
-def check_monomial_principle(n, h, sign, alpha):
-    """Raising, lowering and Euler eigen residuals for one factorial power."""
+def monomial_principle(n, h, sign, alpha):
+    """The raising, lowering and Euler eigen relations of one factorial
+    power, as (name, lhs, rhs) polynomial pairs."""
     fp = factorial_power(n, h, sign, alpha)
-    reports = []
     for axis in range(1, n + 1):
         raised = coord_shift_mul(fp.poly, axis, sign)
         target = factorial_power(n, h, sign, _bump(alpha, axis, 1)).poly
-        reports.append(_report(f"raise-ax{axis}", raised.sub(target)))
+        yield f"raise-ax{axis}", raised, target
         lowered = diff(fp.poly, LatticeStep(axis, -sign))
         if alpha[axis - 1] == 0:
             expect = ExactPolynomial.zero(n, h)
@@ -87,22 +80,23 @@ def check_monomial_principle(n, h, sign, alpha):
             expect = factorial_power(n, h, sign, _bump(alpha, axis, -1)).poly.scale(
                 Scalar(alpha[axis - 1])
             )
-        reports.append(_report(f"lower-ax{axis}", lowered.sub(expect)))
-    eigen = euler_operator(fp.poly, sign).sub(fp.poly.scale(Scalar(sum(alpha))))
-    reports.append(_report("euler-eigen", eigen))
+        yield f"lower-ax{axis}", lowered, expect
+    yield "euler-eigen", euler_operator(fp.poly, sign), fp.poly.scale(Scalar(sum(alpha)))
+
+
+def check_monomial_principle(n, h, sign, alpha):
+    """A report per relation of :func:`monomial_principle`."""
+    reports = []
+    for name, lhs, rhs in monomial_principle(n, h, sign, alpha):
+        spot = lhs.sub(rhs).first_nonzero()
+        witness = None if spot is None else f"monomial {spot[0]} -> {spot[1]}"
+        reports.append(OperatorReport(name, spot is None, witness))
     return reports
 
 
 def _bump(alpha, axis, delta):
     i = axis - 1
     return alpha[:i] + (alpha[i] + delta,) + alpha[i + 1:]
-
-
-def _report(name, residual):
-    if residual.is_zero():
-        return PrincipleReport(name, True)
-    spot = residual.first_nonzero()
-    return PrincipleReport(name, False, f"monomial {spot[0]} -> {spot[1]}")
 
 
 def check_basicness(fp):
@@ -262,6 +256,16 @@ class MonogenicBasis:
     @property
     def dimension(self):
         return len(self.elements)
+
+    @property
+    def certified(self):
+        """Every certificate of every element holds."""
+        return all(all(c.values()) for c in self.certificates)
+
+    @property
+    def oracle_agrees(self):
+        """The rank oracle confirms the kernel dimension."""
+        return self.dimension == self.oracle_dimension
 
 
 def hermitian_monogenic_basis(

@@ -373,11 +373,6 @@ class IdentityReport:
     def passed(self):
         return self.residual.is_zero()
 
-    def witness(self):
-        if self.passed:
-            return None
-        return self.residual.first_term()
-
 
 def check_graded_bracket(omega):
     """Residual of  d w - (G w - (-1)^r w G)  for a homogeneous reduced form.

@@ -1,10 +1,18 @@
-"""Reports pinned byte for byte against recorded stdout and exit codes."""
+"""Reports pinned byte for byte against recorded stdout and exit codes,
+and the case driver that decides every suite check."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from latclif import suites
 from latclif.cli import main
+from latclif.coeffs import ExactPolynomial, cube
+from latclif.forms import EMPTY_BLADE, Form, single_blade
+from latclif.operators import Operator, gamma, spanning_forms, verify_identity
+from latclif.scalars import ZERO, Scalar
+from latclif.universal import Torus, delta_form, g_power
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -29,3 +37,106 @@ def test_stdout_matches_golden(capsysbinary, name):
     out = capsysbinary.readouterr().out
     assert code == exit_code
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# -- the case driver behind every suite check ---------------------------------
+
+X = ExactPolynomial.coordinate(1, Fraction(1), 1)
+TF1 = spanning_forms(1, Fraction(1))
+
+
+def run_one(cases, test_forms=()):
+    [check] = suites.case_checks(0, test_forms, [("t.case", cases)])
+    return check.run()
+
+
+def test_driver_never_generates_a_case_after_the_first_failure():
+    def cases(rng):
+        yield "holds", True, True
+        yield "fails", False, True
+        raise AssertionError("case generator advanced past the first failure")
+
+    assert run_one(cases) == (["CHECK t.case FAIL fails: False != True"], False)
+
+
+def test_driver_passes_when_every_case_holds():
+    def cases(rng):
+        yield "poly", X.add(X), X.scale(Scalar(2))
+        yield "zero", X.sub(X), ZERO
+        yield "operator", gamma(1, 1), gamma(1, 1)
+
+    assert run_one(cases, TF1) == (["CHECK t.case PASS"], True)
+
+
+@pytest.mark.parametrize("lhs, rhs, witness", [
+    (Form.blade(X, single_blade(1, 1)), ZERO, "blade dx1+ at (1,) = 1"),
+    (X.scale(Scalar(3)), X, "at (1,) = 2"),
+    (X.sample(cube(1, -2, 2)), ZERO, "at (-2,) = -2"),
+    (delta_form(Torus(1, 3), (1,)), ZERO, "at ((1,),) = 1"),
+    (gamma(1, 1), Operator.constant(0), "on 1*1: blade dx1+ at (0,) = 1"),
+    (Scalar(1), Scalar(2), "1 != 2"),
+], ids=["form", "poly", "box", "uform", "operator", "scalar"])
+def test_fail_names_label_and_first_difference(lhs, rhs, witness):
+    lines, passed = run_one(lambda rng: [("case 7", lhs, rhs)], TF1)
+    assert not passed
+    assert lines == [f"CHECK t.case FAIL case 7: {witness}"]
+
+
+def test_unlabeled_operator_identity_keeps_the_bare_witness():
+    bare = verify_identity("t.case", gamma(1, 1), Operator.constant(0), TF1).witness
+    lines, _ = run_one(lambda rng: [(None, gamma(1, 1), Operator.constant(0))], TF1)
+    assert lines == [f"CHECK t.case FAIL {bare}"]
+
+
+def first_node_delta(torus, node, *rest):
+    return delta_form(torus, torus.nodes()[0], *rest)
+
+
+# Checks that used to fail without a witness, each broken on purpose.
+BROKEN = {
+    "forms.d-nilpotent": (
+        lambda: suites.forms_suite(1, Fraction(1)), "d", lambda w: w, "random form 0: blade "),
+    "forms.anticommute.dx1-.dx1+": (
+        lambda: suites.forms_suite(1, Fraction(1)), "single_blade",
+        lambda s, j: EMPTY_BLADE, "a b + b a: blade 1 at "),
+    "universal.sum-db-zero": (
+        lambda: suites.universal_suite(1, 3), "delta_form", first_node_delta,
+        "sum of d b_m: at "),
+    "universal.partition-of-unity": (
+        lambda: suites.universal_suite(1, 3), "unit_form",
+        lambda torus: delta_form(torus, torus.nodes()[0]), "unit * w: at "),
+    "reduction.adjacency-square-zero": (
+        lambda: suites.reduction_suite(1, 3), "g_power",
+        lambda red, r: g_power(red, 1), "G^2: at "),
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN))
+def test_formerly_bare_failures_name_case_and_difference(monkeypatch, name):
+    build, attr, broken, prefix = BROKEN[name]
+    monkeypatch.setattr(suites, attr, broken)
+    [check] = [c for c in build() if c.name == name]
+    (line,), passed = check.run()
+    assert not passed
+    assert line.startswith(f"CHECK {name} FAIL {prefix}") and " = " in line, line
+
+
+def test_checks_draw_from_their_own_generators():
+    def draws(rng):
+        yield "drawn", Scalar(rng.randint(0, 10**9)), Scalar(-1)
+
+    def lines_by_name(checks):
+        return {c.name: c.run()[0] for c in checks}
+
+    checks = suites.case_checks(5, (), [("t.a", draws), ("t.b", draws)])
+    forward = lines_by_name(checks)
+    assert forward == lines_by_name(checks[::-1])
+    assert forward["t.a"] != forward["t.b"]
+    for build in (
+        lambda: suites.core_suite(1, Fraction(1, 2), 3),
+        lambda: suites.universal_suite(1, 3, nil_forms=8, comm_funcs=4),
+        lambda: suites.reduction_suite(1, 3),
+        lambda: suites.forms_suite(1, Fraction(1)),
+        lambda: suites.endo_suite(1, Fraction(1)),
+    ):
+        assert lines_by_name(build()) == lines_by_name(build()[::-1])
