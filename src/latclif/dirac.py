@@ -39,14 +39,11 @@ from .operators import (
     verify_identities,
     xi,
 )
-from .scalars import Scalar
+from .scalars import I, ONE, Scalar
 
 PLUS = "plus"
 MINUS = "minus"
 DEFAULT_CONVENTION = MINUS
-
-_MINUS_I = Scalar(0, -1)
-_I = Scalar(0, 1)
 
 
 def dirac_pm(n, sign):
@@ -58,47 +55,8 @@ def dirac_kahler(n):
     """Sum of upsilon(-, j) nabla_j + i upsilon(+, j) nablaTilde_j."""
     parts = []
     for j in range(1, n + 1):
-        parts.append(upsilon(-1, j) * nabla(j))
-        parts.append((upsilon(1, j) * nabla_tilde(j)).scaled(_I))
-    return opsum(*parts)
-
-
-def hermitian_pair(n, convention=DEFAULT_CONVENTION):
-    """The hermitian Dirac operator and its conjugate.
-
-    ``plus``:  (dirac_pm(+), dirac_pm(-)).
-    ``minus``: the same two operators with the names exchanged.
-    """
-    plus, minus = dirac_pm(n, 1), dirac_pm(n, -1)
-    if convention == PLUS:
-        return plus, minus
-    if convention == MINUS:
-        return minus, plus
-    raise ValueError(f"unknown convention {convention!r}")
-
-
-def orthogonal_pair(n, convention=DEFAULT_CONVENTION):
-    """The two orthogonal Dirac operators.
-
-    The first is the Dirac-Kaehler operator; the second is -i times the
-    sum of the hermitian pair, which does not depend on the convention.
-    """
-    dz, dzdag = hermitian_pair(n, convention)
-    return dirac_kahler(n), (dz + dzdag).scaled(_MINUS_I)
-
-
-def vector_variables(n, convention=DEFAULT_CONVENTION):
-    """The vector variables z, z-dagger, X, X-bar.
-
-    z carries the plus Witt generators, z-dagger the minus ones, under
-    every convention; the convention only decides which Dirac operator
-    they pair with in the intertwining relations.
-    """
-    z = opsum(*[coord_mul(j) * xi(1, j) for j in range(1, n + 1)])
-    zdag = opsum(*[coord_mul(j) * xi(-1, j) for j in range(1, n + 1)])
-    x_var = z - zdag
-    xbar_var = (z + zdag).scaled(_MINUS_I)
-    return z, zdag, x_var, xbar_var
+        parts += [upsilon(-1, j) * nabla(j), upsilon(1, j) * nabla_tilde(j)]
+    return Operator("sum", tuple(parts), (ONE, I) * n)
 
 
 @dataclass
@@ -129,20 +87,33 @@ class DiracFamily:
 
 
 def build_family(n, convention=DEFAULT_CONVENTION):
-    dz, dzdag = hermitian_pair(n, convention)
-    dX, dXbar = orthogonal_pair(n, convention)
-    z, zdag, X, Xbar = vector_variables(n, convention)
-    E_z = opsum(*[coord_shift(1, j) * diff_op(-1, j) for j in range(1, n + 1)])
-    E_zdag = opsum(*[coord_shift(-1, j) * diff_op(1, j) for j in range(1, n + 1)])
-    beta = opsum(*[xi(-1, j) * xi(1, j) for j in range(1, n + 1)])
+    axes = range(1, n + 1)
+    d_plus, d_minus = dirac_pm(n, 1), dirac_pm(n, -1)
+    # The hermitian Dirac operator and its conjugate: (d_plus, d_minus) under
+    # ``plus``, the same two operators with the names exchanged under ``minus``.
+    hermitian = {PLUS: (d_plus, d_minus), MINUS: (d_minus, d_plus)}
+    if convention not in hermitian:
+        raise ValueError(f"unknown convention {convention!r}")
+    dz, dzdag = hermitian[convention]
+    # The orthogonal Dirac operators are the Dirac-Kaehler operator and -i
+    # times the sum of the hermitian pair, which is convention independent.
+    dirac = dirac_kahler(n)
+    # The vector variables: z carries the plus Witt generators, z-dagger the
+    # minus ones, under every convention; the convention only decides which
+    # Dirac operator they pair with in the intertwining relations.
+    z = opsum(*[coord_mul(j) * xi(1, j) for j in axes])
+    zdag = opsum(*[coord_mul(j) * xi(-1, j) for j in axes])
+    E_z = opsum(*[coord_shift(1, j) * diff_op(-1, j) for j in axes])
+    E_zdag = opsum(*[coord_shift(-1, j) * diff_op(1, j) for j in axes])
+    beta = opsum(*[xi(-1, j) * xi(1, j) for j in axes])
     Gamma_z = commutator(z, dz) + beta
     Gamma_zdag = commutator(zdag, dzdag) + (Operator.constant(n) - beta)
     mixed = zdag * dz + z * dzdag
     return DiracFamily(
         n=n, convention=convention,
-        d_plus=dirac_pm(n, 1), d_minus=dirac_pm(n, -1), dirac=dirac_kahler(n),
-        dz=dz, dzdag=dzdag, dX=dX, dXbar=dXbar,
-        z=z, zdag=zdag, X=X, Xbar=Xbar,
+        d_plus=d_plus, d_minus=d_minus, dirac=dirac,
+        dz=dz, dzdag=dzdag, dX=dirac, dXbar=(dz + dzdag).scaled(-I),
+        z=z, zdag=zdag, X=z - zdag, Xbar=(z + zdag).scaled(-I),
         E_z=E_z, E_zdag=E_zdag, beta=beta, Gamma_z=Gamma_z, Gamma_zdag=Gamma_zdag,
         E_X=E_z + E_zdag,
         Gamma_X=Gamma_z + Gamma_zdag - mixed.scaled(Scalar(2)),

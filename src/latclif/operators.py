@@ -1,16 +1,19 @@
 """The operator algebra acting on lattice forms.
 
-Operators are expression trees over a small set of primitive generators:
+An operator is a tree of three node kinds: a primitive (``"prim"``), a
+named function from forms to forms; a product (``"compose"``), whose parts
+apply right to left and whose empty case is the identity; and a linear
+combination (``"sum"``) of parts with Q(i) coefficients, which adds a part
+of coefficient 1 and subtracts one of coefficient -1 without scaling it.
 
-* ``gamma(s, j)``     exterior multiplication by dx_j^s,
-* ``vartheta(s, j)``  the dual contraction, with its compensating shift,
-* ``xi(s, j)``        Witt generator, gamma(s, j) + vartheta(-s, j)/2,
-* ``upsilon(s, j)``   Clifford generator, xi(+, j) + s * xi(-, j),
-* ``shift_op / diff_op / coord_shift / coord_mul``  coefficientwise
-  translations, one-sided differences, raising operators x_j T^{s j} and
-  plain multiplication by x_j,
-
-closed under composition, sum and scalar multiple.  Identity checks are
+The primitives are ``gamma(s, j)``, exterior multiplication by dx_j^s;
+``vartheta(s, j)``, the dual contraction with its compensating shift; and
+the coefficientwise translations ``T``, one-sided differences ``D``,
+raising operators ``M`` (x_j T^{s j}), coordinate multiplications ``X``
+and symmetric and skew differences ``nabla`` and ``nablaTilde``.  The Witt
+generators ``xi(s, j) = gamma(s, j) + vartheta(-s, j)/2``, the Clifford
+generators ``upsilon(s, j) = xi(+, j) + s xi(-, j)`` and the shift-free
+``witt(s, j)`` are named combinations of them.  Identity checks are
 decided by exact evaluation on a spanning set of one-term forms with
 polynomial coefficients.
 
@@ -27,29 +30,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffs import ExactPolynomial, LatticeStep, coord_shift_mul, diff, shift
+from .coeffs import (
+    ExactPolynomial,
+    LatticeStep,
+    coord_shift_mul,
+    diff,
+    shift,
+    skew_diff,
+    sym_diff,
+)
 from .forms import Form, all_blades, blade_from_factors, blade_mul, single_blade
-from .scalars import Scalar, as_scalar
+from .scalars import ONE, Scalar, as_scalar
+
+MINUS_ONE = Scalar(-1)
 
 
 class Operator:
     """A linear endomorphism of the form algebra, as an expression tree."""
 
-    def __init__(self, kind, *, name=None, fn=None, parts=None, factor=None):
-        self.kind = kind  # "prim" | "compose" | "add" | "scale" | "id"
+    def __init__(self, kind, parts=(), coeffs=(), *, name=None, fn=None):
+        self.kind = kind  # "prim" | "compose" | "sum"
+        self.parts = parts  # compose: applied right to left; sum: one per coefficient
+        self.coeffs = coeffs
         self.name = name
         self.fn = fn
-        self.parts = tuple(parts) if parts else ()
-        self.factor = factor
 
     # -- construction ----------------------------------------------------
     @classmethod
-    def prim(cls, name, fn):
-        return cls("prim", name=name, fn=fn)
-
-    @classmethod
     def identity(cls):
-        return cls("id", name="id")
+        """The empty product."""
+        return cls("compose")
 
     @classmethod
     def constant(cls, c):
@@ -60,76 +70,69 @@ class Operator:
         """Composition: (A * B)(w) = A(B(w))."""
         if not isinstance(other, Operator):
             return NotImplemented
-        return Operator("compose", parts=(self, other))
+        return Operator("compose", (self, other))
 
     def __add__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        return Operator("add", parts=(self, other))
+        return Operator("sum", (self, other), (ONE, ONE))
 
     def __sub__(self, other):
-        return self + other.scaled(Scalar(-1))
+        if not isinstance(other, Operator):
+            return NotImplemented
+        return Operator("sum", (self, other), (ONE, MINUS_ONE))
 
     def __neg__(self):
-        return self.scaled(Scalar(-1))
+        return self.scaled(MINUS_ONE)
 
     def scaled(self, s):
-        return Operator("scale", parts=(self,), factor=as_scalar(s))
-
-    def __rmul__(self, s):
-        if isinstance(s, Operator):
-            return NotImplemented
-        return self.scaled(s)
+        s = as_scalar(s)
+        # evaluation recognises the coefficients 1 and -1 by identity
+        s = ONE if s == ONE else MINUS_ONE if s == MINUS_ONE else s
+        return Operator("sum", (self,), (s,))
 
     # -- evaluation --------------------------------------------------------
     def __call__(self, form):
-        if self.kind == "id":
-            return form
         if self.kind == "prim":
             return self.fn(form)
         if self.kind == "compose":
-            out = form
             for op in reversed(self.parts):
-                out = op(out)
-            return out
-        if self.kind == "add":
-            out = self.parts[0](form)
-            for op in self.parts[1:]:
-                out = out.add(op(form))
-            return out
-        if self.kind == "scale":
-            return self.parts[0](form).scale(self.factor)
-        raise AssertionError(self.kind)
+                form = op(form)
+            return form
+        out = None
+        for c, op in zip(self.coeffs, self.parts):
+            image = op(form)
+            if c is MINUS_ONE:
+                out = image.neg() if out is None else out.sub(image)
+                continue
+            if c is not ONE:
+                image = image.scale(c)
+            out = image if out is None else out.add(image)
+        return out
 
     def to_text(self):
-        if self.kind == "id":
-            return "id"
-        if self.kind == "prim":
+        """The expression in the grammar of :mod:`latclif.opexpr`."""
+        if self.name is not None:
             return self.name
+        texts = [p.to_text() for p in self.parts]
         if self.kind == "compose":
-            return "compose(" + ",".join(p.to_text() for p in self.parts) + ")"
-        if self.kind == "add":
-            return "add(" + ",".join(p.to_text() for p in self.parts) + ")"
-        if self.kind == "scale":
-            return f"scale({self.factor.to_text()},{self.parts[0].to_text()})"
-        raise AssertionError(self.kind)
+            head, texts = "compose", texts or ["id"]
+        else:
+            head = "add"
+            texts = [t if c == ONE else f"scale({c.to_text()},{t})"
+                     for c, t in zip(self.coeffs, texts)]
+        return texts[0] if len(texts) == 1 else f"{head}({','.join(texts)})"
 
     def __repr__(self):
         return f"Operator({self.to_text()})"
 
 
 def compose(*ops):
-    out = ops[0]
-    for op in ops[1:]:
-        out = out * op
-    return out
+    return Operator("compose", ops)
 
 
 def opsum(*ops):
-    out = ops[0]
-    for op in ops[1:]:
-        out = out + op
-    return out
+    return Operator("sum", ops, (ONE,) * len(ops))
 
 
 def commutator(a, b):
@@ -167,7 +170,7 @@ def gamma(sign, axis):
 
         return Form.collect(form.n, form.h, triples())
 
-    return Operator.prim(f"gamma({_sign_char(sign)},{axis})", apply)
+    return Operator("prim", name=f"gamma({_sign_char(sign)},{axis})", fn=apply)
 
 
 def vartheta(sign, axis):
@@ -192,7 +195,7 @@ def vartheta(sign, axis):
 
         return Form.collect(form.n, form.h, triples())
 
-    return Operator.prim(f"vartheta({_sign_char(sign)},{axis})", apply)
+    return Operator("prim", name=f"vartheta({_sign_char(sign)},{axis})", fn=apply)
 
 
 def vartheta_recursive(sign, axis):
@@ -229,23 +232,25 @@ def vartheta_recursive(sign, axis):
 
         return Form.collect(form.n, form.h, triples())
 
-    return Operator.prim(f"varthetaRec({_sign_char(sign)},{axis})", apply)
+    return Operator("prim", name=f"varthetaRec({_sign_char(sign)},{axis})", fn=apply)
 
 
 def xi(sign, axis):
     """Witt generator: gamma(s, j) plus half the opposite contraction."""
     sign = _sgn(sign)
-    op = gamma(sign, axis) + vartheta(-sign, axis).scaled(Scalar(Fraction(1, 2)))
-    op.name = f"xi({_sign_char(sign)},{axis})"
-    return op
+    return Operator(
+        "sum", (gamma(sign, axis), vartheta(-sign, axis)), (ONE, Scalar(Fraction(1, 2))),
+        name=f"xi({_sign_char(sign)},{axis})",
+    )
 
 
 def upsilon(sign, axis):
     """Clifford generator: xi(+, j) + sign * xi(-, j)."""
     sign = _sgn(sign)
-    op = xi(1, axis) + xi(-1, axis) if sign > 0 else xi(1, axis) - xi(-1, axis)
-    op.name = f"upsilon({_sign_char(sign)},{axis})"
-    return op
+    return Operator(
+        "sum", (xi(1, axis), xi(-1, axis)), (ONE, ONE if sign > 0 else MINUS_ONE),
+        name=f"upsilon({_sign_char(sign)},{axis})",
+    )
 
 
 def witt(sign, axis):
@@ -257,58 +262,50 @@ def witt(sign, axis):
     operator.  The Dirac and vector-variable layer is built from these.
     """
     sign = _sgn(sign)
-    op = xi(sign, axis) * shift_op(-sign, axis)
-    op.name = f"witt({_sign_char(sign)},{axis})"
-    return op
+    return Operator(
+        "compose", (xi(sign, axis), shift_op(-sign, axis)),
+        name=f"witt({_sign_char(sign)},{axis})",
+    )
+
+
+def _coeffwise(name, fn):
+    """The primitive that applies ``fn`` to every coefficient of a form."""
+    return Operator("prim", name=name, fn=lambda form: form.map_coeffs(fn))
 
 
 def shift_op(sign, axis):
     sign = _sgn(sign)
     step = LatticeStep(axis, sign)
-    return Operator.prim(
-        f"T({_sign_char(sign)},{axis})",
-        lambda form: form.map_coeffs(lambda c: shift(c, step)),
-    )
+    return _coeffwise(f"T({_sign_char(sign)},{axis})", lambda c: shift(c, step))
 
 
 def diff_op(sign, axis):
     sign = _sgn(sign)
     step = LatticeStep(axis, sign)
-    return Operator.prim(
-        f"D({_sign_char(sign)},{axis})",
-        lambda form: form.map_coeffs(lambda c: diff(c, step)),
-    )
+    return _coeffwise(f"D({_sign_char(sign)},{axis})", lambda c: diff(c, step))
 
 
 def coord_shift(sign, axis):
     """The raising operator M_j^s = x_j T^{s j}, coefficientwise."""
     sign = _sgn(sign)
-    return Operator.prim(
-        f"M({_sign_char(sign)},{axis})",
-        lambda form: form.map_coeffs(lambda c: coord_shift_mul(c, axis, sign)),
+    return _coeffwise(
+        f"M({_sign_char(sign)},{axis})", lambda c: coord_shift_mul(c, axis, sign)
     )
 
 
 def coord_mul(axis):
     """Plain multiplication by the coordinate x_j."""
-    return Operator.prim(
-        f"X({axis})",
-        lambda form: form.map_coeffs(lambda c: c.coord_mul(axis)),
-    )
+    return _coeffwise(f"X({axis})", lambda c: c.coord_mul(axis))
 
 
 def nabla(axis):
     """Symmetric difference, the mean of the two one-sided differences."""
-    op = (diff_op(-1, axis) + diff_op(1, axis)).scaled(Scalar(Fraction(1, 2)))
-    op.name = f"nabla({axis})"
-    return op
+    return _coeffwise(f"nabla({axis})", lambda c: sym_diff(c, axis))
 
 
 def nabla_tilde(axis):
     """Skew difference: (backward - forward) / (2i)."""
-    op = (diff_op(-1, axis) - diff_op(1, axis)).scaled(Scalar(0, Fraction(-1, 2)))
-    op.name = f"nablaTilde({axis})"
-    return op
+    return _coeffwise(f"nablaTilde({axis})", lambda c: skew_diff(c, axis))
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ Grammar (whitespace-insensitive)::
               | "comm"    "(" expr "," expr ")"
               | "acomm"   "(" expr "," expr ")"
     atom     := NAME [ "(" arg ("," arg)* ")" ]
+    scalar   := the ``Scalar.to_text`` form "a/b" or "a/b+c/di", e.g. "0+1i"
 
 Signed primitives take a sign and an axis, e.g. ``gamma(+,1)``; family
 atoms (``dz``, ``Ez``, ``beta``, ...) take no arguments and are built for
-the dimension and convention supplied by the caller.
+the dimension and convention supplied by the caller.  ``Operator.to_text``
+prints this grammar.
 """
 
 from __future__ import annotations
@@ -22,12 +24,20 @@ import re
 from . import dirac, operators
 from .scalars import Scalar
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[(),]|[+-]?[0-9/]+i?|[+-])")
+_TOKEN = re.compile(
+    r"\s*([A-Za-z_][A-Za-z_0-9]*|[(),]|-?[0-9]+(?:/[0-9]+)?(?:[+-][0-9]+(?:/[0-9]+)?i)?|[+-])"
+)
 
 
 # Parsing and applying an expression recurse once or twice per bracket
 # level, so this bound keeps both far below the interpreter's recursion limit.
 MAX_DEPTH = 100
+
+# A subexpression used twice, as in acomm(id, a), is applied twice, so the
+# work of one evaluation can double with each bracket level.  This bounds
+# the primitive applications one evaluation makes on one input term; the
+# largest family atom, GXbar, needs 45 n - 2 of them.
+MAX_APPLICATIONS = 10_000
 
 
 class ExprError(Exception):
@@ -192,4 +202,23 @@ def parse_expression(text, n, convention=dirac.DEFAULT_CONVENTION):
         depth += (tok == "(") - (tok == ")")
         if depth > MAX_DEPTH:
             raise ExprError(f"expression nested deeper than {MAX_DEPTH} brackets")
-    return _Parser(tokens, n, convention).parse()
+    op = _Parser(tokens, n, convention).parse()
+    if _applications(op, {}) > MAX_APPLICATIONS:
+        raise ExprError(f"expression applies more than {MAX_APPLICATIONS} primitives")
+    return op
+
+
+def _applications(op, memo):
+    """Primitive applications one evaluation of ``op`` makes on one input term.
+
+    The identity counts as one, so that no nesting of it is free.  A shared
+    subexpression counts once per use; ``memo`` holds each node's count, so
+    it is computed once.
+    """
+    key = id(op)
+    if key not in memo:
+        if op.kind == "prim" or not op.parts:
+            memo[key] = 1
+        else:
+            memo[key] = sum(_applications(p, memo) for p in op.parts)
+    return memo[key]

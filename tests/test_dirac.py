@@ -205,3 +205,18 @@ def test_euler_operator_factorization():
         ]
     )
     assert holds(fam.E_z, alt)
+
+
+@pytest.mark.parametrize("convention", [PLUS, MINUS])
+def test_family_shares_each_dirac_operator(convention):
+    fam = build_family(N, convention)
+    assert fam.dirac is fam.dX
+    if convention == MINUS:
+        assert fam.d_minus is fam.dz and fam.d_plus is fam.dzdag
+    else:
+        assert fam.d_plus is fam.dz and fam.d_minus is fam.dzdag
+
+
+def test_unknown_convention_rejected():
+    with pytest.raises(ValueError, match="unknown convention"):
+        build_family(N, "sideways")

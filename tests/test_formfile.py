@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latclif.coeffs import BoxFunction, ExactPolynomial, cube
 from latclif.formfile import FormFileError, dump_form, parse_form
@@ -117,3 +118,45 @@ def test_well_formed_box_fixture_parses():
 def test_malformed_input_raises_form_file_error(case):
     with pytest.raises(FormFileError):
         parse_form(MALFORMED[case])
+
+
+# Field values a mutation may put in place of a valid one: a zero denominator,
+# an empty interval, a bare sign, an over-long arity, a non-ASCII digit.
+FIELD_TOKENS = [
+    "1/0", "1:0", "-", "", "0", "x", "1,1,1,1,1", "0:0,0:0,0:0", "\u0663", "1\u0663",
+    "-1:1", "1+1i", "2", "term", "end", "v", "support", "validity",
+]
+
+
+@st.composite
+def mutated_form_files(draw):
+    """A valid poly or box file with lines deleted, duplicated, swapped or edited."""
+    lines = dump_form(draw(st.sampled_from([poly_form(), box_form()]))).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap", "field"]))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            fields = lines[i].split(" ")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(FIELD_TOKENS))
+            lines[i] = " ".join(fields)
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_form_files())
+def test_mutated_form_file_parses_or_raises_form_file_error(text):
+    try:
+        form = parse_form(text)
+    except FormFileError:
+        return
+    dumped = dump_form(form)
+    assert dump_form(parse_form(dumped)) == dumped

@@ -7,10 +7,14 @@ from latclif.operators import (
     Operator,
     anticommutator,
     commutator,
+    compose,
     coord_mul,
     coord_shift,
     diff_op,
     gamma,
+    nabla,
+    nabla_tilde,
+    opsum,
     shift_op,
     spanning_forms,
     upsilon,
@@ -236,3 +240,37 @@ def test_verify_identities_matches_separate_checks():
 
     verify_identities([("fails-first", failing, ZERO_OP)], TF)
     assert len(seen) == 1  # a failed relation is not applied to later forms
+
+
+# -- the three node kinds ------------------------------------------------------
+
+def test_difference_and_commutator_scale_no_image(monkeypatch):
+    a, b = gamma(1, 1), vartheta(-1, 2)
+    w = Form.blade(coord(1), single_blade(-1, 2)).add(Form.scalar(const(3)))
+    expect = [a(w).sub(b(w)), a(b(w)).sub(b(a(w))), Form.zero(N, H).sub(a(w))]
+    scales = []
+    original = Form.scale
+
+    def counting_scale(self, s):
+        scales.append(s)
+        return original(self, s)
+
+    monkeypatch.setattr(Form, "scale", counting_scale)
+    images = [(a - b)(w), commutator(a, b)(w), (-a)(w)]
+    assert scales == []
+    assert images == expect
+
+
+def test_sum_and_product_of_k_parts_are_one_node():
+    ops = (gamma(1, 1), vartheta(-1, 1), shift_op(1, 2), diff_op(-1, 2))
+    for build, kind in ((opsum, "sum"), (compose, "compose")):
+        node = build(*ops)
+        assert node.kind == kind
+        assert node.parts == ops
+
+
+def test_differences_on_coefficients_are_primitives():
+    backward, forward = diff_op(-1, 1), diff_op(1, 1)
+    assert nabla(1).kind == nabla_tilde(1).kind == "prim"
+    assert holds(nabla(1), (backward + forward).scaled(Scalar(Fraction(1, 2))))
+    assert holds(nabla_tilde(1), (backward - forward).scaled(Scalar(0, Fraction(-1, 2))))

@@ -1,14 +1,21 @@
-"""Fuzzing of the operator expression parser: parse or ExprError, nothing else."""
+"""The operator expression parser: fuzzing (parse or ExprError, nothing else),
+its bounds, complex scale factors and the ``Operator.to_text`` round trip."""
+
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latclif.cli import main
 from latclif.coeffs import ExactPolynomial
+from latclif.dirac import build_family
+from latclif.formfile import write_form
 from latclif.forms import Form
-from latclif.operators import Operator
+from latclif.operators import Operator, spanning_forms, verify_identity
 from latclif.opexpr import (
     _AXIS_ONLY, _FAMILY, _SIGNED, MAX_DEPTH, ExprError, parse_expression,
 )
+from latclif.scalars import Scalar
 
 SIGNS = ["+", "-"]
 AXES = ["0", "1", "2", "3", "-1", "1/2"]
@@ -97,3 +104,35 @@ def test_nesting_depth_is_bounded(depth, ok):
     else:
         with pytest.raises(ExprError, match="nested deeper"):
             parse_expression(text, 1)
+
+
+def test_nested_anticommutators_exit_2_at_once(capsys, tmp_path):
+    path = tmp_path / "x.form"
+    write_form(Form.scalar(ExactPolynomial.coordinate(1, 1, 1)), path)
+    depth = 20
+    text = "acomm(id," * depth + "D(+,1)" + ")" * depth
+    start = time.perf_counter()
+    code = main(["apply", text, str(path)])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "applies more than" in capsys.readouterr().err
+
+
+def test_largest_family_atom_parses_at_n3():
+    assert isinstance(parse_expression("GXbar", 3), Operator)
+
+
+def test_complex_scale_factor():
+    _, w = spanning_forms(2, 1)[5]
+    op = parse_expression("scale(0+1i,dz)", 2)
+    assert op(w) == build_family(2).dz(w).scale(Scalar(0, 1))
+    op = parse_expression("scale(-1/2-3/4i,id)", 2)
+    assert op(w) == w.scale(Scalar.from_text("-1/2-3/4i"))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("atom", sorted(_FAMILY))
+def test_family_atom_text_parses_back(n, atom):
+    op = getattr(build_family(n), _FAMILY[atom])
+    again = parse_expression(op.to_text(), n)
+    assert verify_identity(atom, again, op, spanning_forms(n, 1)).passed
