@@ -124,7 +124,7 @@ def build_family(n, convention=DEFAULT_CONVENTION):
 def intertwining_relations(fam, acomm_z, acomm_zdag):
     """The six relations, as (name, lhs, rhs) triples.
 
-    ``acomm_z`` and ``acomm_zdag`` apply acomm(z,dz) and acomm(zdag,dzdag),
+    ``acomm_z`` and ``acomm_zdag`` are acomm(z,dz) and acomm(zdag,dzdag),
     the left sides of the first and third relations.
     """
     n_id = Operator.constant(fam.n)
@@ -143,34 +143,18 @@ def intertwining_relations(fam, acomm_z, acomm_zdag):
     ]
 
 
-def _last_image(op):
-    """``op`` as a callable that reuses its image when given its last form again."""
-    last = (None, None)
-
-    def apply(form):
-        nonlocal last
-        if last[0] is not form:
-            last = (form, op(form))
-        return last[1]
-
-    return apply
-
-
 def verify_intertwining(fam, test_forms):
     """Reports for the six relations plus the Euler-operator consistency.
 
-    All eight checks take the test forms in one pass, so the z-side Euler
-    check reuses the images of acomm(z,dz) and acomm(zdag,dzdag) that the
-    first and third relations computed on the same form, and only the
-    current form's two images are held.
+    All eight checks take the test forms in one pass.  The z-side Euler
+    check is the operator acomm(z,dz) + acomm(zdag,dzdag) - n, built from
+    the two anticommutators of the first and third relations, so it reads
+    the images they have already computed.
     """
-    acomm_z = _last_image(anticommutator(fam.z, fam.dz))
-    acomm_zdag = _last_image(anticommutator(fam.zdag, fam.dzdag))
+    acomm_z = anticommutator(fam.z, fam.dz)
+    acomm_zdag = anticommutator(fam.zdag, fam.dzdag)
     n_id = Operator.constant(fam.n)
-
-    def from_z(form):
-        return acomm_z(form).add(acomm_zdag(form)).sub(n_id(form))
-
+    from_z = acomm_z + acomm_zdag - n_id
     from_xbar = -anticommutator(fam.Xbar, fam.dXbar) - n_id
     return verify_identities(
         intertwining_relations(fam, acomm_z, acomm_zdag) + [

@@ -225,9 +225,7 @@ class Form:
 
     def scale(self, s):
         s = as_scalar(s)
-        if not s:
-            return self._raw({})
-        return self._raw({b: c.scale(s) for b, c in self.terms.items()})
+        return self.map_coeffs(lambda c: c.scale(s))
 
     def neg(self):
         return self._raw({b: c.neg() for b, c in self.terms.items()})

@@ -17,6 +17,19 @@ generators ``upsilon(s, j) = xi(+, j) + s xi(-, j)`` and the shift-free
 decided by exact evaluation on a spanning set of one-term forms with
 polynomial coefficients.
 
+A form with polynomial coefficients is evaluated as a sparse vector over
+the basis elements (blade, monomial), each numbered once per process
+together with its mesh width h.  Primitive and sum nodes keep a lazily
+built map from a basis element to its sparse image: a primitive computes
+a missing image by calling itself on the one-term basis form, and a sum
+adds its parts' images with their coefficients.  A product keeps no map;
+it applies its parts to sparse vectors, right to left.  The primitive
+builders return one shared object per argument tuple, so primitive images
+live for the process and are shared by every operator built on them;
+composite images live as long as their node.  Forms with box coefficients
+are evaluated by walking the tree, so that every coefficient reports how
+far its validity box shrinks.
+
 The Witt generators carry the factor one half on the contraction part so
 that the pairs (xi(+, j), xi(-, j)) obey the duality {xi+, xi-} = id
 rather than twice the identity: the exterior and interior parts each
@@ -29,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .coeffs import (
     ExactPolynomial,
@@ -44,6 +58,45 @@ from .scalars import ONE, Scalar, as_scalar
 
 MINUS_ONE = Scalar(-1)
 
+# Basis elements (blade, exps, h), numbered once per process in the order met.
+_BASIS = []
+_BASIS_ID = {}
+
+
+def _vector(form):
+    """A polynomial-coefficient form as a sparse vector {basis id: coefficient}."""
+    vec = {}
+    for blade, coeff in form.terms.items():
+        for exps, c in coeff.terms.items():
+            key = (blade, exps, form.h)
+            i = _BASIS_ID.get(key)
+            if i is None:
+                i = _BASIS_ID[key] = len(_BASIS)
+                _BASIS.append(key)
+            vec[i] = c
+    return vec
+
+
+def _form(n, h, vec):
+    """The form of a sparse vector; the inverse of :func:`_vector`."""
+    by_blade = {}
+    for i, c in vec.items():
+        blade, exps, _ = _BASIS[i]
+        by_blade.setdefault(blade, {})[exps] = c
+    return Form(n, h, {b: ExactPolynomial(n, h, t) for b, t in by_blade.items()})
+
+
+# One Scalar per coefficient value met in an image: images repeat few values.
+_COEFFS = {}
+
+
+def _flat(vec):
+    """A sparse vector as the flat tuple (id, coeff, id, coeff, ...)."""
+    out = []
+    for i, c in vec.items():
+        out += (i, _COEFFS.setdefault(c.triple, c))
+    return tuple(out)
+
 
 class Operator:
     """A linear endomorphism of the form algebra, as an expression tree."""
@@ -54,6 +107,8 @@ class Operator:
         self.coeffs = coeffs
         self.name = name
         self.fn = fn
+        # prim and sum nodes: basis id -> image, as a flat (id, coeff, ...) tuple
+        self._images = {}
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -95,6 +150,9 @@ class Operator:
     def __call__(self, form):
         if self.kind == "prim":
             return self.fn(form)
+        if form.coeff_kind() != "box":
+            return _form(form.n, form.h, self._apply(_vector(form)))
+        # the tree evaluator, which lets each box coefficient track its validity
         if self.kind == "compose":
             for op in reversed(self.parts):
                 form = op(form)
@@ -109,6 +167,40 @@ class Operator:
                 image = image.scale(c)
             out = image if out is None else out.add(image)
         return out
+
+    def _apply(self, vec):
+        """The image of a sparse vector {basis id: coefficient}."""
+        if self.kind == "compose":
+            for op in reversed(self.parts):
+                vec = op._apply(vec)
+            return vec
+        images = self._images
+        out = {}
+        for i, c in vec.items():
+            image = images.get(i)
+            if image is None:
+                image = images[i] = self._image(i)
+            it = iter(image)
+            for j, v in zip(it, it):
+                if c is not ONE:
+                    v = c * v
+                s = out.get(j)
+                out[j] = v if s is None else s + v
+        # one image cannot cancel; a zero c comes only from _image, which drops zeros
+        return out if len(vec) == 1 else {j: v for j, v in out.items() if v}
+
+    def _image(self, i):
+        """The image of basis element ``i``, as a flat tuple."""
+        if self.kind == "prim":
+            blade, exps, h = _BASIS[i]
+            unit = ExactPolynomial(len(exps), h, {exps: ONE})
+            return _flat(_vector(self(Form.blade(unit, blade))))
+        out = {}
+        for c, op in zip(self.coeffs, self.parts):
+            for j, v in op._apply({i: c}).items():
+                s = out.get(j)
+                out[j] = v if s is None else s + v
+        return _flat({j: v for j, v in out.items() if v})
 
     def to_text(self):
         """The expression in the grammar of :mod:`latclif.opexpr`."""
@@ -156,6 +248,7 @@ def _sign_char(sign):
     return "+" if sign > 0 else "-"
 
 
+@cache
 def gamma(sign, axis):
     """Exterior product with dx_axis^sign (left multiplication)."""
     sign = _sgn(sign)
@@ -173,6 +266,7 @@ def gamma(sign, axis):
     return Operator("prim", name=f"gamma({_sign_char(sign)},{axis})", fn=apply)
 
 
+@cache
 def vartheta(sign, axis):
     """Interior product dual to gamma, with the opposite shifting role.
 
@@ -198,6 +292,7 @@ def vartheta(sign, axis):
     return Operator("prim", name=f"vartheta({_sign_char(sign)},{axis})", fn=apply)
 
 
+@cache
 def vartheta_recursive(sign, axis):
     """The contraction recursion taken literally, for cross-checking."""
     sign = _sgn(sign)
@@ -273,18 +368,21 @@ def _coeffwise(name, fn):
     return Operator("prim", name=name, fn=lambda form: form.map_coeffs(fn))
 
 
+@cache
 def shift_op(sign, axis):
     sign = _sgn(sign)
     step = LatticeStep(axis, sign)
     return _coeffwise(f"T({_sign_char(sign)},{axis})", lambda c: shift(c, step))
 
 
+@cache
 def diff_op(sign, axis):
     sign = _sgn(sign)
     step = LatticeStep(axis, sign)
     return _coeffwise(f"D({_sign_char(sign)},{axis})", lambda c: diff(c, step))
 
 
+@cache
 def coord_shift(sign, axis):
     """The raising operator M_j^s = x_j T^{s j}, coefficientwise."""
     sign = _sgn(sign)
@@ -293,16 +391,19 @@ def coord_shift(sign, axis):
     )
 
 
+@cache
 def coord_mul(axis):
     """Plain multiplication by the coordinate x_j."""
     return _coeffwise(f"X({axis})", lambda c: c.coord_mul(axis))
 
 
+@cache
 def nabla(axis):
     """Symmetric difference, the mean of the two one-sided differences."""
     return _coeffwise(f"nabla({axis})", lambda c: sym_diff(c, axis))
 
 
+@cache
 def nabla_tilde(axis):
     """Skew difference: (backward - forward) / (2i)."""
     return _coeffwise(f"nablaTilde({axis})", lambda c: skew_diff(c, axis))
@@ -356,19 +457,28 @@ def verify_identity(name, lhs, rhs, test_forms):
 def verify_identities(relations, test_forms):
     """``verify_identity`` for each (name, lhs, rhs), in one pass over the test set.
 
-    Each relation is applied form by form until its first failure, as in
-    separate calls, so the reports are the same.  Taking the forms in the
-    outer loop lets relations share work done on the current form.
+    The test forms have polynomial coefficients.  Each relation compares
+    the images of its two sides form by form until its first failure, as in
+    separate calls, so the reports are the same; the witness is the first
+    nonzero term of the residual in blade order, then monomial order.
     """
     witnesses = [None] * len(relations)
     live = len(relations)
     for label, form in test_forms:
+        vec = _vector(form)
         for k, (_, lhs, rhs) in enumerate(relations):
             if witnesses[k] is None:
-                res = lhs(form).sub(rhs(form))
-                if not res.is_zero():
-                    blade, where, value = res.first_difference(Form.zero(form.n, form.h))
-                    witnesses[k] = f"on {label}: blade {blade.label()} at {where} = {value}"
+                res = lhs._apply(vec)
+                res = dict(res) if res is vec else res  # the identity returns its input
+                for j, v in rhs._apply(vec).items():
+                    s = res.pop(j, None)
+                    s = -v if s is None else s - v
+                    if s:
+                        res[j] = s
+                if res:
+                    i = min(res, key=lambda j: (_BASIS[j][0].sort_key(), _BASIS[j][1]))
+                    blade, exps, _ = _BASIS[i]
+                    witnesses[k] = f"on {label}: blade {blade.label()} at {exps} = {res[i]}"
                     live -= 1
         if not live:
             break

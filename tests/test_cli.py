@@ -158,6 +158,24 @@ def test_apply_box_validity_report(capsys, tmp_path):
     assert "VALIDITY -3:3 -> -3:2" in out
 
 
+def test_apply_zero_operator_keeps_box_terms(capsys, tmp_path):
+    from latclif.coeffs import cube
+
+    x = ExactPolynomial.coordinate(2, 1, 1)
+    path = tmp_path / "box.form"
+    write_form(Form.scalar(x.sample(cube(2, -5, 5))), path)
+    outs = []
+    for expr in ("scale(0,D(+,1))", "add(D(+,1),scale(-1,D(+,1)))"):
+        code, out, _ = run(capsys, "apply", expr, str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    head, body = outs[0].split("\n", 1)
+    assert head == "VALIDITY -5:5,-5:5 -> -5:4,-5:5"
+    result = parse_form(body)
+    assert result.coeff_kind() == "box" and len(result.terms) == 1 and result.is_zero()
+
+
 def test_expression_parser_families():
     op = parse_expression("comm(Ez,beta)", 2)
     assert op is not None

@@ -27,6 +27,10 @@ CASES = {
     # relations fail by design
     "verify-all-n1-N3": (["verify", "--suite", "all", "--n", "1", "--N", "3"], 1),
     "verify-all-n2-N4": (["verify", "--suite", "all", "--n", "2", "--N", "4"], 1),
+    "verify-intertwine-n3": (["verify", "--suite", "intertwine", "--n", "3"], 0),
+    # exits 1: the two dirac value checks fail by design
+    "verify-dirac-n3": (["verify", "--suite", "dirac", "--n", "3"], 1),
+    "verify-dirac-n2-h1_3": (["verify", "--suite", "dirac", "--n", "2", "--h", "1/3"], 1),
 }
 
 

@@ -1,8 +1,14 @@
+import gc
 import itertools
+import weakref
 from fractions import Fraction
 
-from latclif.coeffs import ExactPolynomial
-from latclif.forms import Blade, Form, single_blade
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from latclif.coeffs import ExactPolynomial, cube
+from latclif.dirac import build_family
+from latclif.forms import Blade, Form, all_blades, single_blade
 from latclif.operators import (
     Operator,
     anticommutator,
@@ -25,6 +31,7 @@ from latclif.operators import (
     witt,
     xi,
 )
+from latclif.opexpr import _FAMILY, parse_expression
 from latclif.scalars import Scalar
 
 N, H = 2, Fraction(1)
@@ -238,7 +245,8 @@ def test_verify_identities_matches_separate_checks():
         seen.append(form)
         return ID(form)
 
-    verify_identities([("fails-first", failing, ZERO_OP)], TF)
+    counting = Operator("prim", name="counting", fn=failing)
+    verify_identities([("fails-first", counting, ZERO_OP)], TF)
     assert len(seen) == 1  # a failed relation is not applied to later forms
 
 
@@ -274,3 +282,103 @@ def test_differences_on_coefficients_are_primitives():
     assert nabla(1).kind == nabla_tilde(1).kind == "prim"
     assert holds(nabla(1), (backward + forward).scaled(Scalar(Fraction(1, 2))))
     assert holds(nabla_tilde(1), (backward - forward).scaled(Scalar(0, Fraction(-1, 2))))
+
+
+# -- memoized images ------------------------------------------------------------
+
+PRIMITIVE_BUILDS = [
+    (gamma, (1, 1)), (vartheta, (-1, 2)), (vartheta_recursive, (1, 1)),
+    (shift_op, (-1, 1)), (diff_op, (1, 2)), (coord_shift, (-1, 1)),
+    (coord_mul, (2,)), (nabla, (1,)), (nabla_tilde, (2,)),
+]
+
+
+@pytest.mark.parametrize("build, args", PRIMITIVE_BUILDS,
+                         ids=[b.__name__ for b, _ in PRIMITIVE_BUILDS])
+def test_primitive_builders_return_one_shared_object(build, args):
+    assert build(*args) is build(*args)
+    assert build(*args).kind == "prim"
+
+
+def test_family_images_die_with_the_family():
+    fam = build_family(2)
+    node = fam.Gamma_X
+    for _, form in TF[:10]:
+        node(form)
+    assert node._images
+    ref = weakref.ref(node)
+    del fam, node
+    gc.collect()
+    assert ref() is None
+
+
+def test_primitive_images_stay_correct_at_alternating_h():
+    for build, args in PRIMITIVE_BUILDS:
+        prim = build(*args)
+        through_images = compose(prim)
+        for h in (Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(1, 2)):
+            x1, x2 = coord(1, h=h), coord(2, h=h)
+            w = Form.blade(x1.mul(x2).add(const(3, h=h)), Blade((1,), (2,))).add(
+                Form.scalar(x1.mul(x1)))
+            assert through_images(w) == prim(w), (prim.name, h)
+
+
+MESHES = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
+HALFWIDTH = 6
+
+
+@st.composite
+def poly_forms(draw, n):
+    """A polynomial-coefficient form of up to three blades and degree two per axis."""
+    h = draw(st.sampled_from(MESHES))
+    blades = draw(st.lists(st.sampled_from(all_blades(n)), min_size=1, max_size=3,
+                           unique=True))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    values = st.builds(Scalar, st.integers(-3, 3), st.integers(-2, 2))
+    terms = {}
+    for blade in blades:
+        coeffs = draw(st.dictionaries(exps, values, min_size=1, max_size=3))
+        terms[blade] = ExactPolynomial(n, h, coeffs)
+    return Form(n, h, terms)
+
+
+def primitives(n):
+    out = []
+    for j in range(1, n + 1):
+        for s in (1, -1):
+            out += [gamma(s, j), vartheta(s, j), vartheta_recursive(s, j),
+                    shift_op(s, j), diff_op(s, j), coord_shift(s, j)]
+        out += [coord_mul(j), nabla(j), nabla_tilde(j)]
+    return out
+
+
+def sampled(form, box):
+    return Form(form.n, form.h, {b: c.sample(box) for b, c in form.terms.items()})
+
+
+def assert_evaluators_agree(op, form):
+    """op(form) through the images, sampled, equals op on the sampled form
+    through the tree evaluator, on the validity box the tree reports."""
+    box = cube(form.n, -HALFWIDTH, HALFWIDTH)
+    images = compose(op)(form) if op.kind == "prim" else op(form)
+    tree = op(sampled(form, box))
+    assert tree.coeff_kind() in (None, "box")
+    assert sampled(images, box).sub(tree).is_zero(), (op.to_text(), form)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_images_agree_with_tree_on_every_primitive(n, data):
+    form = data.draw(poly_forms(n))
+    for op in primitives(n):
+        assert_evaluators_agree(op, form)
+
+
+@pytest.mark.parametrize("atom", sorted(_FAMILY))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_images_agree_with_tree_on_every_family_atom(atom, data):
+    n = data.draw(st.sampled_from((1, 2)))
+    form = data.draw(poly_forms(n))
+    assert_evaluators_agree(parse_expression(atom, n), form)
