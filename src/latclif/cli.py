@@ -149,7 +149,7 @@ def cmd_monogenic(args):
         convention=args.convention, spinor=args.spinor, ambient=args.ambient,
     )
     print(f"DIM {args.p} {args.q} {basis.dimension}")
-    print(check_line("monogenic.certificates", basis.certified))
+    print(check_line("monogenic.certificates", basis.certified, basis.witness))
     print(check_line("monogenic.oracle-dimension", basis.oracle_agrees,
                      f"kernel {basis.dimension} vs oracle {basis.oracle_dimension}"))
     for idx, element in enumerate(basis.elements):

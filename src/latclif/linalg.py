@@ -8,9 +8,9 @@ share no elimination code, so an error in one cannot hide in the other.
 
 Both routes run on sparse rows, one ``{column: value}`` dict per row with
 all-zero rows dropped.  An operator moves each basis monomial to a few
-lattice neighbours, so the solver's stacked matrices hold about one
-nonzero per nonzero row, and most of their rows are zero.  The public
-functions still take and return dense rows and convert once on entry.
+lattice neighbours, so the solver's stacked matrices hold one or two
+nonzeros per row.  The public functions still take and return dense rows
+and convert once on entry.
 """
 
 from __future__ import annotations

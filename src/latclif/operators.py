@@ -19,8 +19,9 @@ polynomial coefficients.
 
 A form with polynomial coefficients is evaluated as a sparse vector over
 the basis elements (blade, monomial), each numbered once per process
-together with its mesh width h.  Primitive and sum nodes keep a lazily
-built map from a basis element to its sparse image: a primitive computes
+together with its mesh width h, by :func:`vector`, and mapped by
+:meth:`Operator.apply_vector`.  Primitive and sum nodes keep a lazily built
+map from a basis element to its sparse image: a primitive computes
 a missing image by calling itself on the one-term basis form, and a sum
 adds its parts' images with their coefficients.  A product keeps no map;
 it applies its parts to sparse vectors, right to left.  The primitive
@@ -63,7 +64,7 @@ _BASIS = []
 _BASIS_ID = {}
 
 
-def _vector(form):
+def vector(form):
     """A polynomial-coefficient form as a sparse vector {basis id: coefficient}."""
     vec = {}
     for blade, coeff in form.terms.items():
@@ -78,7 +79,7 @@ def _vector(form):
 
 
 def _form(n, h, vec):
-    """The form of a sparse vector; the inverse of :func:`_vector`."""
+    """The form of a sparse vector; the inverse of :func:`vector`."""
     by_blade = {}
     for i, c in vec.items():
         blade, exps, _ = _BASIS[i]
@@ -151,7 +152,7 @@ class Operator:
         if self.kind == "prim":
             return self.fn(form)
         if form.coeff_kind() != "box":
-            return _form(form.n, form.h, self._apply(_vector(form)))
+            return _form(form.n, form.h, self.apply_vector(vector(form)))
         # the tree evaluator, which lets each box coefficient track its validity
         if self.kind == "compose":
             for op in reversed(self.parts):
@@ -168,11 +169,11 @@ class Operator:
             out = image if out is None else out.add(image)
         return out
 
-    def _apply(self, vec):
-        """The image of a sparse vector {basis id: coefficient}."""
+    def apply_vector(self, vec):
+        """The image of a sparse vector {basis id: coefficient}; may be ``vec`` itself."""
         if self.kind == "compose":
             for op in reversed(self.parts):
-                vec = op._apply(vec)
+                vec = op.apply_vector(vec)
             return vec
         images = self._images
         out = {}
@@ -194,10 +195,10 @@ class Operator:
         if self.kind == "prim":
             blade, exps, h = _BASIS[i]
             unit = ExactPolynomial(len(exps), h, {exps: ONE})
-            return _flat(_vector(self(Form.blade(unit, blade))))
+            return _flat(vector(self(Form.blade(unit, blade))))
         out = {}
         for c, op in zip(self.coeffs, self.parts):
-            for j, v in op._apply({i: c}).items():
+            for j, v in op.apply_vector({i: c}).items():
                 s = out.get(j)
                 out[j] = v if s is None else s + v
         return _flat({j: v for j, v in out.items() if v})
@@ -354,7 +355,8 @@ def witt(sign, axis):
     The exterior and interior parts of xi both translate the coefficient by
     one step in direction s*e_j; composing with T^{-s j} cancels it, leaving
     a pure blade operation that commutes with every coefficientwise
-    operator.  The Dirac and vector-variable layer is built from these.
+    operator.  The Dirac layer does not use it: it is built on xi itself,
+    as sums of xi(s, j) D^{-s j} and of X_j xi(s, j).
     """
     sign = _sgn(sign)
     return Operator(
@@ -465,12 +467,12 @@ def verify_identities(relations, test_forms):
     witnesses = [None] * len(relations)
     live = len(relations)
     for label, form in test_forms:
-        vec = _vector(form)
+        vec = vector(form)
         for k, (_, lhs, rhs) in enumerate(relations):
             if witnesses[k] is None:
-                res = lhs._apply(vec)
+                res = lhs.apply_vector(vec)
                 res = dict(res) if res is vec else res  # the identity returns its input
-                for j, v in rhs._apply(vec).items():
+                for j, v in rhs.apply_vector(vec).items():
                     s = res.pop(j, None)
                     s = -v if s is None else s - v
                     if s:

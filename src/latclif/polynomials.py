@@ -12,12 +12,13 @@ cross-checks every dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .coeffs import ExactPolynomial, LatticeStep, coord_shift_mul, diff
 from .dirac import DEFAULT_CONVENTION, build_family
 from .forms import Form, all_blades
 from .linalg import bareiss_rank, kernel_basis, rank, rref, scalars_to_gaussian
-from .operators import Operator, OperatorReport
+from .operators import Operator, OperatorReport, vector, verify_identities
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -154,11 +155,11 @@ def form_coordinates(form):
     return coords
 
 
-def _coordinate_rows(forms):
-    """Coordinate matrix with one column per form, rows in sorted key order."""
-    coords = [form_coordinates(form) for form in forms]
-    keys = sorted(set().union(*coords))
-    return [[cs.get(k, ZERO) for cs in coords] for k in keys]
+def _rows(columns):
+    """Dense rows of the matrix with the given sparse columns, one row per
+    basis element that some column reaches."""
+    keys = sorted(set().union(*columns))
+    return [[col.get(k, ZERO) for col in columns] for k in keys]
 
 
 def reduce_candidates(candidates):
@@ -169,27 +170,20 @@ def reduce_candidates(candidates):
     be dependent; solving on a reduced basis keeps kernel dimensions equal
     to dimensions of actual solution spaces.
     """
-    _, pivots = rref(_coordinate_rows(form for _, form in candidates))
+    _, pivots = rref(_rows([vector(form) for _, form in candidates]))
     return [candidates[i] for i in pivots]
 
 
 def assemble_matrix(operators, candidates):
-    """Stacked coordinate matrix of the operators over the candidate span."""
-    images = []
-    keys = set()
-    for op in operators:
-        row_of = []
-        for _, form in candidates:
-            img = op(form)
-            cs = form_coordinates(img)
-            keys.update(cs)
-            row_of.append(cs)
-        images.append(row_of)
-    key_list = sorted(keys)
+    """Stacked matrix of the operators over the candidate span.
+
+    Each operator maps the candidates' vectors to its columns and
+    contributes one row per basis element its images reach.
+    """
+    vectors = [vector(form) for _, form in candidates]
     rows = []
-    for row_of in images:
-        for key in key_list:
-            rows.append([cs.get(key, ZERO) for cs in row_of])
+    for op in operators:
+        rows += _rows([op.apply_vector(vec) for vec in vectors])
     return rows
 
 
@@ -198,17 +192,10 @@ def solve_kernel(operators, candidates):
     if not candidates:
         return [], []
     rows = assemble_matrix(operators, candidates)
-    ncols = len(candidates)
-    vectors = kernel_basis(rows, ncols)
     forms = []
-    n = candidates[0][1].n
-    h = candidates[0][1].h
-    for vec in vectors:
-        total = Form.zero(n, h)
-        for coeff, (_, form) in zip(vec, candidates):
-            if coeff:
-                total = total.add(form.scale(coeff))
-        forms.append(total)
+    for vec in kernel_basis(rows, len(candidates)):
+        terms = [form.scale(c) for c, (_, form) in zip(vec, candidates) if c]
+        forms.append(reduce(Form.add, terms))
     return forms, rows
 
 
@@ -229,15 +216,27 @@ def _candidate_space(n, h, p, q, blades, ambient):
     )
 
 
+def _relations(fam, p, q):
+    """The relations of a monogenic element of bidegree (p, q), as (name,
+    operator, constant operator) triples; the first four define the
+    solution space, and every solution is certified against all six."""
+    return [
+        (name, op, Operator.constant(c)) for name, op, c in (
+            ("euler-z", fam.E_z, p),
+            ("euler-zdag", fam.E_zdag, q),
+            ("dirac-z", fam.dz, 0),
+            ("dirac-zdag", fam.dzdag, 0),
+            ("gamma-z", fam.Gamma_z, -p),
+            ("gamma-zdag", fam.Gamma_zdag, -q),
+        )
+    ]
+
+
 def joint_euler_eigenbasis(n, h, p, q, blades=None, ambient=False):
     """Exact basis of the coupled Euler eigenspace inside the candidate span."""
     candidates = _candidate_space(n, h, p, q, blades, ambient)
-    fam = build_family(n)
-    ops = [
-        fam.E_z - Operator.constant(p),
-        fam.E_zdag - Operator.constant(q),
-    ]
-    basis, rows = solve_kernel(ops, candidates)
+    euler = _relations(build_family(n), p, q)[:2]
+    basis, rows = solve_kernel([lhs - rhs for _, lhs, rhs in euler], candidates)
     return basis, candidates, rows
 
 
@@ -250,7 +249,8 @@ class MonogenicBasis:
     q: int
     convention: str
     elements: list = field(default_factory=list)
-    certificates: list = field(default_factory=list)
+    certificates: list = field(default_factory=list)  # {name: passed} per element
+    witness: str | None = None  # the first failing certificate and its residual
     oracle_dimension: int = 0
 
     @property
@@ -274,33 +274,27 @@ def hermitian_monogenic_basis(
     """Solve the coupled eigenproblem with zero hermitian Dirac constraints."""
     blades = spinor_blades(n) if spinor else None
     candidates = _candidate_space(n, h, p, q, blades, ambient)
-    fam = build_family(n, convention)
-    ops = [
-        fam.E_z - Operator.constant(p),
-        fam.E_zdag - Operator.constant(q),
-        fam.dz,
-        fam.dzdag,
-    ]
-    elements, rows = solve_kernel(ops, candidates)
+    relations = _relations(build_family(n, convention), p, q)
+    elements, rows = solve_kernel([lhs - rhs for _, lhs, rhs in relations[:4]], candidates)
     result = MonogenicBasis(n=n, p=p, q=q, convention=convention)
     result.elements = elements
     result.oracle_dimension = oracle_kernel_dimension(rows, len(candidates))
-    for el in elements:
-        cert = {
-            "euler-z": fam.E_z(el).sub(el.scale(Scalar(p))).is_zero(),
-            "euler-zdag": fam.E_zdag(el).sub(el.scale(Scalar(q))).is_zero(),
-            "dirac-z": fam.dz(el).is_zero(),
-            "dirac-zdag": fam.dzdag(el).is_zero(),
-            "gamma-z": fam.Gamma_z(el).add(el.scale(Scalar(p))).is_zero(),
-            "gamma-zdag": fam.Gamma_zdag(el).add(el.scale(Scalar(q))).is_zero(),
-        }
-        result.certificates.append(cert)
+    for k, el in enumerate(elements):
+        reports = verify_identities(relations, [(f"element {k}", el)])
+        result.certificates.append({r.name: r.passed for r in reports})
+        if result.witness is None:
+            result.witness = next((f"{r.name} {r.witness}" for r in reports if r.witness), None)
     return result
 
 
+def coordinate_rank(forms):
+    """Exact rank of the matrix whose columns are the forms' vectors."""
+    return rank(_rows([vector(form) for form in forms]))
+
+
 def independent_over_scalars(forms):
-    """Exact rank check on the coordinate matrix of the given forms."""
-    return rank(_coordinate_rows(forms)) == len(forms)
+    """The forms are linearly independent over Q(i)."""
+    return coordinate_rank(forms) == len(forms)
 
 
 def classical_scaling_residual(form, p, q, factor=2):

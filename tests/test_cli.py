@@ -193,6 +193,16 @@ def test_monogenic_command(capsys):
     assert out.count("latclif-form 1") == 4
 
 
+def test_monogenic_certificate_failure_names_element_and_residual(capsys):
+    # under the plus convention the Gamma eigenvalue relations fail
+    code, out, _ = run(
+        capsys, "monogenic", "--n", "1", "--p", "0", "--q", "0", "--convention", "plus"
+    )
+    assert code == 1
+    assert ("CHECK monogenic.certificates FAIL gamma-z on element 0: blade 1 at (0,) = 1/2\n"
+            in out)
+
+
 def test_monogenic_writes_files(capsys, tmp_path):
     prefix = str(tmp_path / "basis")
     code, out, _ = run(

@@ -23,6 +23,9 @@ CASES = {
     "monogenic-n2-p1q1": (["monogenic", "--n", "2", "--p", "1", "--q", "1"], 0),
     "monogenic-n3-p1q1-spinor":
         (["monogenic", "--n", "3", "--p", "1", "--q", "1", "--spinor"], 0),
+    "monogenic-n2-p1q1-ambient":
+        (["monogenic", "--n", "2", "--p", "1", "--q", "1", "--ambient"], 0),
+    "verify-monogenic-n3": (["verify", "--suite", "monogenic", "--n", "3"], 0),
     # exits 1: the two dirac value checks and five plus-convention
     # relations fail by design
     "verify-all-n1-N3": (["verify", "--suite", "all", "--n", "1", "--N", "3"], 1),
@@ -123,6 +126,31 @@ def test_formerly_bare_failures_name_case_and_difference(monkeypatch, name):
     (line,), passed = check.run()
     assert not passed
     assert line.startswith(f"CHECK {name} FAIL {prefix}") and " = " in line, line
+
+
+def monogenic_solver_lines(convention="minus"):
+    [check] = [c for c in suites.monogenic_suite(1, Fraction(1), convention)
+               if c.name == "monogenic.solver"]
+    lines, passed = check.run()
+    assert not passed
+    return lines
+
+
+def test_monogenic_certificate_failure_names_element_and_residual():
+    assert ("CHECK monogenic.certificates-00 FAIL gamma-z on element 0: blade 1 at (0,) = 1/2"
+            in monogenic_solver_lines("plus"))
+
+
+def test_monogenic_independence_failure_names_rank_and_count(monkeypatch):
+    solve = suites.hermitian_monogenic_basis
+
+    def with_repeated_element(*args):
+        basis = solve(*args)
+        basis.elements += basis.elements[:1]
+        return basis
+
+    monkeypatch.setattr(suites, "hermitian_monogenic_basis", with_repeated_element)
+    assert "CHECK monogenic.independence-00 FAIL rank 4 vs 5 elements" in monogenic_solver_lines()
 
 
 def test_checks_draw_from_their_own_generators():

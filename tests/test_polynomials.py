@@ -6,7 +6,9 @@ import pytest
 from latclif.coeffs import ExactPolynomial
 from latclif.dirac import build_family
 from latclif.forms import Form, all_blades
+from latclif.operators import Operator
 from latclif.polynomials import (
+    assemble_matrix,
     check_basicness,
     check_monomial_principle,
     classical_scaling_residual,
@@ -139,6 +141,13 @@ def test_ambient_includes_degenerate_solutions():
         not classical_scaling_residual(b, 1, 1).is_zero() for b in basis
     )
     assert found_violation
+
+
+def test_assembled_rows_each_have_a_nonzero_entry():
+    fam = build_family(2)
+    ops = [fam.E_z - Operator.constant(1), fam.E_zdag - Operator.constant(1), fam.dz, fam.dzdag]
+    rows = assemble_matrix(ops, reduce_candidates(homogeneous_space(2, 1, 1, 1)))
+    assert rows and all(any(row) for row in rows)
 
 
 def test_reduce_candidates_removes_duplicates():
