@@ -27,12 +27,13 @@ class ConfigError(Exception):
 
 
 def _parse_h(text):
+    """The --h value; argparse turns a rejection into a usage error, exit 2."""
     try:
         h = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"bad mesh width {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad mesh width {text!r}") from exc
     if h <= 0:
-        raise ConfigError("mesh width must be positive")
+        raise argparse.ArgumentTypeError("mesh width must be positive")
     return h
 
 

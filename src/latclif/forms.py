@@ -408,7 +408,7 @@ def from_universal(uform, h):
     n, N = torus.n, torus.N
     domain = cube(n, 0, N - 1)
     per_blade = {}
-    for path, coeff in uform.terms.items():
+    for path, coeff in uform.coordinate_terms():
         factors = []
         for a, b in zip(path, path[1:]):
             axis, sign = torus.step_of(a, b)

@@ -6,6 +6,13 @@ sum over all nodes and slots.  With no reduction attached this is the full
 calculus of the complete graph, which serves as the brute-force oracle for
 the blade algebra in :mod:`latclif.forms`.
 
+Each node is numbered once, by its position in the lexicographic
+``Torus.nodes()``, and a stored path is a tuple of node numbers, so ordering
+paths by (length, path) orders them as their coordinates would.  Coordinate
+tuples appear only where a path enters (the ``UForm`` constructor and the
+named forms) or leaves (:meth:`UForm.first_term`,
+:meth:`UForm.coordinate_terms` and the repr).
+
 Attaching a :class:`Reduction` passes to the nearest-neighbour quotient.
 Path projection alone (dropping paths with a non-unit step) does not kill
 the straight and returning 2-paths whose vanishing the quotient requires,
@@ -16,11 +23,15 @@ axis) with the permutation parity absorbed into the coefficient.  Under
 this normal form the reduced algebra is exactly functions tensor a
 Grassmann algebra on 2n anticommuting step generators, which is what the
 adjacency-form identities (the vanishing square of the adjacency form, the
-anticommutation of the invariant 1-forms) assert.
+anticommutation of the invariant 1-forms) assert.  A reduction reads each
+step from one neighbour table, built when it is created: node number and
+generator index to node number, and back.
 
 The sign rule is :func:`grassmann_sort`, shared with the blades of
-:mod:`latclif.forms`: a step -e_j has the key (0, j) and a step +e_j the key
-(1, j), the same keys as the differentials dx_j^- and dx_j^+ it maps to.
+:mod:`latclif.forms`.  A reduction keys each step by its position in
+:func:`allowed_steps` (-e_1, ..., -e_n, then +e_1, ..., +e_n), which orders
+the steps as the blade keys (0, j) of dx_j^- and (1, j) of dx_j^+ order the
+differentials they map to.
 Every form built from paths (the constructor, the product and the
 derivative) goes through one accumulator that canonicalizes each path,
 absorbs its sign and drops a sum that cancels.
@@ -29,9 +40,10 @@ absorbs its sign and drops a sum that cancels.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import ne
 
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, Scalar, as_scalar
 
 
 class Torus:
@@ -45,9 +57,18 @@ class Torus:
         self.n = n
         self.N = N
         self._nodes = tuple(itertools.product(range(N), repeat=n))
+        self._numbers = {node: i for i, node in enumerate(self._nodes)}
 
     def nodes(self):
         return self._nodes
+
+    def number(self, node):
+        """Position of a node in :meth:`nodes`; coordinates are taken modulo N."""
+        return self._numbers[tuple(x % self.N for x in node)]
+
+    def shift_table(self, p):
+        """The number of m + p, listed by the number of m."""
+        return [self.number(self.add(m, p)) for m in self._nodes]
 
     def add(self, a, b):
         return tuple((x + y) % self.N for x, y in zip(a, b))
@@ -111,16 +132,32 @@ def grassmann_sort(keys):
 
 @dataclass(frozen=True)
 class Reduction:
-    """The symmetric nearest-neighbour reduction: steps +-e_j only."""
+    """The symmetric nearest-neighbour reduction: steps +-e_j only.
+
+    ``neighbours[m][k]`` is the number of node m moved by the k-th step of
+    :func:`allowed_steps`; ``k`` is also the step's generator key, since
+    that list is in generator order.  ``_keys[m]`` inverts row m: it maps a
+    neighbour's number to k.
+    """
 
     torus: Torus
+    neighbours: tuple = field(init=False, repr=False, compare=False)
+    _keys: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.torus.N < 3:
+        torus = self.torus
+        if torus.N < 3:
             raise ValueError("reductions need N >= 3")
+        shifts = [torus.shift_table(torus.unit_step(axis, sign))
+                  for axis, sign in allowed_steps(torus)]
+        neighbours = tuple(zip(*shifts))
+        object.__setattr__(self, "neighbours", neighbours)
+        object.__setattr__(self, "_keys", tuple(
+            {b: k for k, b in enumerate(row)} for row in neighbours
+        ))
 
     def canonicalize(self, path):
-        """Normal form of a path under the reduced calculus.
+        """Normal form of a path of node numbers under the reduced calculus.
 
         Returns (sign, path) or None when the class is zero: a non-unit
         step or a repeated signed step kills the path; otherwise steps are
@@ -128,27 +165,29 @@ class Reduction:
         """
         if len(path) == 1:
             return 1, path
+        if len(path) == 2:
+            # one step: already in generator order
+            return (1, path) if path[1] in self._keys[path[0]] else None
         keys = []
         for a, b in zip(path, path[1:]):
-            st = self.torus.step_of(a, b)
-            if st is None:
+            key = self._keys[a].get(b)
+            if key is None:
                 return None
-            axis, sign = st
-            keys.append((0 if sign < 0 else 1, axis))
+            keys.append(key)
         canon = grassmann_sort(keys)
         if canon is None:
             return None
         sgn, keys = canon
         node = path[0]
         nodes = [node]
-        for t, axis in keys:
-            node = self.torus.add(node, self.torus.unit_step(axis, 1 if t else -1))
+        for key in keys:
+            node = self.neighbours[node][key]
             nodes.append(node)
         return sgn, tuple(nodes)
 
 
 def _valid_path(nodes):
-    return all(a != b for a, b in zip(nodes, nodes[1:]))
+    return all(map(ne, nodes, nodes[1:]))
 
 
 def _accumulate(terms, pairs, reduction):
@@ -158,41 +197,59 @@ def _accumulate(terms, pairs, reduction):
     absorbed into the coefficient; a path whose class is zero is skipped.
     A sum that cancels is removed.
     """
+    canonicalize = None if reduction is None else reduction.canonicalize
     for path, coeff in pairs:
-        if reduction is not None:
-            canon = reduction.canonicalize(path)
+        if canonicalize is not None:
+            canon = canonicalize(path)
             if canon is None:
                 continue
             sgn, path = canon
             if sgn < 0:
                 coeff = -coeff
-        s = terms.get(path, ZERO) + coeff
+        old = terms.get(path)
+        if old is None:
+            if coeff:
+                terms[path] = coeff
+            continue
+        s = old + coeff
         if s:
             terms[path] = s
         else:
-            terms.pop(path, None)
+            del terms[path]
     return terms
 
 
 class UForm:
     """Sparse association from node paths to scalars.
 
+    ``terms`` maps tuples of node numbers to scalars; the constructor takes
+    paths of coordinate tuples and :meth:`numbered` takes node numbers.
     Mixed path lengths are allowed; the derivative treats each stored path
     by its own degree.  When a reduction is attached every stored path is
     in canonical shape.
     """
 
     def __init__(self, torus, terms=None, reduction=None):
+        number = torus.number
+        self._fill(torus, reduction, (
+            (tuple(map(number, path)), as_scalar(coeff))
+            for path, coeff in (terms or {}).items()
+        ))
+
+    @classmethod
+    def numbered(cls, torus, pairs, reduction=None):
+        """The form summing (path of node numbers, scalar) pairs."""
+        out = cls.__new__(cls)
+        out._fill(torus, reduction, pairs)
+        return out
+
+    def _fill(self, torus, reduction, pairs):
         if reduction is not None and reduction.torus != torus:
             raise ValueError("reduction belongs to a different torus")
         self.torus = torus
         self.reduction = reduction
-        pairs = (
-            (path, as_scalar(coeff))
-            for path, coeff in (terms or {}).items()
-            if _valid_path(path)
-        )
-        self.terms = _accumulate({}, pairs, reduction)
+        valid = ((path, coeff) for path, coeff in pairs if _valid_path(path))
+        self.terms = _accumulate({}, valid, reduction)
 
     def _raw(self, terms):
         out = UForm.__new__(UForm)
@@ -252,25 +309,30 @@ class UForm:
 
     def uderiv(self):
         """Alternating insertion sum over all nodes and slots."""
+        count = len(self.torus.nodes())
 
         def pairs():
             for path, c in self.terms.items():
                 r = len(path)
-                for l in self.torus.nodes():
-                    for s in range(r + 1):
-                        if s > 0 and path[s - 1] == l:
-                            continue
-                        if s < r and path[s] == l:
-                            continue
-                        yield path[:s] + (l,) + path[s:], (c if s % 2 == 0 else -c)
+                signed = (c, -c)
+                # slot s: the nodes before and after it (-1 at an end) and the sign
+                slots = [
+                    (path[:s], path[s:], path[s - 1] if s else -1,
+                     path[s] if s < r else -1, signed[s % 2])
+                    for s in range(r + 1)
+                ]
+                for l in range(count):
+                    for head, tail, before, after, coeff in slots:
+                        if l != before and l != after:
+                            yield head + (l,) + tail, coeff
 
         return self._raw(_accumulate({}, pairs(), self.reduction))
 
     def translate(self, p):
         """Left translation: every node of every path moves by p."""
+        shift = self.torus.shift_table(p)
         return self._raw({
-            tuple(self.torus.add(m, p) for m in path): c
-            for path, c in self.terms.items()
+            tuple(shift[m] for m in path): c for path, c in self.terms.items()
         })
 
     def __eq__(self, other):
@@ -281,18 +343,27 @@ class UForm:
 
     __hash__ = None
 
+    def _coordinates(self, path):
+        nodes = self.torus.nodes()
+        return tuple(nodes[m] for m in path)
+
+    def coordinate_terms(self):
+        """The (path of coordinate tuples, scalar) pairs of the form."""
+        return [(self._coordinates(p), c) for p, c in self.terms.items()]
+
     def first_term(self):
+        """The shortest, then lexicographically first, path and its scalar."""
         if not self.terms:
             return None
         p = min(self.terms, key=lambda q: (len(q), q))
-        return p, self.terms[p]
+        return self._coordinates(p), self.terms[p]
 
     def __repr__(self):
         if not self.terms:
             return "UForm(0)"
         bits = []
         for p in sorted(self.terms, key=lambda q: (len(q), q))[:4]:
-            bits.append(f"{self.terms[p].to_text()}*b{list(p)}")
+            bits.append(f"{self.terms[p].to_text()}*b{list(self._coordinates(p))}")
         more = "" if len(self.terms) <= 4 else f" ... ({len(self.terms)} terms)"
         return "UForm(" + " + ".join(bits) + more + ")"
 
@@ -315,7 +386,9 @@ def function_form(torus, values, reduction=None):
 
 
 def unit_form(torus, reduction=None):
-    return UForm(torus, {(m,): ONE for m in torus.nodes()}, reduction)
+    return UForm.numbered(
+        torus, (((m,), ONE) for m in range(len(torus.nodes()))), reduction
+    )
 
 
 def theta(torus, direction, reduction=None):
@@ -325,10 +398,9 @@ def theta(torus, direction, reduction=None):
         raise ValueError("theta needs a nonzero direction")
     if reduction is not None and torus.step_of((0,) * torus.n, direction) is None:
         raise ValueError("direction is not an allowed step of the reduction")
-    return UForm(
-        torus,
-        {(m, torus.add(m, direction)): ONE for m in torus.nodes()},
-        reduction,
+    shift = torus.shift_table(direction)
+    return UForm.numbered(
+        torus, (((m, end), ONE) for m, end in enumerate(shift)), reduction
     )
 
 
@@ -343,13 +415,17 @@ def allowed_steps(torus):
 
 
 def adjacency(reduction):
-    """The adjacency form: the sum of the 2n invariant 1-forms."""
-    torus = reduction.torus
-    total = None
-    for axis, sign in allowed_steps(torus):
-        t = theta(torus, torus.unit_step(axis, sign), reduction)
-        total = t if total is None else total.add(t)
-    return total
+    """The adjacency form: the sum of the 2n invariant 1-forms.
+
+    Each form's edges m -> m + step are read from the neighbour table, one
+    step after another in generator order.
+    """
+    pairs = (
+        ((m, end), ONE)
+        for shift in zip(*reduction.neighbours)
+        for m, end in enumerate(shift)
+    )
+    return UForm.numbered(reduction.torus, pairs, reduction)
 
 
 def g_power(reduction, r):
@@ -402,7 +478,7 @@ def commutator_with_adjacency(f):
 def random_uform(torus, degree, rng, reduction=None, terms=3):
     """Random homogeneous form with small integer coefficients."""
     out = {}
-    nodes = torus.nodes()
+    nodes = range(len(torus.nodes()))
     attempts = 0
     while len(out) < terms and attempts < 50 * terms:
         attempts += 1
@@ -415,10 +491,10 @@ def random_uform(torus, degree, rng, reduction=None, terms=3):
                     ok = False
                     break
             else:
-                axis, sign = rng.choice(allowed_steps(torus))
-                nxt = torus.add(path[-1], torus.unit_step(axis, sign))
+                # one draw among the 2n steps, in generator order
+                nxt = rng.choice(reduction.neighbours[path[-1]])
             path.append(nxt)
         if not ok:
             continue
         out[tuple(path)] = Scalar(rng.randint(-4, 4), rng.randint(-2, 2))
-    return UForm(torus, out, reduction)
+    return UForm.numbered(torus, out.items(), reduction)

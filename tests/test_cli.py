@@ -42,6 +42,25 @@ def test_verify_rejects_bad_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("h, message", [
+    ("0", "mesh width must be positive"),
+    ("-1", "mesh width must be positive"),
+    ("1/0", "bad mesh width '1/0'"),
+    ("x", "bad mesh width 'x'"),
+])
+@pytest.mark.parametrize("argv", [
+    ["monogenic", "--n", "1", "--p", "0", "--q", "0"],
+    ["verify", "--suite", "forms", "--n", "1"],
+], ids=["monogenic", "verify"])
+def test_bad_mesh_width_exits_2_with_message(capsys, argv, h, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--h", h])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: argument --h: {message}" in out.err
+
+
 def test_oracle_all_pass(capsys):
     code, out, _ = run(capsys, "oracle", "--n", "1", "--N", "4")
     assert code == 0

@@ -30,6 +30,8 @@ CASES = {
     # relations fail by design
     "verify-all-n1-N3": (["verify", "--suite", "all", "--n", "1", "--N", "3"], 1),
     "verify-all-n2-N4": (["verify", "--suite", "all", "--n", "2", "--N", "4"], 1),
+    # six step generators on reduced paths
+    "verify-reduction-n3-N3": (["verify", "--suite", "reduction", "--n", "3", "--N", "3"], 0),
     "verify-intertwine-n3": (["verify", "--suite", "intertwine", "--n", "3"], 0),
     # exits 1: the two dirac value checks fail by design
     "verify-dirac-n3": (["verify", "--suite", "dirac", "--n", "3"], 1),

@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from latclif.scalars import Scalar
+from latclif.scalars import ZERO, Scalar
 from latclif.universal import (
     Reduction,
     Torus,
+    UForm,
     adjacency,
     allowed_steps,
     check_graded_bracket,
@@ -246,3 +247,157 @@ def test_grassmann_sort_matches_permutation_sign(keys):
         assert result is None
     else:
         assert result == (_cycle_sign(keys), tuple(sorted(keys)))
+
+
+# -- node-number paths against the coordinate-path algorithms -------------------
+#
+# The references below are the tuple algorithms the layer used before paths
+# became tuples of node numbers: every step read by Torus.step_of, every
+# node rebuilt by Torus.add, every sum kept on coordinate paths.
+
+SHAPES = [(1, 3), (2, 3), (2, 4), (3, 3)]
+
+
+def reference_canonicalize(torus, path):
+    if len(path) == 1:
+        return 1, path
+    keys = []
+    for a, b in zip(path, path[1:]):
+        step = torus.step_of(a, b)
+        if step is None:
+            return None
+        axis, sign = step
+        keys.append((0 if sign < 0 else 1, axis))
+    canon = grassmann_sort(keys)
+    if canon is None:
+        return None
+    sgn, keys = canon
+    node = path[0]
+    nodes = [node]
+    for t, axis in keys:
+        node = torus.add(node, torus.unit_step(axis, 1 if t else -1))
+        nodes.append(node)
+    return sgn, tuple(nodes)
+
+
+def reference_sum(torus, pairs, reduced):
+    out = {}
+    for path, c in pairs:
+        if reduced:
+            canon = reference_canonicalize(torus, path)
+            if canon is None:
+                continue
+            sign, path = canon
+            c = c if sign > 0 else -c
+        out[path] = out.get(path, ZERO) + c
+    return {p: c for p, c in out.items() if c}
+
+
+def reference_uderiv(torus, terms, reduced):
+    def pairs():
+        for path, c in terms.items():
+            r = len(path)
+            for l in torus.nodes():
+                for s in range(r + 1):
+                    if s > 0 and path[s - 1] == l:
+                        continue
+                    if s < r and path[s] == l:
+                        continue
+                    yield path[:s] + (l,) + path[s:], (c if s % 2 == 0 else -c)
+
+    return reference_sum(torus, pairs(), reduced)
+
+
+def reference_uproduct(torus, left, right, reduced):
+    pairs = (
+        (p + q[1:], c * d)
+        for p, c in left.items()
+        for q, d in right.items()
+        if p[-1] == q[0]
+    )
+    return reference_sum(torus, pairs, reduced)
+
+
+def coordinate_terms(form):
+    return dict(form.coordinate_terms())
+
+
+@st.composite
+def torus_paths(draw):
+    """A torus and a coordinate path of unit steps and jumps to any node."""
+    n, N = draw(st.sampled_from(SHAPES))
+    torus = Torus(n, N)
+    steps = allowed_steps(torus)
+    path = [draw(st.sampled_from(torus.nodes()))]
+    for _ in range(draw(st.integers(0, 2 * n + 1))):
+        k = draw(st.integers(0, 2 * n))
+        if k == 2 * n:
+            path.append(draw(st.sampled_from(torus.nodes())))
+        else:
+            axis, sign = steps[k]
+            path.append(torus.add(path[-1], torus.unit_step(axis, sign)))
+    return torus, tuple(path)
+
+
+@given(torus_paths())
+def test_canonicalize_on_node_numbers_matches_coordinate_reference(case):
+    torus, path = case
+    got = Reduction(torus).canonicalize(tuple(map(torus.number, path)))
+    if got is not None:
+        sign, numbers = got
+        got = sign, tuple(torus.nodes()[m] for m in numbers)
+    assert got == reference_canonicalize(torus, path)
+
+
+@pytest.mark.parametrize("n, N, path", [
+    (1, 3, ((0,), (0,))),                    # no step
+    (2, 4, ((0, 0), (2, 0))),                # step 2 e_1
+    (2, 3, ((0, 0), (1, 1))),                # diagonal
+    (1, 3, ((0,), (1,), (2,))),              # +e_1 twice
+    (3, 3, ((0, 0, 0), (0, 1, 0), (0, 1, 1), (0, 2, 1))),  # +e_2 twice, apart
+])
+def test_canonicalize_kills_non_unit_and_repeated_steps(n, N, path):
+    torus = Torus(n, N)
+    assert reference_canonicalize(torus, path) is None
+    assert Reduction(torus).canonicalize(tuple(map(torus.number, path))) is None
+
+
+def random_path(torus, rng, degree, start=None):
+    path = [rng.choice(torus.nodes()) if start is None else start]
+    for _ in range(degree):
+        if rng.random() < 0.8:
+            axis, sign = rng.choice(allowed_steps(torus))
+            path.append(torus.add(path[-1], torus.unit_step(axis, sign)))
+        else:
+            path.append(rng.choice(torus.nodes()))
+    return tuple(path)
+
+
+def random_form(torus, rng, degree, reduction, starts=None):
+    terms = {}
+    for _ in range(4):
+        start = None if starts is None else rng.choice(starts)
+        path = random_path(torus, rng, degree, start)
+        terms[path] = Scalar(rng.randint(-3, 3), rng.randint(-1, 1))
+    return UForm(torus, terms, reduction)
+
+
+@pytest.mark.parametrize("n, N", SHAPES)
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+def test_derivative_and_product_match_coordinate_reference(n, N, reduced):
+    rng = random.Random(10 * n + N + (100 if reduced else 0))
+    torus = Torus(n, N)
+    red = Reduction(torus) if reduced else None
+    nonzero = 0
+    for dw in (0, 1, 2):
+        for dv in (0, 1, 2):
+            w = random_form(torus, rng, dw, red)
+            cw = coordinate_terms(w)
+            # start v's paths where w's paths end, so that products are nonzero
+            v = random_form(torus, rng, dv, red, [p[-1] for p in cw] or torus.nodes())
+            cv = coordinate_terms(v)
+            product = reference_uproduct(torus, cw, cv, reduced)
+            assert coordinate_terms(w.uproduct(v)) == product
+            assert coordinate_terms(w.uderiv()) == reference_uderiv(torus, cw, reduced)
+            nonzero += bool(product)
+    assert nonzero >= 3
