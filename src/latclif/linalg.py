@@ -6,11 +6,12 @@ bases), and a fraction-free Bareiss elimination over Gaussian integers
 (used as the rank oracle the solver results are checked against).  They
 share no elimination code, so an error in one cannot hide in the other.
 
-Both routes run on sparse rows, one ``{column: value}`` dict per row with
-all-zero rows dropped.  An operator moves each basis monomial to a few
-lattice neighbours, so the solver's stacked matrices hold one or two
-nonzeros per row.  The public functions still take and return dense rows
-and convert once on entry.
+A matrix is a list of sparse rows.  A row is a tuple of ``(column,
+value)`` pairs with strictly ascending columns and no zero value; an
+empty tuple is an all-zero row.  An operator moves each basis monomial to
+a few lattice neighbours, so the solver's stacked matrices hold one or two
+nonzeros per row.  Each elimination copies a row into a ``{column:
+value}`` dict when it starts to change it.
 """
 
 from __future__ import annotations
@@ -18,16 +19,6 @@ from __future__ import annotations
 from math import lcm
 
 from .scalars import ONE, ZERO
-
-
-def _sparse_rows(rows, zero):
-    """The nonzero entries of each row as ``{column: value}``; zero rows dropped."""
-    out = []
-    for row in rows:
-        entries = {c: v for c, v in enumerate(row) if v is not zero and v != zero}
-        if entries:
-            out.append(entries)
-    return out
 
 
 def _subtract_multiple(row, f, src):
@@ -49,7 +40,7 @@ def _gauss_jordan(rows):
     order of the rows does not change the result.
     """
     basis = {}
-    for row in _sparse_rows(rows, ZERO):
+    for row in map(dict, rows):
         # Reduced basis rows have no entry in other pivot columns, so one
         # pass over the row's pivot columns clears them all.
         for c in [c for c in row if c in basis]:
@@ -68,16 +59,14 @@ def _gauss_jordan(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (new_rows, pivot_columns)."""
-    rows = list(rows)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+    """Reduced row echelon form: (reduced rows, pivot columns).
+
+    One reduced pair row per pivot column, in pivot order; the rows that
+    reduce to zero are not returned.
+    """
     basis = _gauss_jordan(rows)
     pivots = sorted(basis)
-    reduced = [[basis[p].get(c, ZERO) for c in range(ncols)] for p in pivots]
-    reduced.extend([ZERO] * ncols for _ in range(len(rows) - len(pivots)))
-    return reduced, pivots
+    return [tuple(sorted(basis[p].items())) for p in pivots], pivots
 
 
 def rank(rows):
@@ -85,19 +74,19 @@ def rank(rows):
 
 
 def kernel_basis(rows, ncols):
-    """Exact basis of the null space of the matrix (rows of length ncols)."""
+    """Exact basis of the null space of a matrix with ncols columns.
+
+    One pair-row vector per free column, in column order: one at the free
+    column and, at each pivot column, minus the entry of that pivot's
+    reduced row in the free column.
+    """
     basis = _gauss_jordan(rows)
-    out = []
-    for fc in range(ncols):
-        if fc in basis:
-            continue
-        vec = [ZERO] * ncols
-        vec[fc] = ONE
-        for pc, row in basis.items():
-            if fc in row:
-                vec[pc] = -row[fc]
-        out.append(vec)
-    return out
+    vecs = {fc: {fc: ONE} for fc in range(ncols) if fc not in basis}
+    for pc, row in basis.items():
+        for c, v in row.items():
+            if c != pc:
+                vecs[c][pc] = -v
+    return [tuple(sorted(vec.items())) for vec in vecs.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +106,15 @@ def _gauss_divexact(a, b):
 
 
 def scalars_to_gaussian(rows):
-    """Clear denominators rowwise; row scaling leaves the rank unchanged."""
+    """Clear denominators rowwise, entries as (re, im) integer pairs; row
+    scaling leaves the rank unchanged."""
     out = []
     for row in rows:
-        nonzero = {c: s.triple for c, s in enumerate(row) if s is not ZERO and s}
-        denom = lcm(*(d for _, _, d in nonzero.values()))
-        scaled = {c: (a * (denom // d), b * (denom // d)) for c, (a, b, d) in nonzero.items()}
-        out.append(tuple(scaled.get(c, _GZERO) for c in range(len(row))))
+        triples = [(c, *s.triple) for c, s in row]
+        denom = lcm(*(d for *_, d in triples))
+        out.append(tuple(
+            (c, (a * (denom // d), b * (denom // d))) for c, a, b, d in triples
+        ))
     return out
 
 
@@ -135,7 +126,7 @@ def bareiss_rank(int_rows):
     every step, including rows with no entry in the pivot column: those are
     scaled by pivot / previous pivot.
     """
-    rows = _sparse_rows(int_rows, _GZERO)
+    rows = [dict(row) for row in int_rows if row]
     prev = (1, 0)
     r = 0
     while rows:

@@ -156,10 +156,13 @@ def form_coordinates(form):
 
 
 def _rows(columns):
-    """Dense rows of the matrix with the given sparse columns, one row per
-    basis element that some column reaches."""
-    keys = sorted(set().union(*columns))
-    return [[col.get(k, ZERO) for col in columns] for k in keys]
+    """The pair rows of the matrix with the given sparse columns: one row
+    per basis element that some column reaches, in basis order."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for k, v in col.items():
+            rows.setdefault(k, []).append((j, v))
+    return [tuple(rows[k]) for k in sorted(rows)]
 
 
 def reduce_candidates(candidates):
@@ -175,10 +178,11 @@ def reduce_candidates(candidates):
 
 
 def assemble_matrix(operators, candidates):
-    """Stacked matrix of the operators over the candidate span.
+    """Stacked pair-row matrix of the operators over the candidate span.
 
     Each operator maps the candidates' vectors to its columns and
-    contributes one row per basis element its images reach.
+    contributes one row per basis element its images reach; column j is
+    candidate j.
     """
     vectors = [vector(form) for _, form in candidates]
     rows = []
@@ -189,20 +193,15 @@ def assemble_matrix(operators, candidates):
 
 def solve_kernel(operators, candidates):
     """Kernel of the stacked operators, as forms; plus the raw matrix."""
-    if not candidates:
-        return [], []
     rows = assemble_matrix(operators, candidates)
     forms = []
     for vec in kernel_basis(rows, len(candidates)):
-        terms = [form.scale(c) for c, (_, form) in zip(vec, candidates) if c]
-        forms.append(reduce(Form.add, terms))
+        forms.append(reduce(Form.add, (candidates[j][1].scale(c) for j, c in vec)))
     return forms, rows
 
 
 def oracle_kernel_dimension(rows, ncols):
     """Independent rank route: fraction-free Bareiss over Z[i]."""
-    if not rows:
-        return ncols
     return ncols - bareiss_rank(scalars_to_gaussian(rows))
 
 
@@ -236,8 +235,8 @@ def joint_euler_eigenbasis(n, h, p, q, blades=None, ambient=False):
     """Exact basis of the coupled Euler eigenspace inside the candidate span."""
     candidates = _candidate_space(n, h, p, q, blades, ambient)
     euler = _relations(build_family(n), p, q)[:2]
-    basis, rows = solve_kernel([lhs - rhs for _, lhs, rhs in euler], candidates)
-    return basis, candidates, rows
+    basis, _ = solve_kernel([lhs - rhs for _, lhs, rhs in euler], candidates)
+    return basis, candidates
 
 
 @dataclass

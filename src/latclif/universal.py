@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import ne
 
 from .scalars import ONE, Scalar, as_scalar
@@ -155,6 +156,11 @@ class Reduction:
         object.__setattr__(self, "_keys", tuple(
             {b: k for k, b in enumerate(row)} for row in neighbours
         ))
+
+    @cached_property
+    def adjacency_form(self):
+        """The adjacency form G, built by :func:`adjacency` on first use."""
+        return adjacency(self)
 
     def canonicalize(self, path):
         """Normal form of a path of node numbers under the reduced calculus.
@@ -431,7 +437,7 @@ def adjacency(reduction):
 def g_power(reduction, r):
     if r < 1:
         raise ValueError("power must be at least 1")
-    g = adjacency(reduction)
+    g = reduction.adjacency_form
     out = g
     for _ in range(r - 1):
         out = out.uproduct(g)
@@ -459,7 +465,7 @@ def check_graded_bracket(omega):
     if omega.reduction is None:
         raise ValueError("theorem check needs the symmetric reduction")
     r = omega.degree()
-    g = adjacency(omega.reduction)
+    g = omega.reduction.adjacency_form
     lhs = omega.uderiv()
     rhs = g.uproduct(omega)
     tail = omega.uproduct(g)
@@ -471,7 +477,7 @@ def commutator_with_adjacency(f):
     """[G, f] for a 0-form f in the reduced calculus."""
     if f.reduction is None:
         raise ValueError("needs the symmetric reduction")
-    g = adjacency(f.reduction)
+    g = f.reduction.adjacency_form
     return g.uproduct(f).sub(f.uproduct(g))
 
 

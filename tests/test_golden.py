@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "monogenic-n2-p0q0": (["monogenic", "--n", "2", "--p", "0", "--q", "0"], 0),
     "monogenic-n2-p1q1": (["monogenic", "--n", "2", "--p", "1", "--q", "1"], 0),
+    "monogenic-n2-p2q1": (["monogenic", "--n", "2", "--p", "2", "--q", "1"], 0),
     "monogenic-n3-p1q1-spinor":
         (["monogenic", "--n", "3", "--p", "1", "--q", "1", "--spinor"], 0),
     "monogenic-n2-p1q1-ambient":

@@ -119,6 +119,31 @@ def dense_bareiss_rank(int_rows):
     return r
 
 
+def pairs(rows):
+    """Dense rows as pair rows; an all-zero row becomes the empty tuple."""
+    return [tuple((c, v) for c, v in enumerate(row) if v) for row in rows]
+
+
+def densify(rows, ncols, zero=ZERO):
+    """Pair rows as dense lists of length ncols."""
+    out = []
+    for row in rows:
+        dense = [zero] * ncols
+        for c, v in row:
+            dense[c] = v
+        out.append(dense)
+    return out
+
+
+def assert_pair_rows(rows, ncols, zero=ZERO):
+    """Strictly ascending columns below ncols, and no zero value."""
+    for row in rows:
+        cols = [c for c, _ in row]
+        assert all(a < b for a, b in zip(cols, cols[1:]))
+        assert all(0 <= c < ncols for c in cols)
+        assert all(v != zero for _, v in row)
+
+
 entries = st.builds(
     Scalar,
     st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=3),
@@ -166,22 +191,22 @@ def sparse_matrices(draw):
 
 
 def test_rref_simple():
-    m = [[Scalar(2), Scalar(4)], [Scalar(1), Scalar(2)]]
+    m = [((0, Scalar(2)), (1, Scalar(4))), ((0, Scalar(1)), (1, Scalar(2)))]
     reduced, pivots = rref(m)
     assert pivots == [0]
-    assert reduced[0] == [ONE, Scalar(2)]
+    assert reduced == [((0, ONE), (1, Scalar(2)))]
 
 
 def test_kernel_simple():
     # x + 2y = 0
-    basis = kernel_basis([[Scalar(1), Scalar(2)]], 2)
+    basis = kernel_basis([((0, Scalar(1)), (1, Scalar(2)))], 2)
     assert len(basis) == 1
-    v = basis[0]
+    v = densify(basis, 2)[0]
     assert v[0] + Scalar(2) * v[1] == ZERO
 
 
 def test_kernel_of_zero_matrix():
-    basis = kernel_basis([[ZERO, ZERO]], 2)
+    basis = kernel_basis([()], 2)
     assert len(basis) == 2
 
 
@@ -189,7 +214,7 @@ def test_kernel_of_zero_matrix():
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_annihilate(m):
     ncols = len(m[0])
-    for vec in kernel_basis(m, ncols):
+    for vec in densify(kernel_basis(pairs(m), ncols), ncols):
         for row in m:
             total = ZERO
             for a, b in zip(row, vec):
@@ -201,27 +226,37 @@ def test_kernel_vectors_annihilate(m):
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(m):
     ncols = len(m[0])
-    assert rank(m) + len(kernel_basis(m, ncols)) == ncols
+    assert rank(pairs(m)) + len(kernel_basis(pairs(m), ncols)) == ncols
 
 
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_bareiss_agrees_with_rref_rank(m):
-    assert bareiss_rank(scalars_to_gaussian(m)) == rank(m)
+    assert bareiss_rank(scalars_to_gaussian(pairs(m))) == rank(pairs(m))
 
 
 def test_gaussian_conversion_scales_rows():
-    m = [[Scalar(Fraction(1, 2)), Scalar(Fraction(1, 3), Fraction(1, 6))]]
+    m = [((0, Scalar(Fraction(1, 2))), (1, Scalar(Fraction(1, 3), Fraction(1, 6))))]
     g = scalars_to_gaussian(m)
-    assert g == [((3, 0), (2, 1))]
+    assert g == [((0, (3, 0)), (1, (2, 1)))]
 
 
 @given(st.one_of(sparse_matrices(), matrices()))
 @settings(max_examples=120, deadline=None)
 def test_sparse_routes_match_dense_reference(m):
     ncols = len(m[0])
-    assert rref(m) == dense_rref(m)
-    assert kernel_basis(m, ncols) == dense_kernel_basis(m, ncols)
-    g = scalars_to_gaussian(m)
-    assert g == dense_scalars_to_gaussian(m)
-    assert bareiss_rank(g) == dense_bareiss_rank(g) == rank(m)
+    rows = pairs(m)
+    reduced, pivots = rref(rows)
+    dense_reduced, dense_pivots = dense_rref(m)
+    assert_pair_rows(reduced, ncols)
+    assert pivots == dense_pivots
+    assert densify(reduced, ncols) == dense_reduced[:len(pivots)]
+    assert not any(any(row) for row in dense_reduced[len(pivots):])
+    kernel = kernel_basis(rows, ncols)
+    assert_pair_rows(kernel, ncols)
+    assert densify(kernel, ncols) == dense_kernel_basis(m, ncols)
+    g = scalars_to_gaussian(rows)
+    dense_g = dense_scalars_to_gaussian(m)
+    assert_pair_rows(g, ncols, (0, 0))
+    assert [tuple(row) for row in densify(g, ncols, (0, 0))] == dense_g
+    assert bareiss_rank(g) == dense_bareiss_rank(dense_g) == rank(rows)

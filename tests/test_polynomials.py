@@ -94,7 +94,7 @@ def test_scalar_blade_candidates_for_10():
 
 
 def test_x_squared_not_in_11_eigenspace():
-    basis, cands, _ = joint_euler_eigenbasis(1, 1, 1, 1)
+    basis, cands = joint_euler_eigenbasis(1, 1, 1, 1)
     assert basis == []
     # directly: E_z x^2 = 2x^2 + x != x^2
     fam = build_family(1)
@@ -106,7 +106,7 @@ def test_x_squared_not_in_11_eigenspace():
 
 
 def test_joint_eigenbasis_00_is_constants():
-    basis, cands, _ = joint_euler_eigenbasis(1, 1, 0, 0)
+    basis, cands = joint_euler_eigenbasis(1, 1, 0, 0)
     assert len(basis) == 4
 
 
@@ -135,7 +135,7 @@ def test_monogenic_spinor_subset():
 
 
 def test_ambient_includes_degenerate_solutions():
-    basis, cands, _ = joint_euler_eigenbasis(1, 1, 1, 1, ambient=True)
+    basis, cands = joint_euler_eigenbasis(1, 1, 1, 1, ambient=True)
     assert len(basis) == 4  # x times each blade
     found_violation = any(
         not classical_scaling_residual(b, 1, 1).is_zero() for b in basis
@@ -146,8 +146,15 @@ def test_ambient_includes_degenerate_solutions():
 def test_assembled_rows_each_have_a_nonzero_entry():
     fam = build_family(2)
     ops = [fam.E_z - Operator.constant(1), fam.E_zdag - Operator.constant(1), fam.dz, fam.dzdag]
-    rows = assemble_matrix(ops, reduce_candidates(homogeneous_space(2, 1, 1, 1)))
-    assert rows and all(any(row) for row in rows)
+    candidates = reduce_candidates(homogeneous_space(2, 1, 1, 1))
+    rows = assemble_matrix(ops, candidates)
+    assert rows
+    for row in rows:
+        cols = [c for c, _ in row]
+        assert cols
+        assert all(a < b for a, b in zip(cols, cols[1:]))
+        assert cols[0] >= 0 and cols[-1] < len(candidates)
+        assert all(v for _, v in row)
 
 
 def test_reduce_candidates_removes_duplicates():

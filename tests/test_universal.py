@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from latclif import suites, universal
 from latclif.scalars import ZERO, Scalar
 from latclif.universal import (
     Reduction,
@@ -137,6 +138,19 @@ def test_adjacency_count():
     g = adjacency(red)
     assert len(g.terms) == 8
     assert all(c == Scalar(1) for c in g.terms.values())
+
+
+def test_reduction_suite_builds_the_adjacency_form_once(monkeypatch):
+    builds = []
+
+    def counted(reduction):
+        builds.append(reduction)
+        return adjacency(reduction)
+
+    monkeypatch.setattr(universal, "adjacency", counted)
+    for check in suites.reduction_suite(2, 3):
+        assert check.run()[1], check.name
+    assert len(builds) == 1
 
 
 def test_g_power_one_is_adjacency():
