@@ -125,6 +125,7 @@ def cmd_apply(args):
 
 
 def _min_validity(form):
+    """The intersection of the terms' validity boxes, None for a form with no terms."""
     boxes = [c.validity for c in form.terms.values()]
     if not boxes:
         return None
@@ -137,6 +138,8 @@ def _min_validity(form):
 def _fmt_box(box):
     if box is None:
         return "(empty form)"
+    if any(lo > hi for lo, hi in box):
+        return "(empty)"
     return ",".join(f"{lo}:{hi}" for lo, hi in box)
 
 

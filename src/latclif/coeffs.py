@@ -6,19 +6,25 @@ top of this module runs unchanged over either representation.
 
 A ``BoxFunction`` stores samples on a finite box and tracks the sub-box on
 which those samples are still meaningful: a shift translates both boxes, a
-difference consumes one layer on the affected axis.  An ``ExactPolynomial``
-never truncates; shifts act by exact binomial substitution.  Axes are
-numbered 1..n throughout the public API.
+difference consumes one layer on the affected axis.  The samples are two
+lists of ints, the real and imaginary numerators in row-major order over
+the support box, over one positive denominator.  So a shift moves the
+boxes and shares the lists, every other operation is int list arithmetic
+followed by one gcd over the whole result, and a ``Scalar`` is made only
+when a value is read.  An ``ExactPolynomial`` never truncates; shifts act
+by exact binomial substitution.  Axes are numbered 1..n throughout the
+public API.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm, prod
 
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar, from_triple
 
 
 class EmptyValidityError(Exception):
@@ -67,29 +73,90 @@ def box_translate(box, axis, delta):
     )
 
 
-def _axis_values(h, box, axis):
-    """The coordinate x_axis = h*m as a Scalar, for each m the box spans on that axis."""
-    hs = Scalar(h)
-    lo, hi = box[axis - 1]
-    return {m: hs * m for m in range(lo, hi + 1)}
-
-
 def cube(n, lo, hi):
     """The box [lo, hi]^n."""
     return ((lo, hi),) * n
 
 
+def _size(box):
+    return prod(hi - lo + 1 for lo, hi in box)
+
+
+def _runs(box, sub):
+    """The sub-box ``sub`` as contiguous runs of ``box``'s row-major array.
+
+    Returns the start offset of each run, in ``box_points`` order, and the
+    common run length.  A run is one last-axis row of ``sub``, or a block of
+    rows where ``sub`` spans the whole of the trailing axes.
+    """
+    starts, length, stride, whole = [0], 1, 1, True
+    for (lo, hi), (slo, shi) in zip(reversed(box), reversed(sub)):
+        if whole:
+            starts = [(slo - lo) * stride]
+            length *= shi - slo + 1
+            whole = (slo, shi) == (lo, hi)
+        else:
+            starts = [k * stride + s for k in range(slo - lo, shi - lo + 1) for s in starts]
+        stride *= hi - lo + 1
+    return starts, length
+
+
+def _gather(array, starts, length):
+    out = []
+    for s in starts:
+        out += array[s:s + length]
+    return out
+
+
+def _pack(samples):
+    """Numerator arrays over the lcm of the scalars' reduced denominators.
+
+    No factor divides that lcm and every numerator, so no gcd is needed.
+    """
+    triples = [as_scalar(s).triple for s in samples]
+    den = lcm(*[d for _, _, d in triples])
+    return ([a * (den // d) for a, _, d in triples],
+            [b * (den // d) for _, b, d in triples], den)
+
+
 class BoxFunction:
     """A lattice function sampled on a support box.
+
+    The samples are ``(re[k] + im[k] i) / den``, with ``re`` and ``im`` lists
+    of ints, row-major over the support box (last axis fastest, which is
+    ``box_points`` order), ``den > 0`` and ``gcd(den, *re, *im) == 1``.
+    The lists are never mutated, so results may share them.
 
     ``validity`` marks where the samples are semantically correct; binary
     operations intersect validity regions and equality is only decided
     there.  Mesh width ``h`` scales the coordinate functions x_j = h*m_j.
     """
 
+    __slots__ = ("n", "h", "support", "validity", "re", "im", "den")
     kind = "box"
 
     def __init__(self, n, h, support, validity, values):
+        """``values`` maps every point of the support to a scalar."""
+        self._set_boxes(n, h, support, validity)
+        self.re, self.im, self.den = _pack([values[p] for p in box_points(self.support)])
+
+    @classmethod
+    def from_samples(cls, n, h, support, validity, samples):
+        """The box function with the given scalars, in ``box_points`` order."""
+        return cls.from_arrays(n, h, support, validity, *_pack(samples))
+
+    @classmethod
+    def from_arrays(cls, n, h, support, validity, re, im, den):
+        """The samples (re[k] + im[k] i) / den, in ``box_points`` order."""
+        out = cls.__new__(cls)
+        out._set_boxes(n, h, support, validity)
+        if not len(re) == len(im) == _size(out.support):
+            raise ValueError("one sample per support point is needed")
+        if den <= 0:
+            raise ValueError("the denominator must be positive")
+        return out._new_reduced(out.support, out.validity, re, im, den)
+
+    def _set_boxes(self, n, h, support, validity):
         self.n = n
         self.h = h if isinstance(h, Fraction) else Fraction(h)
         if self.h <= 0:
@@ -100,23 +167,34 @@ class BoxFunction:
             raise EmptyValidityError("validity box is empty")
         if box_intersect(self.support, self.validity) != self.validity:
             raise ValueError("validity box must lie inside the support box")
-        self.values = values
 
     @classmethod
     def constant(cls, n, h, box, value=ONE):
-        value = as_scalar(value)
-        return cls(n, h, box, box, {p: value for p in box_points(box)})
+        return cls.from_samples(n, h, box, box, itertools.repeat(value, _size(box)))
 
     @classmethod
     def coordinate(cls, n, h, axis, box):
-        h = Fraction(h)
-        xs = _axis_values(h, box, axis)
-        vals = {p: xs[p[axis - 1]] for p in box_points(box)}
-        return cls(n, h, box, box, vals)
+        return cls.constant(n, h, box).coord_mul(axis)
 
     @classmethod
     def from_callable(cls, n, h, box, fn):
-        return cls(n, h, box, box, {p: as_scalar(fn(p)) for p in box_points(box)})
+        return cls.from_samples(n, h, box, box, [fn(p) for p in box_points(box)])
+
+    def _new(self, support, validity, re, im, den):
+        out = BoxFunction.__new__(BoxFunction)
+        out.n, out.h, out.support, out.validity = self.n, self.h, support, validity
+        out.re, out.im, out.den = re, im, den
+        return out
+
+    def _new_reduced(self, support, validity, re, im, den):
+        """As :meth:`_new`, after dividing out the common factor of every int."""
+        if den != 1:
+            g = gcd(den, *re, *im)
+            if g != 1:
+                re = [a // g for a in re]
+                im = [b // g for b in im]
+                den //= g
+        return self._new(support, validity, re, im, den)
 
     def _compatible(self, other):
         if not isinstance(other, BoxFunction):
@@ -124,7 +202,8 @@ class BoxFunction:
         if self.n != other.n or (self.h is not other.h and self.h != other.h):
             raise ValueError("mismatched dimension or mesh width")
 
-    def _binary(self, other, fn):
+    def _overlap(self, other):
+        """The common support and validity boxes of a binary operation."""
         self._compatible(other)
         support = box_intersect(self.support, other.support)
         if support is None:
@@ -132,66 +211,128 @@ class BoxFunction:
         validity = box_intersect(self.validity, other.validity)
         if validity is None:
             raise EmptyValidityError("validity boxes do not overlap")
-        vals = {p: fn(self.values[p], other.values[p]) for p in box_points(support)}
-        return BoxFunction(self.n, self.h, support, validity, vals)
+        return support, validity
+
+    def _on(self, box):
+        """The numerator arrays restricted to a sub-box of the support."""
+        if box == self.support:
+            return self.re, self.im
+        starts, length = _runs(self.support, box)
+        return _gather(self.re, starts, length), _gather(self.im, starts, length)
+
+    def _linear(self, other, sign):
+        support, validity = self._overlap(other)
+        (a, b), (c, d) = self._on(support), other._on(support)
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        if f == 1 and g == 1:
+            re, im = list(map(operator.add, a, c)), list(map(operator.add, b, d))
+        elif f == 1 and g == -1:
+            re, im = list(map(operator.sub, a, c)), list(map(operator.sub, b, d))
+        else:
+            re = [x * f + y * g for x, y in zip(a, c)]
+            im = [x * f + y * g for x, y in zip(b, d)]
+        return self._new_reduced(support, validity, re, im, den)
 
     def add(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._linear(other, 1)
 
     def sub(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._linear(other, -1)
 
     def mul(self, other):
-        return self._binary(other, lambda a, b: a * b)
+        support, validity = self._overlap(other)
+        (a, b), (c, d) = self._on(support), other._on(support)
+        re = [x * u - y * v for x, y, u, v in zip(a, b, c, d)]
+        im = [x * v + y * u for x, y, u, v in zip(a, b, c, d)]
+        return self._new_reduced(support, validity, re, im, self.den * other.den)
 
     def scale(self, s):
-        s = as_scalar(s)
-        return BoxFunction(
-            self.n, self.h, self.support, self.validity,
-            {p: s * v for p, v in self.values.items()},
-        )
+        x, y, e = as_scalar(s).triple
+        if y == 0:
+            if x == e == 1:
+                return self
+            re = [a * x for a in self.re]
+            im = [b * x for b in self.im]
+        else:
+            re = [a * x - b * y for a, b in zip(self.re, self.im)]
+            im = [a * y + b * x for a, b in zip(self.re, self.im)]
+        return self._new_reduced(self.support, self.validity, re, im, self.den * e)
 
     def neg(self):
-        return self.scale(Scalar(-1))
+        return self._new(self.support, self.validity,
+                         list(map(operator.neg, self.re)),
+                         list(map(operator.neg, self.im)), self.den)
 
     def conj(self):
-        return BoxFunction(
-            self.n, self.h, self.support, self.validity,
-            {p: v.conj() for p, v in self.values.items()},
-        )
+        return self._new(self.support, self.validity,
+                         self.re, list(map(operator.neg, self.im)), self.den)
 
     def shift(self, axis, sign):
-        """Samples of x -> f(x + sign*h*e_axis); boxes translate by -sign."""
-        i = axis - 1
-        support = box_translate(self.support, axis, -sign)
-        validity = box_translate(self.validity, axis, -sign)
-        vals = {}
-        for p in box_points(support):
-            q = p[:i] + (p[i] + sign,) + p[i + 1:]
-            vals[p] = self.values[q]
-        return BoxFunction(self.n, self.h, support, validity, vals)
+        """Samples of x -> f(x + sign*h*e_axis); boxes translate by -sign.
+
+        Both boxes move together, so every sample keeps its array slot.
+        """
+        return self._new(box_translate(self.support, axis, -sign),
+                         box_translate(self.validity, axis, -sign),
+                         self.re, self.im, self.den)
 
     def coord_mul(self, axis):
-        i = axis - 1
-        xs = _axis_values(self.h, self.support, axis)
-        return BoxFunction(
-            self.n, self.h, self.support, self.validity,
-            {p: xs[p[i]] * v for p, v in self.values.items()},
-        )
+        """Multiply by x_axis = h*m_axis."""
+        p, q = self.h.numerator, self.h.denominator
+        lo, hi = self.support[axis - 1]
+        inner = _size(self.support[axis:])
+        row = [p * m for m in range(lo, hi + 1) for _ in range(inner)]
+        factors = row * _size(self.support[:axis - 1])
+        return self._new_reduced(self.support, self.validity,
+                                 list(map(operator.mul, self.re, factors)),
+                                 list(map(operator.mul, self.im, factors)),
+                                 self.den * q)
 
     def is_zero(self):
-        return all(not self.values[p] for p in box_points(self.validity))
+        starts, length = _runs(self.support, self.validity)
+        re, im = self.re, self.im
+        return not any(any(re[s:s + length]) or any(im[s:s + length]) for s in starts)
+
+    def _point(self, k):
+        """The support point at array offset k."""
+        point = []
+        for lo, hi in reversed(self.support):
+            k, r = divmod(k, hi - lo + 1)
+            point.append(lo + r)
+        return tuple(reversed(point))
+
+    def _scalar(self, k):
+        return from_triple(self.re[k], self.im[k], self.den)
 
     def value_at(self, point):
         if not box_contains(self.validity, point):
             raise EmptyValidityError(f"point {point} outside validity box")
-        return self.values[tuple(point)]
+        k = 0
+        for (lo, hi), c in zip(self.support, point):
+            k = k * (hi - lo + 1) + c - lo
+        return self._scalar(k)
 
     def first_nonzero(self):
-        for p in box_points(self.validity):
-            if self.values[p]:
-                return p, self.values[p]
+        starts, length = _runs(self.support, self.validity)
+        re, im = self.re, self.im
+        for s in starts:
+            if any(re[s:s + length]) or any(im[s:s + length]):
+                k = next(k for k in range(s, s + length) if re[k] or im[k])
+                return self._point(k), self._scalar(k)
         return None
+
+    def samples(self):
+        """The values on the support as Scalars, in ``box_points`` order."""
+        return map(from_triple, self.re, self.im, itertools.repeat(self.den))
+
+    @property
+    def values(self):
+        """The values as a ``{point: Scalar}`` dict over the support, built on each read."""
+        # not box_points, whose calls the benchmark tracer counts as program
+        # work: the tracer itself reads this mapping
+        points = itertools.product(*[range(lo, hi + 1) for lo, hi in self.support])
+        return dict(zip(points, self.samples()))
 
     def __eq__(self, other):
         if not isinstance(other, BoxFunction):
@@ -351,11 +492,30 @@ class ExactPolynomial:
         return self._evaluator(self.h.denominator)(tuple(p * m for m in point))
 
     def sample(self, box):
-        """Sample onto a box, full validity."""
-        value = self._evaluator(self.h.denominator)
-        p = self.h.numerator
-        vals = {m: value(tuple(p * c for c in m)) for m in box_points(box)}
-        return BoxFunction(self.n, self.h, box, box, vals)
+        """Sample onto a box, full validity.
+
+        With h = p/q, D the degree and L the lcm of the coefficient
+        denominators, the value at m is an integer combination of the
+        monomials (p*m)^e over L * q^D.  Each term adds its monomial's
+        values over the whole box, built axis by axis in row-major order.
+        """
+        p, q = self.h.numerator, self.h.denominator
+        degree = max(self.degree(), 0)
+        den = lcm(*[c.triple[2] for c in self.terms.values()])
+        size = _size(box)
+        re, im = [0] * size, [0] * size
+        ys = [[p * m for m in range(lo, hi + 1)] for lo, hi in box]
+        for e, c in self.terms.items():
+            a, b, d = c.triple
+            column = [q ** (degree - sum(e)) * (den // d)]
+            for axis_ys, k in zip(ys, e):
+                powers = [y ** k for y in axis_ys]
+                column = [w * y for w in column for y in powers]
+            if a:
+                re = [r + a * w for r, w in zip(re, column)]
+            if b:
+                im = [r + b * w for r, w in zip(im, column)]
+        return BoxFunction.from_arrays(self.n, self.h, box, box, re, im, den * q ** degree)
 
     def _evaluator(self, q):
         """The map from integers y to the value at x = y/q.

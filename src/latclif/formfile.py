@@ -101,10 +101,8 @@ def dump_form(form):
         else:
             lines.append(f"  support {_box_text(coeff.support)}")
             lines.append(f"  validity {_box_text(coeff.validity)}")
-            for p in box_points(coeff.support):
-                lines.append(
-                    f"  v {','.join(str(c) for c in p)} {coeff.values[p].to_text()}"
-                )
+            for p, value in zip(box_points(coeff.support), coeff.samples()):
+                lines.append(f"  v {','.join(str(c) for c in p)} {value.to_text()}")
         lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -197,11 +195,14 @@ def _parse_box_term(body, n, h):
         if not box_contains(support, pt):
             raise FormFileError(f"box value line outside the support at point {pt}")
     # Every value lies in the support, so this stops within len(values) + 1 steps.
+    samples = []
     for pt in box_points(support):
-        if pt not in values:
+        value = values.get(pt)
+        if value is None:
             raise FormFileError(f"box term lacks a value line for point {pt}")
+        samples.append(value)
     try:
-        return BoxFunction(n, h, support, validity, values)
+        return BoxFunction.from_samples(n, h, support, validity, samples)
     except (ValueError, EmptyValidityError) as exc:
         raise FormFileError(f"bad box term: {exc}") from None
 

@@ -34,7 +34,7 @@ from .coeffs import (
     cube,
     diff,
 )
-from .scalars import Scalar, as_scalar
+from .scalars import ZERO, Scalar, as_scalar
 from .universal import Reduction, Torus, UForm, grassmann_sort
 
 
@@ -396,8 +396,8 @@ def periodic_box_function(n, h, N, values, margin):
     so that up to ``margin`` shifts stay faithful to the torus function.
     """
     box = cube(n, -margin, N - 1 + margin)
-    vals = {p: values[tuple(c % N for c in p)] for p in box_points(box)}
-    return BoxFunction(n, h, box, box, vals)
+    samples = [values[tuple(c % N for c in p)] for p in box_points(box)]
+    return BoxFunction.from_samples(n, h, box, box, samples)
 
 
 def from_universal(uform, h):
@@ -421,6 +421,7 @@ def from_universal(uform, h):
         per_blade[blade][path[0]] = cur
     terms = {}
     for blade, values in per_blade.items():
-        full = {p: values.get(p, Scalar(0)) for p in torus.nodes()}
-        terms[blade] = BoxFunction(n, h, domain, domain, full)
+        # torus.nodes() lists the domain in box_points order
+        samples = [values.get(p, ZERO) for p in torus.nodes()]
+        terms[blade] = BoxFunction.from_samples(n, h, domain, domain, samples)
     return Form(n, h, terms)

@@ -170,6 +170,10 @@ def _reduced(a, b, d):
     return s
 
 
+# The public name of _reduced, for layers that keep Gaussian-rational numerators.
+from_triple = _reduced
+
+
 def _ratio_text(num, den):
     """``str(Fraction(num, den))`` for den > 0, without building the Fraction."""
     g = gcd(num, den)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +195,38 @@ def test_apply_zero_operator_keeps_box_terms(capsys, tmp_path):
     assert head == "VALIDITY -5:5,-5:5 -> -5:4,-5:5"
     result = parse_form(body)
     assert result.coeff_kind() == "box" and len(result.terms) == 1 and result.is_zero()
+
+
+def test_apply_disjoint_validity_boxes_print_empty(capsys, tmp_path):
+    from latclif.coeffs import BoxFunction, cube
+    from latclif.forms import EMPTY_BLADE, single_blade
+
+    def box_term(validity):
+        return BoxFunction(1, 1, cube(1, 0, 6), validity, {(m,): Scalar(m) for m in range(7)})
+
+    form = Form(1, 1, {
+        EMPTY_BLADE: box_term(((0, 0),)),
+        single_blade(1, 1): box_term(((5, 6),)),
+    })
+    path = tmp_path / "disjoint.form"
+    write_form(form, path)
+    code, out, _ = run(capsys, "apply", "X(1)", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "VALIDITY (empty) -> (empty)"
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = ["verify", "--suite", "core", "--n", "1"]
+    proc = subprocess.run([sys.executable, "-m", "latclif", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "CHECK core.commutativity PASS" in proc.stdout
+    bad = subprocess.run([sys.executable, "-m", "latclif", "verify", "--suite", "core",
+                          "--n", "0"], capture_output=True, text=True, env=env, timeout=120)
+    assert bad.returncode == 2
 
 
 def test_expression_parser_families():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,10 @@ from latclif.coeffs import (
     EmptyValidityError,
     ExactPolynomial,
     LatticeStep,
+    box_contains,
+    box_intersect,
+    box_points,
+    box_translate,
     coord_shift_mul,
     cube,
     diff,
@@ -17,7 +22,7 @@ from latclif.coeffs import (
     star_laplacian,
     sym_diff,
 )
-from latclif.scalars import ONE, Scalar
+from latclif.scalars import ONE, Scalar, as_scalar
 
 
 def x(n=1, h=1, axis=1):
@@ -249,3 +254,204 @@ def test_evaluate_matches_term_sum_and_value_at():
         assert p.evaluate(coords) == Scalar(re, im)
     for point in ((0, 0), (1, -2), (-3, 4)):
         assert p.evaluate(tuple(h * m for m in point)) == p.value_at(point)
+
+
+# -- the array layout against the dict layout ----------------------------------
+#
+# ReferenceBox is the dict implementation BoxFunction had before its samples
+# became numerator arrays over one denominator: one reduced Scalar per
+# support point, every shift and every arithmetic result rebuilt point by
+# point.
+
+
+def _axis_values(h, box, axis):
+    hs = Scalar(h)
+    lo, hi = box[axis - 1]
+    return {m: hs * m for m in range(lo, hi + 1)}
+
+
+class ReferenceBox:
+    kind = "box"
+
+    def __init__(self, n, h, support, validity, values):
+        self.n = n
+        self.h = h if isinstance(h, Fraction) else Fraction(h)
+        if self.h <= 0:
+            raise ValueError("mesh width must be positive")
+        self.support = tuple(tuple(iv) for iv in support)
+        self.validity = tuple(tuple(iv) for iv in validity)
+        if any(lo > hi for lo, hi in self.validity):
+            raise EmptyValidityError("validity box is empty")
+        if box_intersect(self.support, self.validity) != self.validity:
+            raise ValueError("validity box must lie inside the support box")
+        self.values = values
+
+    def _binary(self, other, fn):
+        support = box_intersect(self.support, other.support)
+        if support is None:
+            raise EmptyValidityError("supports do not overlap")
+        validity = box_intersect(self.validity, other.validity)
+        if validity is None:
+            raise EmptyValidityError("validity boxes do not overlap")
+        vals = {p: fn(self.values[p], other.values[p]) for p in box_points(support)}
+        return ReferenceBox(self.n, self.h, support, validity, vals)
+
+    def add(self, other):
+        return self._binary(other, lambda a, b: a + b)
+
+    def sub(self, other):
+        return self._binary(other, lambda a, b: a - b)
+
+    def mul(self, other):
+        return self._binary(other, lambda a, b: a * b)
+
+    def scale(self, s):
+        s = as_scalar(s)
+        return ReferenceBox(self.n, self.h, self.support, self.validity,
+                            {p: s * v for p, v in self.values.items()})
+
+    def neg(self):
+        return self.scale(Scalar(-1))
+
+    def conj(self):
+        return ReferenceBox(self.n, self.h, self.support, self.validity,
+                            {p: v.conj() for p, v in self.values.items()})
+
+    def shift(self, axis, sign):
+        i = axis - 1
+        support = box_translate(self.support, axis, -sign)
+        validity = box_translate(self.validity, axis, -sign)
+        vals = {}
+        for p in box_points(support):
+            q = p[:i] + (p[i] + sign,) + p[i + 1:]
+            vals[p] = self.values[q]
+        return ReferenceBox(self.n, self.h, support, validity, vals)
+
+    def coord_mul(self, axis):
+        i = axis - 1
+        xs = _axis_values(self.h, self.support, axis)
+        return ReferenceBox(self.n, self.h, self.support, self.validity,
+                            {p: xs[p[i]] * v for p, v in self.values.items()})
+
+    def is_zero(self):
+        return all(not self.values[p] for p in box_points(self.validity))
+
+    def value_at(self, point):
+        if not box_contains(self.validity, point):
+            raise EmptyValidityError(f"point {point} outside validity box")
+        return self.values[tuple(point)]
+
+    def first_nonzero(self):
+        for p in box_points(self.validity):
+            if self.values[p]:
+                return p, self.values[p]
+        return None
+
+    def __eq__(self, other):
+        return self.sub(other).is_zero()
+
+
+def reference_sample(poly, box):
+    return ReferenceBox(poly.n, poly.h, box, box,
+                        {m: poly.value_at(m) for m in box_points(box)})
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the message of the EmptyValidityError it raises."""
+    try:
+        return fn(*args)
+    except EmptyValidityError as exc:
+        return f"EmptyValidityError: {exc}"
+
+
+def assert_agrees(got, want):
+    if isinstance(want, ReferenceBox):
+        assert isinstance(got, BoxFunction)
+        assert (got.support, got.validity) == (want.support, want.validity)
+        assert got.values == want.values
+        assert got.den > 0 and math.gcd(got.den, *got.re, *got.im) == 1
+    else:
+        assert got == want
+
+
+MESHES = [Fraction(1), Fraction(1, 2), Fraction(2, 3)]
+gaussian_rationals = st.builds(
+    lambda a, b, d: Scalar(Fraction(a, d), Fraction(b, d)),
+    st.integers(-6, 6), st.sampled_from([0, 0, 1, -2]), st.sampled_from([1, 1, 2, 3, 4, 6]),
+)
+
+
+@st.composite
+def box_pairs(draw, n, h):
+    """A BoxFunction and a ReferenceBox with the same boxes and values."""
+    support, validity = [], []
+    for _ in range(n):
+        lo = draw(st.integers(-3, 2))
+        hi = lo + draw(st.integers(0, 3))
+        vlo = draw(st.integers(lo, hi))
+        support.append((lo, hi))
+        validity.append((vlo, draw(st.integers(vlo, hi))))
+    if draw(st.booleans()):
+        validity = support
+    values = {p: draw(gaussian_rationals) for p in box_points(support)}
+    return (BoxFunction(n, h, support, validity, values),
+            ReferenceBox(n, h, support, validity, values))
+
+
+@st.composite
+def two_boxes(draw):
+    n = draw(st.integers(1, 3))
+    h = draw(st.sampled_from(MESHES))
+    return n, draw(box_pairs(n, h)), draw(box_pairs(n, h))
+
+
+@given(two_boxes(), gaussian_rationals, st.data())
+@settings(max_examples=120, deadline=None)
+def test_box_ops_agree_with_dict_reference(case, factor, data):
+    n, (f, rf), (g, rg) = case
+    for name in ("add", "sub", "mul", "__eq__"):
+        assert_agrees(outcome(getattr(f, name), g), outcome(getattr(rf, name), rg))
+    for got, want in ((f, rf), (g, rg)):
+        assert_agrees(got.scale(factor), want.scale(factor))
+        assert_agrees(got.neg(), want.neg())
+        assert_agrees(got.conj(), want.conj())
+        assert got.is_zero() == want.is_zero()
+        assert got.first_nonzero() == want.first_nonzero()
+        for axis in range(1, n + 1):
+            assert_agrees(got.coord_mul(axis), want.coord_mul(axis))
+            for sign in (1, -1):
+                assert_agrees(got.shift(axis, sign), want.shift(axis, sign))
+        point = tuple(data.draw(st.integers(lo - 1, hi + 1)) for lo, hi in want.support)
+        assert outcome(got.value_at, point) == outcome(want.value_at, point)
+
+
+@given(two_boxes())
+@settings(max_examples=80, deadline=None)
+def test_differences_agree_with_dict_reference(case):
+    n, (f, rf), _ = case
+    unary = [star_laplacian]
+    for axis in range(1, n + 1):
+        unary += [
+            lambda c, a=axis: sym_diff(c, a),
+            lambda c, a=axis: skew_diff(c, a),
+            lambda c, a=axis: coord_shift_mul(c, a, 1),
+        ]
+        unary += [lambda c, s=LatticeStep(axis, sign): diff(c, s) for sign in (1, -1)]
+        unary += [lambda c, s=LatticeStep(axis, sign): diff(diff(c, s), s) for sign in (1, -1)]
+    for op in unary:
+        assert_agrees(outcome(op, f), outcome(op, rf))
+
+
+@given(st.integers(1, 3), st.sampled_from(MESHES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sample_agrees_with_dict_reference(n, h, data):
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 5))):
+        e = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
+        terms[e] = data.draw(gaussian_rationals)
+    p = ExactPolynomial(n, h, terms)
+    box = []
+    for _ in range(n):
+        lo = data.draw(st.integers(-4, 2))
+        box.append((lo, lo + data.draw(st.integers(0, 4))))
+    assert_agrees(p.sample(tuple(box)), reference_sample(p, tuple(box)))

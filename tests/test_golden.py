@@ -8,7 +8,7 @@ import pytest
 
 from latclif import suites
 from latclif.cli import main
-from latclif.coeffs import ExactPolynomial, cube
+from latclif.coeffs import BoxFunction, ExactPolynomial, cube
 from latclif.forms import EMPTY_BLADE, Form, single_blade
 from latclif.operators import Operator, gamma, spanning_forms, verify_identity
 from latclif.scalars import ZERO, Scalar
@@ -27,6 +27,8 @@ CASES = {
     "monogenic-n2-p1q1-ambient":
         (["monogenic", "--n", "2", "--p", "1", "--q", "1", "--ambient"], 0),
     "verify-monogenic-n3": (["verify", "--suite", "monogenic", "--n", "3"], 0),
+    # verify-core-n4.out is checked by a separate CI step, outside tier-1
+    "verify-core-n3": (["verify", "--suite", "core", "--n", "3"], 0),
     # exits 1: the two dirac value checks and five plus-convention
     # relations fail by design
     "verify-all-n1-N3": (["verify", "--suite", "all", "--n", "1", "--N", "3"], 1),
@@ -129,6 +131,29 @@ def test_formerly_bare_failures_name_case_and_difference(monkeypatch, name):
     (line,), passed = check.run()
     assert not passed
     assert line.startswith(f"CHECK {name} FAIL {prefix}") and " = " in line, line
+
+
+def test_misplaced_box_sample_fails_the_box_checks(monkeypatch):
+    names = ("core.commutativity", "core.cross-representation")
+    shift = BoxFunction.shift
+
+    def misplaced(self, axis, sign):
+        # the sample in the middle slot of the shifted array also lands in the next slot
+        out = shift(self, axis, sign)
+        k = len(out.re) // 2
+        re, im = list(out.re), list(out.im)
+        re[k + 1], im[k + 1] = re[k], im[k]
+        return BoxFunction.from_arrays(out.n, out.h, out.support, out.validity, re, im, out.den)
+
+    def run_checks():
+        return {c.name: c.run() for c in suites.core_suite(2, Fraction(1)) if c.name in names}
+
+    monkeypatch.setattr(BoxFunction, "shift", misplaced)
+    for name, ((line,), passed) in run_checks().items():
+        assert not passed
+        assert line.startswith(f"CHECK {name} FAIL ") and " = " in line, line
+    monkeypatch.undo()
+    assert run_checks() == {name: ([f"CHECK {name} PASS"], True) for name in names}
 
 
 def monogenic_solver_lines(convention="minus"):
