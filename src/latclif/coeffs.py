@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
-from .scalars import ONE, ZERO, Scalar, as_scalar, from_triple
+from .scalars import ONE, Scalar, accumulate, as_scalar, from_triple
 
 
 class EmptyValidityError(Exception):
@@ -345,6 +345,23 @@ class BoxFunction:
         return f"BoxFunction(n={self.n}, support={self.support}, validity={self.validity})"
 
 
+def _binomial_terms(terms, i, p, q):
+    """The (exponent, coefficient) pairs of ``terms`` under x_i -> x_i + p/q."""
+    for e, c in terms.items():
+        k = e[i]
+        for j in range(k):
+            # c * x^k contributes c * comb(k, j) * (p/q)^(k-j) * x^j
+            m = k - j
+            coeff = c
+            factor = comb(k, j) * p ** m
+            if factor != 1:
+                coeff = coeff * factor
+            if q != 1:
+                coeff = coeff / q ** m
+            yield e[:i] + (j,) + e[i + 1:], coeff
+        yield e, c
+
+
 class ExactPolynomial:
     """Sparse multivariate polynomial over exact complex rationals.
 
@@ -391,42 +408,20 @@ class ExactPolynomial:
 
     def add(self, other):
         self._compatible(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return self._raw(terms)
+        return self._raw(accumulate(dict(self.terms), other.terms.items()))
 
     def sub(self, other):
         self._compatible(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = -c if s is None else s - c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return self._raw(terms)
+        negated = ((e, -c) for e, c in other.terms.items())
+        return self._raw(accumulate(dict(self.terms), negated))
 
     def mul(self, other):
         self._compatible(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e)
-                prod = c1 * c2
-                s = prod if s is None else s + prod
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return self._raw(terms)
+        return self._raw(accumulate({}, (
+            (tuple(map(operator.add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items()
+            for e2, c2 in other.terms.items()
+        )))
 
     def scale(self, s):
         s = as_scalar(s)
@@ -442,30 +437,9 @@ class ExactPolynomial:
 
     def shift(self, axis, sign):
         """Exact substitution x_axis -> x_axis + sign*h."""
-        i = axis - 1
         # the step sign*h is p/q in lowest terms
         p, q = sign * self.h.numerator, self.h.denominator
-        terms = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            for j in range(k + 1):
-                # c * x^k contributes c * comb(k, j) * (p/q)^(k-j) * x^j
-                m = k - j
-                coeff, ne = c, e
-                if m:
-                    factor = comb(k, j) * p ** m
-                    if factor != 1:
-                        coeff = coeff * factor
-                    if q != 1:
-                        coeff = coeff / q ** m
-                    ne = e[:i] + (j,) + e[i + 1:]
-                s = terms.get(ne)
-                s = coeff if s is None else s + coeff
-                if s:
-                    terms[ne] = s
-                else:
-                    terms.pop(ne, None)
-        return self._raw(terms)
+        return self._raw(accumulate({}, _binomial_terms(self.terms, axis - 1, p, q)))
 
     def coord_mul(self, axis):
         i = axis - 1
@@ -484,12 +458,13 @@ class ExactPolynomial:
     def evaluate(self, coords):
         """Value at real coordinates x = coords (ints or Fractions)."""
         q = lcm(*(x.denominator for x in coords))
-        return self._evaluator(q)(tuple(x.numerator * (q // x.denominator) for x in coords))
+        # x = y/q with integer y: a lattice point under mesh width 1/q
+        on_lattice = ExactPolynomial(self.n, Fraction(1, q), self.terms)
+        return on_lattice.value_at(tuple(x.numerator * (q // x.denominator) for x in coords))
 
     def value_at(self, point):
         """Value at lattice point m, i.e. at x = h*m."""
-        p = self.h.numerator
-        return self._evaluator(self.h.denominator)(tuple(p * m for m in point))
+        return self.sample(tuple((m, m) for m in point))._scalar(0)
 
     def sample(self, box):
         """Sample onto a box, full validity.
@@ -516,29 +491,6 @@ class ExactPolynomial:
             if b:
                 im = [r + b * w for r, w in zip(im, column)]
         return BoxFunction.from_arrays(self.n, self.h, box, box, re, im, den * q ** degree)
-
-    def _evaluator(self, q):
-        """The map from integers y to the value at x = y/q.
-
-        With D the degree, c*x^e = c * q^(D-|e|) * y^e / q^D: each term
-        costs one product of a scalar by an int, each point one scaling.
-        """
-        degree = max(self.degree(), 0)
-        weighted = [(e, c, q ** (degree - sum(e))) for e, c in self.terms.items()]
-        den = q ** degree
-        inv = ONE / den
-
-        def value(ys):
-            total = ZERO
-            for e, c, w in weighted:
-                for y, k in zip(ys, e):
-                    if k:
-                        w *= y ** k
-                if w:
-                    total = total + c * w
-            return total if den == 1 else total * inv
-
-        return value
 
     def scale_variables(self, factor):
         """Substitute x -> factor * x on every axis."""

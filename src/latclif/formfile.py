@@ -161,6 +161,8 @@ def parse_form(text):
                 exps = _ints(exps_text, ln)
                 if len(exps) != n:
                     raise FormFileError(f"exponent arity mismatch in {ln!r}")
+                if min(exps) < 0:
+                    raise FormFileError(f"negative exponent in {ln!r}")
                 if exps in poly_terms:
                     raise FormFileError(f"duplicate exponent line {ln!r}")
                 poly_terms[exps] = _scalar(val_text, ln)

@@ -34,7 +34,7 @@ from .coeffs import (
     cube,
     diff,
 )
-from .scalars import ZERO, Scalar, as_scalar
+from .scalars import ZERO, Scalar, accumulate, as_scalar
 from .universal import Reduction, Torus, UForm, grassmann_sort
 
 
@@ -416,11 +416,10 @@ def from_universal(uform, h):
         sgn, blade = blade_from_factors(factors)
         value = coeff if sgn > 0 else -coeff
         value = value / Scalar(Fraction(h) ** blade.degree)
-        per_blade.setdefault(blade, {})
-        cur = per_blade[blade].get(path[0], Scalar(0)) + value
-        per_blade[blade][path[0]] = cur
+        per_blade.setdefault(blade, []).append((path[0], value))
     terms = {}
-    for blade, values in per_blade.items():
+    for blade, pairs in per_blade.items():
+        values = accumulate({}, pairs)
         # torus.nodes() lists the domain in box_points order
         samples = [values.get(p, ZERO) for p in torus.nodes()]
         terms[blade] = BoxFunction.from_samples(n, h, domain, domain, samples)

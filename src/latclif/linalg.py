@@ -11,24 +11,22 @@ value)`` pairs with strictly ascending columns and no zero value; an
 empty tuple is an all-zero row.  An operator moves each basis monomial to
 a few lattice neighbours, so the solver's stacked matrices hold one or two
 nonzeros per row.  Each elimination copies a row into a ``{column:
-value}`` dict when it starts to change it.
+value}`` dict when it starts to change it, and subtracts a multiple of
+another row by :func:`latclif.scalars.accumulate`, which drops an entry
+that cancels.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .scalars import ONE, ZERO
+from .scalars import ONE, accumulate
 
 
 def _subtract_multiple(row, f, src):
     """``row -= f * src`` in place, dropping entries that cancel."""
-    for k, v in src.items():
-        x = row.get(k, ZERO) - f * v
-        if x:
-            row[k] = x
-        else:
-            del row[k]
+    f = -f
+    accumulate(row, ((k, f * v) for k, v in src.items()))
 
 
 def _gauss_jordan(rows):

@@ -55,7 +55,7 @@ from .coeffs import (
     sym_diff,
 )
 from .forms import Form, all_blades, blade_from_factors, blade_mul, single_blade
-from .scalars import ONE, Scalar, as_scalar
+from .scalars import ONE, Scalar, accumulate, as_scalar
 
 MINUS_ONE = Scalar(-1)
 
@@ -177,6 +177,8 @@ class Operator:
             return vec
         images = self._images
         out = {}
+        # not scalars.accumulate: one image cannot cancel, so zeros are dropped
+        # once at the end, and this is the hottest loop of identity checks
         for i, c in vec.items():
             image = images.get(i)
             if image is None:
@@ -198,10 +200,8 @@ class Operator:
             return _flat(vector(self(Form.blade(unit, blade))))
         out = {}
         for c, op in zip(self.coeffs, self.parts):
-            for j, v in op.apply_vector({i: c}).items():
-                s = out.get(j)
-                out[j] = v if s is None else s + v
-        return _flat({j: v for j, v in out.items() if v})
+            accumulate(out, op.apply_vector({i: c}).items())
+        return _flat(out)
 
     def to_text(self):
         """The expression in the grammar of :mod:`latclif.opexpr`."""
@@ -472,6 +472,8 @@ def verify_identities(relations, test_forms):
             if witnesses[k] is None:
                 res = lhs.apply_vector(vec)
                 res = dict(res) if res is vec else res  # the identity returns its input
+                # inline, not scalars.accumulate: a generator of negated pairs here
+                # measured about 5% slower on whole identity suites
                 for j, v in rhs.apply_vector(vec).items():
                     s = res.pop(j, None)
                     s = -v if s is None else s - v

@@ -9,6 +9,10 @@ A ``Scalar`` is ``(a + b*i) / d``, held as three Python ints in normal form:
 does integer arithmetic and at most one gcd reduction, skipped when the
 denominator is 1, so the common integer case never pays for a gcd.  The
 ``re``/``im`` parts are available as ``Fraction``s for reading only.
+
+:func:`accumulate` is the one sparse-sum rule of the package: every sparse
+Q(i) linear combination (polynomial terms, universal paths, operator images
+and matrix rows) adds its ``(key, Scalar)`` pairs into a dict through it.
 """
 
 from __future__ import annotations
@@ -17,9 +21,8 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-_SCALAR_RE = re.compile(
-    r"^(?P<re>-?\d+(?:/\d+)?)(?:(?P<sign>[+-])(?P<im>\d+(?:/\d+)?)i)?$"
-)
+# real numerator and denominator, then the imaginary sign, numerator and denominator
+_SCALAR_RE = re.compile(r"^(-?\d+)(?:/(\d+))?(?:([+-])(\d+)(?:/(\d+))?i)?$")
 
 
 class Scalar:
@@ -134,13 +137,14 @@ class Scalar:
         m = _SCALAR_RE.match(text.strip())
         if m is None:
             raise ValueError(f"not a scalar: {text!r}")
-        re_part = Fraction(m.group("re"))
-        if m.group("im") is None:
-            return cls(re_part)
-        im_part = Fraction(m.group("im"))
-        if m.group("sign") == "-":
-            im_part = -im_part
-        return cls(re_part, im_part)
+        a, p, sign, b, q = m.groups()
+        # (a/p) + (b/q) i = (a*q + b*p i) / (p*q)
+        p = int(p) if p else 1
+        q = int(q) if q else 1
+        if not p or not q:
+            raise ZeroDivisionError(f"zero denominator in {text!r}")
+        b = int(b) if b else 0
+        return _reduced(int(a) * q, -b * p if sign == "-" else b * p, p * q)
 
     def __str__(self):
         return self.to_text()
@@ -180,6 +184,26 @@ def _ratio_text(num, den):
     if g == den:
         return str(num // g)
     return f"{num // g}/{den // g}"
+
+
+def accumulate(terms, pairs):
+    """Add each ``(key, Scalar)`` pair into the dict ``terms`` in place; return it.
+
+    The one sparse-sum rule of every Q(i) linear combination: a sum that
+    cancels is removed, so no stored value is ever zero.
+    """
+    for key, c in pairs:
+        old = terms.get(key)
+        if old is None:
+            if c:
+                terms[key] = c
+        else:
+            c = old + c
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+    return terms
 
 
 def as_scalar(value) -> Scalar:

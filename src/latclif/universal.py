@@ -33,8 +33,9 @@ The sign rule is :func:`grassmann_sort`, shared with the blades of
 the steps as the blade keys (0, j) of dx_j^- and (1, j) of dx_j^+ order the
 differentials they map to.
 Every form built from paths (the constructor, the product and the
-derivative) goes through one accumulator that canonicalizes each path,
-absorbs its sign and drops a sum that cancels.
+derivative) puts each path in canonical shape, absorbing its sign, and
+then sums the pairs by :func:`latclif.scalars.accumulate`, the one
+sparse-sum rule of the package, which drops a sum that cancels.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import ne
 
-from .scalars import ONE, Scalar, as_scalar
+from .scalars import ONE, Scalar, accumulate, as_scalar
 
 
 class Torus:
@@ -197,32 +198,22 @@ def _valid_path(nodes):
 
 
 def _accumulate(terms, pairs, reduction):
-    """Add (path, coeff) pairs into ``terms`` in place and return it.
+    """Add (path, coeff) pairs into ``terms`` by :func:`accumulate`; return it.
 
     Under a reduction each path is first put in canonical shape, its sign
     absorbed into the coefficient; a path whose class is zero is skipped.
-    A sum that cancels is removed.
     """
-    canonicalize = None if reduction is None else reduction.canonicalize
+    if reduction is not None:
+        pairs = _canonical(pairs, reduction.canonicalize)
+    return accumulate(terms, pairs)
+
+
+def _canonical(pairs, canonicalize):
     for path, coeff in pairs:
-        if canonicalize is not None:
-            canon = canonicalize(path)
-            if canon is None:
-                continue
+        canon = canonicalize(path)
+        if canon is not None:
             sgn, path = canon
-            if sgn < 0:
-                coeff = -coeff
-        old = terms.get(path)
-        if old is None:
-            if coeff:
-                terms[path] = coeff
-            continue
-        s = old + coeff
-        if s:
-            terms[path] = s
-        else:
-            del terms[path]
-    return terms
+            yield path, (coeff if sgn > 0 else -coeff)
 
 
 class UForm:
@@ -287,7 +278,7 @@ class UForm:
     def add(self, other):
         self._compatible(other)
         # stored paths are canonical already
-        return self._raw(_accumulate(dict(self.terms), other.terms.items(), None))
+        return self._raw(accumulate(dict(self.terms), other.terms.items()))
 
     def sub(self, other):
         return self.add(other.scale(Scalar(-1)))

@@ -93,6 +93,7 @@ MALFORMED = {
     "axis-zero": POLY_HEAD + "term - 0\n  0,0 1\nend\n",
     "bad-axis-token": POLY_HEAD + "term a -\n  0,0 1\nend\n",
     "bad-exponent": POLY_HEAD + "term - -\n  0,x 1\nend\n",
+    "negative-exponent": POLY_HEAD + "term - -\n  0,-1 1\nend\n",
     "bad-scalar": POLY_HEAD + "term - -\n  0,0 1+i\nend\n",
     "zero-denominator": POLY_HEAD + "term - -\n  0,0 1/0\nend\n",
     "duplicate-term": POLY_HEAD + "term - -\n  1,0 1\nend\nterm - -\n  2,0 1\nend\n",

@@ -35,6 +35,8 @@ CASES = {
     "verify-all-n2-N4": (["verify", "--suite", "all", "--n", "2", "--N", "4"], 1),
     # six step generators on reduced paths
     "verify-reduction-n3-N3": (["verify", "--suite", "reduction", "--n", "3", "--N", "3"], 0),
+    "verify-universal-n3-N3": (["verify", "--suite", "universal", "--n", "3", "--N", "3"], 0),
+    # verify-endo-n3.out is checked by a separate CI step, outside tier-1
     "verify-intertwine-n3": (["verify", "--suite", "intertwine", "--n", "3"], 0),
     # exits 1: the two dirac value checks fail by design
     "verify-dirac-n3": (["verify", "--suite", "dirac", "--n", "3"], 1),

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latclif.scalars import I, Scalar, as_scalar
+from latclif.scalars import I, Scalar, accumulate, as_scalar
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -163,3 +163,52 @@ def test_unary_operations_match_model(x):
     assert_matches(s.conj(), (a, -b))
     assert_matches(Scalar.from_text(model_text((a, b))), (a, b))
     assert_matches(Scalar(str(a), str(b)), (a, b))
+
+
+# ---------------------------------------------------------------------------
+# The sparse-sum rule against a plain sum of (Fraction, Fraction) pairs.
+
+few_scalars = st.builds(Scalar, st.integers(-2, 2), st.integers(-1, 1))  # zero included
+
+
+@st.composite
+def sparse_sums(draw):
+    """(start, pairs): a dict with no zero value and pairs on few keys.
+
+    Some pairs cancel the running sum of their key exactly, so sums vanish
+    and keys come back after vanishing.
+    """
+    start = draw(st.dictionaries(st.integers(0, 3), few_scalars.filter(bool), max_size=3))
+    sums = {k: (c.re, c.im) for k, c in start.items()}
+    pairs = []
+    for _ in range(draw(st.integers(0, 12))):
+        key = draw(st.integers(0, 3))
+        if key in sums and draw(st.booleans()):
+            re_, im = sums[key]
+            c = Scalar(-re_, -im)
+        else:
+            c = draw(st.one_of(few_scalars, scalars))
+        re_, im = sums.get(key, (0, 0))
+        sums[key] = (re_ + c.re, im + c.im)
+        pairs.append((key, c))
+    return start, pairs
+
+
+def fraction_sum(start, pairs):
+    ref = {}
+    for key, c in [*start.items(), *pairs]:
+        re_, im = ref.get(key, (Fraction(0), Fraction(0)))
+        ref[key] = (re_ + c.re, im + c.im)
+    return {k: v for k, v in ref.items() if v != (0, 0)}
+
+
+@settings(max_examples=300)
+@given(sparse_sums())
+def test_accumulate_matches_a_fraction_sum(case):
+    start, pairs = case
+    expected = fraction_sum(start, pairs)
+    terms = dict(start)
+    out = accumulate(terms, iter(pairs))
+    assert out is terms
+    assert {k: (c.re, c.im) for k, c in out.items()} == expected
+    assert all(out.values())
