@@ -4,7 +4,6 @@ from .coeffs import (
     BoxFunction,
     EmptyValidityError,
     ExactPolynomial,
-    LatticeStep,
     diff,
     shift,
     skew_diff,
@@ -24,7 +23,6 @@ __all__ = [
     "EmptyValidityError",
     "ExactPolynomial",
     "Form",
-    "LatticeStep",
     "Operator",
     "Reduction",
     "Scalar",

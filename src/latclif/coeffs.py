@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 
@@ -29,24 +28,6 @@ from .scalars import ONE, Scalar, accumulate, as_scalar, from_triple
 
 class EmptyValidityError(Exception):
     """Raised when an operation exhausts the meaningful region of a box."""
-
-
-@dataclass(frozen=True)
-class LatticeStep:
-    """A signed unit step along one axis; sign is +1 or -1."""
-
-    axis: int
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("step sign must be +1 or -1")
-        if self.axis < 1:
-            raise ValueError("axes are numbered from 1")
-
-    @property
-    def opposite(self):
-        return LatticeStep(self.axis, -self.sign)
 
 
 # A box is a tuple of per-axis closed integer intervals (lo, hi).
@@ -533,39 +514,39 @@ class ExactPolynomial:
 # ---------------------------------------------------------------------------
 # Scalar difference and shift operators, shared by both algebras.
 
-def shift(c, step: LatticeStep):
+def shift(c, axis, sign):
     """Translation T_h^{sign * axis}."""
-    return c.shift(step.axis, step.sign)
+    return c.shift(axis, sign)
 
 
-def diff(c, step: LatticeStep):
-    """Forward or backward difference along one axis.
+def diff(c, axis, sign):
+    """Forward (sign +1) or backward (sign -1) difference along one axis.
 
     Forward: (T^{+} c - c)/h.  Backward: (c - T^{-} c)/h.
     """
     inv_h = Scalar(c.h.denominator) / c.h.numerator
-    if step.sign > 0:
-        return c.shift(step.axis, 1).sub(c).scale(inv_h)
-    return c.sub(c.shift(step.axis, -1)).scale(inv_h)
+    if sign > 0:
+        return c.shift(axis, 1).sub(c).scale(inv_h)
+    return c.sub(c.shift(axis, -1)).scale(inv_h)
 
 
 def sym_diff(c, axis):
     """Symmetric difference: the mean of the two one-sided differences."""
     half = Scalar(Fraction(1, 2))
-    return diff(c, LatticeStep(axis, -1)).add(diff(c, LatticeStep(axis, 1))).scale(half)
+    return diff(c, axis, -1).add(diff(c, axis, 1)).scale(half)
 
 
 def skew_diff(c, axis):
     """Skew difference: (backward - forward) / (2i)."""
     s = Scalar(0, Fraction(-1, 2))  # 1/(2i) = -i/2
-    return diff(c, LatticeStep(axis, -1)).sub(diff(c, LatticeStep(axis, 1))).scale(s)
+    return diff(c, axis, -1).sub(diff(c, axis, 1)).scale(s)
 
 
 def star_laplacian(c):
     """Sum over axes of backward(forward(c)): the 2n+1 point stencil."""
     out = None
     for axis in range(1, c.n + 1):
-        term = diff(diff(c, LatticeStep(axis, 1)), LatticeStep(axis, -1))
+        term = diff(diff(c, axis, 1), axis, -1)
         out = term if out is None else out.add(term)
     return out
 

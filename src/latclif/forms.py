@@ -6,12 +6,13 @@ ascending axis, then all plus factors by ascending axis.  A form is a
 sparse association from blades to coefficients (stored on the left of the
 blade), over either coefficient algebra of :mod:`latclif.coeffs`.
 
-Multiplying a coefficient past a blade shifts it by the blade's net
-displacement: each dx_j^+ factor contributes one positive unit step on
-axis j, each dx_j^- one negative step.  This single rule reproduces the
-non-commutativity of functions and 1-forms in the reduced universal
-calculus, and :func:`to_universal` / :func:`from_universal` provide the
-exact bridge used by the oracle suite.
+A blade factor dx_j^s is the pair (s, j), s = -1 or +1: the unit step
+s*e_j of the lattice graph that the generator stands for.  The canonical
+order is the natural order of these pairs.  Multiplying a coefficient past
+a blade shifts it by each factor's step in turn.  This single rule
+reproduces the non-commutativity of functions and 1-forms in the reduced
+universal calculus, and :func:`to_universal` / :func:`from_universal`
+provide the exact bridge used by the oracle suite.
 
 Blade products take their sign from :func:`latclif.universal.grassmann_sort`,
 the same rule that orders the steps of reduced paths.  Every form built
@@ -22,13 +23,13 @@ which drops a polynomial sum that cancels and keeps every box sum.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffs import (
     BoxFunction,
     ExactPolynomial,
-    LatticeStep,
     box_intersect,
     box_points,
     cube,
@@ -64,14 +65,8 @@ class Blade:
         return len(self.minus), len(self.plus)
 
     def factors(self):
-        """Factor sequence in canonical order; 0 = minus type, 1 = plus type."""
-        return tuple((0, a) for a in self.minus) + tuple((1, a) for a in self.plus)
-
-    def displacement_steps(self):
-        """Net displacement of the blade, as a list of unit steps."""
-        return [LatticeStep(a, -1) for a in self.minus] + [
-            LatticeStep(a, 1) for a in self.plus
-        ]
+        """The factors dx_a^s as (s, a) steps, s = -1 or +1, in canonical order."""
+        return tuple((-1, a) for a in self.minus) + tuple((1, a) for a in self.plus)
 
     def sort_key(self):
         return (self.minus, self.plus)
@@ -95,8 +90,8 @@ def blade_from_factors(factors):
     if canon is None:
         return None
     sgn, keys = canon
-    minus = tuple(a for t, a in keys if t == 0)
-    plus = tuple(a for t, a in keys if t == 1)
+    minus = tuple(a for s, a in keys if s < 0)
+    plus = tuple(a for s, a in keys if s > 0)
     return sgn, Blade(minus, plus)
 
 
@@ -244,14 +239,14 @@ class Form:
 
         def triples():
             for b1, f in self.terms.items():
-                steps = b1.displacement_steps()
+                steps = b1.factors()
                 for b2, g in other.terms.items():
                     prod = blade_mul(b1, b2)
                     if prod is None:
                         continue
                     moved = g
-                    for step in steps:
-                        moved = moved.shift(step.axis, step.sign)
+                    for sign, axis in steps:
+                        moved = moved.shift(axis, sign)
                     yield prod[0], prod[1], f.mul(moved)
 
         return Form.collect(self.n, self.h, triples())
@@ -311,7 +306,7 @@ def _d_signed(form, sign):
             for axis in range(1, form.n + 1):
                 prod = blade_mul(single_blade(sign, axis), blade)
                 if prod is not None:
-                    yield prod[0], prod[1], diff(coeff, LatticeStep(axis, sign))
+                    yield prod[0], prod[1], diff(coeff, axis, sign)
 
     return Form.collect(form.n, form.h, triples())
 
@@ -328,7 +323,7 @@ def involution(form):
     """Swap dx_j^+ <-> dx_j^- factorwise, keeping order and coefficients."""
     def triples():
         for blade, coeff in form.terms.items():
-            sgn, nb = blade_from_factors((1 - t, a) for t, a in blade.factors())
+            sgn, nb = blade_from_factors((-s, a) for s, a in blade.factors())
             yield sgn, nb, coeff
 
     return Form.collect(form.n, form.h, triples())
@@ -337,11 +332,11 @@ def involution(form):
 def _reversal(form, conjugate):
     def triples():
         for blade, coeff in form.terms.items():
-            sgn, nb = blade_from_factors((1 - t, a) for t, a in reversed(blade.factors()))
+            sgn, nb = blade_from_factors((-s, a) for s, a in reversed(blade.factors()))
             c = coeff.conj() if conjugate else coeff
             # the coefficient re-enters from the right of the reversed blade
-            for step in nb.displacement_steps():
-                c = c.shift(step.axis, step.sign)
+            for sign, axis in nb.factors():
+                c = c.shift(axis, sign)
             yield (-sgn if blade.degree % 2 else sgn), nb, c
 
     return Form.collect(form.n, form.h, triples())
@@ -380,11 +375,10 @@ def to_universal(form, N):
         elif box_intersect(coeff.validity, domain) != domain:
             raise BridgeError("box does not cover the fundamental domain")
         weight = Scalar(form.h ** blade.degree)
+        steps = [torus.unit_step(axis, sign) for sign, axis in blade.factors()]
         for m in torus.nodes():
-            path = [m]
-            for t, axis in blade.factors():
-                path.append(torus.add(path[-1], torus.unit_step(axis, 1 if t else -1)))
-            terms[tuple(path)] = coeff.value_at(m) * weight
+            path = tuple(itertools.accumulate(steps, torus.add, initial=m))
+            terms[path] = coeff.value_at(m) * weight
     return UForm(torus, terms, red)
 
 
@@ -409,11 +403,8 @@ def from_universal(uform, h):
     domain = cube(n, 0, N - 1)
     per_blade = {}
     for path, coeff in uform.coordinate_terms():
-        factors = []
-        for a, b in zip(path, path[1:]):
-            axis, sign = torus.step_of(a, b)
-            factors.append((0 if sign < 0 else 1, axis))
-        sgn, blade = blade_from_factors(factors)
+        steps = map(torus.step_of, path, path[1:])
+        sgn, blade = blade_from_factors((sign, axis) for axis, sign in steps)
         value = coeff if sgn > 0 else -coeff
         value = value / Scalar(Fraction(h) ** blade.degree)
         per_blade.setdefault(blade, []).append((path[0], value))

@@ -47,7 +47,6 @@ from functools import cache
 
 from .coeffs import (
     ExactPolynomial,
-    LatticeStep,
     coord_shift_mul,
     diff,
     shift,
@@ -277,7 +276,7 @@ def vartheta(sign, axis):
     Cross-checked against the defining contraction recursion in the tests.
     """
     sign = _sgn(sign)
-    target = (0 if sign < 0 else 1, axis)
+    target = (sign, axis)
 
     def apply(form):
         def triples():
@@ -302,18 +301,17 @@ def vartheta_recursive(sign, axis):
         # coefficient sits left of the factor list; returns [(coeff, factors)]
         if not factors:
             return []
-        (t, a), rest = factors[0], factors[1:]
-        fsign = 1 if t else -1
-        inner = coeff.shift(a, -fsign)  # move the coefficient past the factor
+        (s, a), rest = factors[0], factors[1:]
+        inner = coeff.shift(a, -s)  # move the coefficient past the factor
         out = []
-        if a == axis and fsign == sign:
+        if a == axis and s == sign:
             out.append((inner.shift(axis, sign), rest))
         for c2, b2 in contract(inner, rest):
-            prod = blade_from_factors(((t, a),) + b2)
+            prod = blade_from_factors(((s, a),) + b2)
             if prod is None:
                 continue
             sgn, nb = prod
-            c = c2.shift(a, fsign)
+            c = c2.shift(a, s)
             if sgn > 0:
                 c = c.neg()
             out.append((c, nb.factors()))
@@ -373,15 +371,13 @@ def _coeffwise(name, fn):
 @cache
 def shift_op(sign, axis):
     sign = _sgn(sign)
-    step = LatticeStep(axis, sign)
-    return _coeffwise(f"T({_sign_char(sign)},{axis})", lambda c: shift(c, step))
+    return _coeffwise(f"T({_sign_char(sign)},{axis})", lambda c: shift(c, axis, sign))
 
 
 @cache
 def diff_op(sign, axis):
     sign = _sgn(sign)
-    step = LatticeStep(axis, sign)
-    return _coeffwise(f"D({_sign_char(sign)},{axis})", lambda c: diff(c, step))
+    return _coeffwise(f"D({_sign_char(sign)},{axis})", lambda c: diff(c, axis, sign))
 
 
 @cache

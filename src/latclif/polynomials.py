@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .coeffs import ExactPolynomial, LatticeStep, coord_shift_mul, diff
+from .coeffs import ExactPolynomial, coord_shift_mul, diff
 from .dirac import DEFAULT_CONVENTION, build_family
 from .forms import Form, all_blades
 from .linalg import bareiss_rank, kernel_basis, rank, rref, scalars_to_gaussian
@@ -62,7 +62,7 @@ def euler_operator(poly, sign):
     """The one-sided Euler operator: sum of x_j times the signed difference."""
     out = ExactPolynomial.zero(poly.n, poly.h)
     for axis in range(1, poly.n + 1):
-        out = out.add(diff(poly, LatticeStep(axis, sign)).coord_mul(axis))
+        out = out.add(diff(poly, axis, sign).coord_mul(axis))
     return out
 
 
@@ -74,7 +74,7 @@ def monomial_principle(n, h, sign, alpha):
         raised = coord_shift_mul(fp.poly, axis, sign)
         target = factorial_power(n, h, sign, _bump(alpha, axis, 1)).poly
         yield f"raise-ax{axis}", raised, target
-        lowered = diff(fp.poly, LatticeStep(axis, -sign))
+        lowered = diff(fp.poly, axis, -sign)
         if alpha[axis - 1] == 0:
             expect = ExactPolynomial.zero(n, h)
         else:

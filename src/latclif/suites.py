@@ -29,7 +29,6 @@ from .coeffs import (
     BoxFunction,
     EmptyValidityError,
     ExactPolynomial,
-    LatticeStep,
     coord_shift_mul,
     cube,
     diff,
@@ -204,40 +203,39 @@ def core_suite(n, h, box_halfwidth=5):
             for (j, sj), (k, sk) in itertools.product(
                 itertools.product(axes, (1, -1)), repeat=2
             ):
-                a, b = LatticeStep(j, sj), LatticeStep(k, sk)
-                yield f"axes {(j, sj)} {(k, sk)}", diff(diff(p, a), b), diff(diff(p, b), a)
-                yield (f"box axes {(j, sj)} {(k, sk)}",
-                       diff(diff(bp, a), b), diff(diff(bp, b), a))
+                label = f"{(j, sj)} {(k, sk)}"
+                for kind, c in (("axes", p), ("box axes", bp)):
+                    yield (f"{kind} {label}",
+                           diff(diff(c, j, sj), k, sk), diff(diff(c, k, sk), j, sj))
 
     def interrelation(rng):
         for _ in range(4):
             p = _rand_poly(n, h, 3, rng)
             for j in axes:
-                lhs = shift(diff(p, LatticeStep(j, 1)), LatticeStep(j, -1))
-                yield f"axis {j}", lhs, diff(p, LatticeStep(j, -1))
+                lhs = shift(diff(p, j, 1), j, -1)
+                yield f"axis {j}", lhs, diff(p, j, -1)
 
     def product_rule(rng):
         for _ in range(4):
             f = _rand_poly(n, h, 4, rng)
             g = _rand_poly(n, h, 4, rng)
             for j in axes:
-                st = LatticeStep(j, 1)
-                rhs = diff(f, st).mul(shift(g, st)).add(f.mul(diff(g, st)))
-                yield f"axis {j}", diff(f.mul(g), st), rhs
+                rhs = diff(f, j, 1).mul(shift(g, j, 1)).add(f.mul(diff(g, j, 1)))
+                yield f"axis {j}", diff(f.mul(g), j, 1), rhs
 
     def weyl_heisenberg(rng):
         for c in (_rand_poly(n, h, 3, rng), _rand_poly(n, h, 3, rng).sample(box)):
             kind = "box" if isinstance(c, BoxFunction) else "poly"
             for j, k, s in itertools.product(axes, axes, (1, -1)):
-                lhs = diff(coord_shift_mul(c, k, -s), LatticeStep(j, s)).sub(
-                    coord_shift_mul(diff(c, LatticeStep(j, s)), k, -s)
+                lhs = diff(coord_shift_mul(c, k, -s), j, s).sub(
+                    coord_shift_mul(diff(c, j, s), k, -s)
                 )
                 yield f"{kind} {j} {k} {s}", lhs, c if j == k else ZERO
 
     def cross_representation(rng):
         ops = [
-            lambda c: diff(c, LatticeStep(1, 1)),
-            lambda c: shift(c, LatticeStep(1, -1)),
+            lambda c: diff(c, 1, 1),
+            lambda c: shift(c, 1, -1),
             lambda c: sym_diff(c, 1),
             lambda c: skew_diff(c, 1),
             star_laplacian,

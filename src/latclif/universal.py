@@ -30,7 +30,7 @@ generator index to node number, and back.
 The sign rule is :func:`grassmann_sort`, shared with the blades of
 :mod:`latclif.forms`.  A reduction keys each step by its position in
 :func:`allowed_steps` (-e_1, ..., -e_n, then +e_1, ..., +e_n), which orders
-the steps as the blade keys (0, j) of dx_j^- and (1, j) of dx_j^+ order the
+the steps as the blade keys (-1, j) of dx_j^- and (1, j) of dx_j^+ order the
 differentials they map to.
 Every form built from paths (the constructor, the product and the
 derivative) puts each path in canonical shape, absorbing its sign, and
@@ -74,9 +74,6 @@ class Torus:
 
     def add(self, a, b):
         return tuple((x + y) % self.N for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.N for x in a)
 
     def sub(self, a, b):
         return tuple((x - y) % self.N for x, y in zip(a, b))

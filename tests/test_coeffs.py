@@ -9,7 +9,6 @@ from latclif.coeffs import (
     BoxFunction,
     EmptyValidityError,
     ExactPolynomial,
-    LatticeStep,
     box_contains,
     box_intersect,
     box_points,
@@ -37,18 +36,18 @@ def const(value=1, n=1, h=1):
 
 def test_shift_constant_invariant():
     c = const(7)
-    assert shift(c, LatticeStep(1, 1)) == c
-    assert shift(c, LatticeStep(1, -1)) == c
+    assert shift(c, 1, 1) == c
+    assert shift(c, 1, -1) == c
 
 
 def test_shift_coordinate():
-    assert shift(x(), LatticeStep(1, 1)) == x().add(const(1))
+    assert shift(x(), 1, 1) == x().add(const(1))
 
 
 def test_shift_square_backward_matches_box_oracle():
     # pointwise oracle on a 1-d box: (x-1)^2 sampled everywhere
     p = x().mul(x())
-    shifted = shift(p, LatticeStep(1, -1))
+    shifted = shift(p, 1, -1)
     box = cube(1, -5, 5)
     oracle = BoxFunction.from_callable(1, 1, box, lambda m: Scalar((m[0] - 1) ** 2))
     assert shifted.sample(((-4, 4),)) == oracle
@@ -57,7 +56,7 @@ def test_shift_square_backward_matches_box_oracle():
 
 def test_shift_respects_mesh():
     p = ExactPolynomial.coordinate(1, Fraction(1, 2), 1)
-    assert shift(p, LatticeStep(1, 1)) == p.add(
+    assert shift(p, 1, 1) == p.add(
         ExactPolynomial.constant(1, Fraction(1, 2), Scalar(Fraction(1, 2)))
     )
 
@@ -88,20 +87,20 @@ def test_diff_of_coordinate_is_kronecker():
     for j in (1, 2):
         for k in (1, 2):
             c = ExactPolynomial.coordinate(2, 1, k)
-            d = diff(c, LatticeStep(j, 1))
+            d = diff(c, j, 1)
             expect = ExactPolynomial.constant(2, 1, ONE if j == k else Scalar(0))
             assert d == expect
 
 
 def test_diff_constant_zero():
-    assert diff(const(5), LatticeStep(1, 1)).is_zero()
-    assert diff(const(5), LatticeStep(1, -1)).is_zero()
+    assert diff(const(5), 1, 1).is_zero()
+    assert diff(const(5), 1, -1).is_zero()
 
 
 def test_diff_square_forward_stencil():
     # stencil oracle: (x+1)^2 - x^2 = 2x + 1
     p = x().mul(x())
-    assert diff(p, LatticeStep(1, 1)) == x().scale(Scalar(2)).add(const(1))
+    assert diff(p, 1, 1) == x().scale(Scalar(2)).add(const(1))
 
 
 def test_sym_skew_values():
@@ -123,31 +122,31 @@ def test_star_laplacian_values():
 
 def test_box_validity_consumed_by_differences():
     b = x().mul(x()).sample(cube(1, -3, 3))
-    d1 = diff(b, LatticeStep(1, 1))
+    d1 = diff(b, 1, 1)
     assert d1.validity == ((-3, 2),)
-    d2 = diff(d1, LatticeStep(1, -1))
+    d2 = diff(d1, 1, -1)
     assert d2.validity == ((-2, 2),)
     assert d2 == const(2).sample(cube(1, -2, 2))
 
 
 def test_box_margin_exhaustion():
     b = x().sample(cube(1, 0, 1))
-    d1 = diff(b, LatticeStep(1, 1))
+    d1 = diff(b, 1, 1)
     with pytest.raises(EmptyValidityError):
-        diff(d1, LatticeStep(1, 1))
+        diff(d1, 1, 1)
 
 
 def test_box_equality_on_validity_intersection():
     a = x().sample(cube(1, -2, 2))
     b = x().sample(cube(1, 0, 5))
     assert a == b  # they agree on [0, 2]
-    c = shift(x().sample(cube(1, -2, 2)), LatticeStep(1, 1))
+    c = shift(x().sample(cube(1, -2, 2)), 1, 1)
     assert c == x().add(const(1)).sample(cube(1, -3, 1))
 
 
 def test_shift_invertible_on_boxes():
     b = x().mul(x()).sample(cube(1, -3, 3))
-    roundtrip = shift(shift(b, LatticeStep(1, 1)), LatticeStep(1, -1))
+    roundtrip = shift(shift(b, 1, 1), 1, -1)
     assert roundtrip == b
     assert roundtrip.validity == b.validity
 
@@ -172,33 +171,32 @@ def polys_1d(draw, max_terms=4):
 @given(polys_1d(), polys_1d())
 @settings(max_examples=40, deadline=None)
 def test_product_rule(f, g):
-    st1 = LatticeStep(1, 1)
-    lhs = diff(f.mul(g), st1)
-    rhs = diff(f, st1).mul(shift(g, st1)).add(f.mul(diff(g, st1)))
+    lhs = diff(f.mul(g), 1, 1)
+    rhs = diff(f, 1, 1).mul(shift(g, 1, 1)).add(f.mul(diff(g, 1, 1)))
     assert lhs == rhs
 
 
 @given(polys_1d())
 @settings(max_examples=40, deadline=None)
 def test_diff_commutativity_1d(p):
-    a = diff(diff(p, LatticeStep(1, 1)), LatticeStep(1, -1))
-    b = diff(diff(p, LatticeStep(1, -1)), LatticeStep(1, 1))
+    a = diff(diff(p, 1, 1), 1, -1)
+    b = diff(diff(p, 1, -1), 1, 1)
     assert a == b
 
 
 @given(polys_1d())
 @settings(max_examples=40, deadline=None)
 def test_shift_interrelation(p):
-    lhs = shift(diff(p, LatticeStep(1, 1)), LatticeStep(1, -1))
-    assert lhs == diff(p, LatticeStep(1, -1))
+    lhs = shift(diff(p, 1, 1), 1, -1)
+    assert lhs == diff(p, 1, -1)
 
 
 @given(polys_1d())
 @settings(max_examples=30, deadline=None)
 def test_weyl_heisenberg_1d(p):
     for s in (1, -1):
-        lhs = diff(coord_shift_mul(p, 1, -s), LatticeStep(1, s)).sub(
-            coord_shift_mul(diff(p, LatticeStep(1, s)), 1, -s)
+        lhs = diff(coord_shift_mul(p, 1, -s), 1, s).sub(
+            coord_shift_mul(diff(p, 1, s), 1, -s)
         )
         assert lhs == p
 
@@ -214,8 +212,8 @@ def test_weyl_heisenberg_cross_axis_vanishes():
     for j in (1, 2, 3):
         for k in (1, 2, 3):
             for s in (1, -1):
-                lhs = diff(coord_shift_mul(p, k, -s), LatticeStep(j, s)).sub(
-                    coord_shift_mul(diff(p, LatticeStep(j, s)), k, -s)
+                lhs = diff(coord_shift_mul(p, k, -s), j, s).sub(
+                    coord_shift_mul(diff(p, j, s), k, -s)
                 )
                 assert lhs == (p if j == k else ExactPolynomial.zero(n, h))
 
@@ -230,7 +228,7 @@ def test_cross_representation_consistency():
     p = ExactPolynomial(n, h, terms)
     box = cube(n, -4, 4)
     for op in (
-        lambda c: diff(c, LatticeStep(2, 1)),
+        lambda c: diff(c, 2, 1),
         lambda c: sym_diff(c, 1),
         star_laplacian,
         lambda c: coord_shift_mul(c, 2, -1),
@@ -436,8 +434,8 @@ def test_differences_agree_with_dict_reference(case):
             lambda c, a=axis: skew_diff(c, a),
             lambda c, a=axis: coord_shift_mul(c, a, 1),
         ]
-        unary += [lambda c, s=LatticeStep(axis, sign): diff(c, s) for sign in (1, -1)]
-        unary += [lambda c, s=LatticeStep(axis, sign): diff(diff(c, s), s) for sign in (1, -1)]
+        unary += [lambda c, a=axis, s=sign: diff(c, a, s) for sign in (1, -1)]
+        unary += [lambda c, a=axis, s=sign: diff(diff(c, a, s), a, s) for sign in (1, -1)]
     for op in unary:
         assert_agrees(outcome(op, f), outcome(op, rf))
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from latclif.coeffs import ExactPolynomial
+from latclif.coeffs import ExactPolynomial, cube
 from latclif.formfile import dump_form, parse_form
 from latclif.forms import (
     Blade,
@@ -83,6 +83,29 @@ def test_one_form_shifts_coefficient():
     lhs = Form.blade(const(n, h), single_blade(1, 1)).mul(Form.scalar(f))
     expect = Form.blade(f.shift(1, 1), single_blade(1, 1))
     assert lhs == expect
+
+
+def test_blade_factors_are_signed_steps():
+    assert Blade((1,), (2,)).factors() == ((-1, 1), (1, 2))
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["poly", "box"])
+def test_blade_shifts_coefficient_by_its_steps(sampled):
+    # moving f left past a blade shifts it by +1 on each plus axis and by -1
+    # on each minus axis of the blade
+    n, h = 2, Fraction(1, 2)
+    x1, x2 = coord(n, h, 1), coord(n, h, 2)
+    f = x1.mul(x1).add(x1.mul(x2)).add(x2.scale(Scalar(3)))
+    one = const(n, h)
+    if sampled:
+        f, one = f.sample(cube(n, -3, 3)), one.sample(cube(n, -3, 3))
+    for b in all_blades(n):
+        expect = f
+        for axis in b.plus:
+            expect = expect.shift(axis, 1)
+        for axis in b.minus:
+            expect = expect.shift(axis, -1)
+        assert Form.blade(one, b).mul(Form.scalar(f)) == Form.blade(expect, b), b
 
 
 def test_empty_blade_displaces_nothing():

@@ -41,6 +41,9 @@ CASES = {
     # exits 1: the two dirac value checks fail by design
     "verify-dirac-n3": (["verify", "--suite", "dirac", "--n", "3"], 1),
     "verify-dirac-n2-h1_3": (["verify", "--suite", "dirac", "--n", "2", "--h", "1/3"], 1),
+    "verify-forms-n4": (["verify", "--suite", "forms", "--n", "4"], 0),
+    "verify-poly-n3": (["verify", "--suite", "poly", "--n", "3"], 0),
+    # monogenic-n4-p1q1.out is checked by a separate CI step, outside tier-1
 }
 
 

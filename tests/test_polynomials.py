@@ -70,9 +70,9 @@ def test_monomial_principle_exhaustive():
 
 def test_lowering_example():
     fp2 = factorial_power(1, 1, 1, (2,))
-    from latclif.coeffs import LatticeStep, diff
+    from latclif.coeffs import diff
 
-    lowered = diff(fp2.poly, LatticeStep(1, -1))
+    lowered = diff(fp2.poly, 1, -1)
     assert lowered == ExactPolynomial.coordinate(1, 1, 1).scale(Scalar(2))
 
 
