@@ -326,23 +326,6 @@ class BoxFunction:
         return f"BoxFunction(n={self.n}, support={self.support}, validity={self.validity})"
 
 
-def _binomial_terms(terms, i, p, q):
-    """The (exponent, coefficient) pairs of ``terms`` under x_i -> x_i + p/q."""
-    for e, c in terms.items():
-        k = e[i]
-        for j in range(k):
-            # c * x^k contributes c * comb(k, j) * (p/q)^(k-j) * x^j
-            m = k - j
-            coeff = c
-            factor = comb(k, j) * p ** m
-            if factor != 1:
-                coeff = coeff * factor
-            if q != 1:
-                coeff = coeff / q ** m
-            yield e[:i] + (j,) + e[i + 1:], coeff
-        yield e, c
-
-
 class ExactPolynomial:
     """Sparse multivariate polynomial over exact complex rationals.
 
@@ -418,9 +401,28 @@ class ExactPolynomial:
 
     def shift(self, axis, sign):
         """Exact substitution x_axis -> x_axis + sign*h."""
-        # the step sign*h is p/q in lowest terms
+        return self._raw(accumulate(dict(self.terms), self._lower_terms(axis, sign)))
+
+    def _lower_terms(self, axis, sign):
+        """The (exponent, coefficient) pairs that the shift adds to the terms.
+
+        Under x_i -> x_i + p/q, with p/q = sign*h in lowest terms, each
+        c * x^k expands to c * comb(k, j) * (p/q)^(k-j) * x^j for j <= k.
+        The top term j = k is c * x^k itself; the terms below it are yielded.
+        """
+        i = axis - 1
         p, q = sign * self.h.numerator, self.h.denominator
-        return self._raw(accumulate({}, _binomial_terms(self.terms, axis - 1, p, q)))
+        for e, c in self.terms.items():
+            k = e[i]
+            for j in range(k):
+                m = k - j
+                coeff = c
+                factor = comb(k, j) * p ** m
+                if factor != 1:
+                    coeff = coeff * factor
+                if q != 1:
+                    coeff = coeff / q ** m
+                yield e[:i] + (j,) + e[i + 1:], coeff
 
     def coord_mul(self, axis):
         i = axis - 1
@@ -522,9 +524,14 @@ def shift(c, axis, sign):
 def diff(c, axis, sign):
     """Forward (sign +1) or backward (sign -1) difference along one axis.
 
-    Forward: (T^{+} c - c)/h.  Backward: (c - T^{-} c)/h.
+    Forward: (T^{+} c - c)/h.  Backward: (c - T^{-} c)/h.  For a
+    polynomial, T^{sign} c - c is the terms the shift adds, so the
+    difference is those terms alone times sign/h.
     """
     inv_h = Scalar(c.h.denominator) / c.h.numerator
+    if c.kind == "poly":
+        increment = c._raw(accumulate({}, c._lower_terms(axis, sign)))
+        return increment.scale(inv_h if sign > 0 else -inv_h)
     if sign > 0:
         return c.shift(axis, 1).sub(c).scale(inv_h)
     return c.sub(c.shift(axis, -1)).scale(inv_h)

@@ -23,6 +23,7 @@ which drops a polynomial sum that cancels and keeps every box sum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,8 +108,9 @@ def single_blade(sign, axis):
     return Blade((axis,), ())
 
 
+@functools.cache
 def all_blades(n):
-    """All 4^n blades, in canonical sort order."""
+    """All 4^n blades, in canonical sort order, as a tuple built once per n."""
     axes = range(1, n + 1)
     out = []
     for mmask in range(1 << n):
@@ -116,8 +118,7 @@ def all_blades(n):
             minus = tuple(a for a in axes if mmask >> (a - 1) & 1)
             plus = tuple(a for a in axes if pmask >> (a - 1) & 1)
             out.append(Blade(minus, plus))
-    out.sort(key=lambda b: b.sort_key())
-    return out
+    return tuple(sorted(out, key=lambda b: b.sort_key()))
 
 
 def _cancelled(coeff):

@@ -10,9 +10,11 @@ does integer arithmetic and at most one gcd reduction, skipped when the
 denominator is 1, so the common integer case never pays for a gcd.  The
 ``re``/``im`` parts are available as ``Fraction``s for reading only.
 
-:func:`accumulate` is the one sparse-sum rule of the package: every sparse
-Q(i) linear combination (polynomial terms, universal paths, operator images
-and matrix rows) adds its ``(key, Scalar)`` pairs into a dict through it.
+:func:`accumulate` is the one sparse-sum rule for ``Scalar`` values: the
+sparse Q(i) linear combinations kept as ``Scalar``s (polynomial terms,
+operator images and matrix rows) add their ``(key, Scalar)`` pairs into a
+dict through it.  Box samples and universal path forms keep Gaussian-integer
+numerators over one denominator instead, and sum those as ints.
 """
 
 from __future__ import annotations
@@ -189,8 +191,9 @@ def _ratio_text(num, den):
 def accumulate(terms, pairs):
     """Add each ``(key, Scalar)`` pair into the dict ``terms`` in place; return it.
 
-    The one sparse-sum rule of every Q(i) linear combination: a sum that
-    cancels is removed, so no stored value is ever zero.
+    The one sparse-sum rule of the linear combinations kept as ``Scalar``s
+    (not box samples or universal path forms, which sum int numerators): a
+    sum that cancels is removed, so no stored value is ever zero.
     """
     for key, c in pairs:
         old = terms.get(key)

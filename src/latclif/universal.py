@@ -13,6 +13,13 @@ tuples appear only where a path enters (the ``UForm`` constructor and the
 named forms) or leaves (:meth:`UForm.first_term`,
 :meth:`UForm.coordinate_terms` and the repr).
 
+A form maps each path to the Gaussian-integer numerator ``(re, im)`` of its
+coefficient, all over one positive denominator, as a box function stores
+its samples.  Sums, products, scalings, the derivative and the
+constructors are int arithmetic followed by one gcd over the whole result,
+and a ``Scalar`` is made only when a coefficient is read (``terms``,
+:meth:`UForm.first_term`, :meth:`UForm.coordinate_terms`, the repr).
+
 Attaching a :class:`Reduction` passes to the nearest-neighbour quotient.
 Path projection alone (dropping paths with a non-unit step) does not kill
 the straight and returning 2-paths whose vanishing the quotient requires,
@@ -34,8 +41,13 @@ the steps as the blade keys (-1, j) of dx_j^- and (1, j) of dx_j^+ order the
 differentials they map to.
 Every form built from paths (the constructor, the product and the
 derivative) puts each path in canonical shape, absorbing its sign, and
-then sums the pairs by :func:`latclif.scalars.accumulate`, the one
-sparse-sum rule of the package, which drops a sum that cancels.
+then sums the numerators, dropping a sum that cancels.
+
+The reduced derivative is still the insertion sum followed by the quotient,
+but it inserts only nodes one unit step from both sides of a slot: any
+other insertion makes a non-unit step, and the quotient kills its path.
+It never uses the adjacency form or the graded-bracket identity that the
+reduction suite checks against it.
 """
 
 from __future__ import annotations
@@ -43,9 +55,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd, lcm
 from operator import ne
 
-from .scalars import ONE, Scalar, accumulate, as_scalar
+from .scalars import ONE, Scalar, as_scalar, from_triple
 
 
 class Torus:
@@ -194,29 +207,53 @@ def _valid_path(nodes):
     return all(map(ne, nodes, nodes[1:]))
 
 
-def _accumulate(terms, pairs, reduction):
-    """Add (path, coeff) pairs into ``terms`` by :func:`accumulate`; return it.
+def _summed(pairs, den, reduction=None):
+    """The fields ``(num, den)`` of a form summing (path, (re, im)) pairs over ``den``.
 
     Under a reduction each path is first put in canonical shape, its sign
-    absorbed into the coefficient; a path whose class is zero is skipped.
+    absorbed into the numerator; a path whose class is zero is skipped.
     """
-    if reduction is not None:
-        pairs = _canonical(pairs, reduction.canonicalize)
-    return accumulate(terms, pairs)
-
-
-def _canonical(pairs, canonicalize):
-    for path, coeff in pairs:
-        canon = canonicalize(path)
-        if canon is not None:
+    canonicalize = None if reduction is None else reduction.canonicalize
+    num = {}
+    for path, c in pairs:
+        if canonicalize is not None:
+            canon = canonicalize(path)
+            if canon is None:
+                continue
             sgn, path = canon
-            yield path, (coeff if sgn > 0 else -coeff)
+            if sgn < 0:
+                c = (-c[0], -c[1])
+        old = num.get(path)
+        num[path] = c if old is None else (old[0] + c[0], old[1] + c[1])
+    return _lowest(num, den)
+
+
+def _lowest(num, den):
+    """``(num, den)`` without zero numerators and in lowest terms.
+
+    Zero is the empty dict over 1; otherwise the gcd of ``den`` and every
+    numerator part is divided out, so the layout of a form is unique.
+    """
+    num = {p: c for p, c in num.items() if c[0] or c[1]}
+    if not num:
+        return num, 1
+    if den != 1:
+        g = gcd(den, *itertools.chain.from_iterable(num.values()))
+        if g != 1:
+            num = {p: (a // g, b // g) for p, (a, b) in num.items()}
+            den //= g
+    return num, den
 
 
 class UForm:
-    """Sparse association from node paths to scalars.
+    """Sparse association from node paths to Gaussian-rational coefficients.
 
-    ``terms`` maps tuples of node numbers to scalars; the constructor takes
+    ``num`` maps each stored path, a tuple of node numbers, to the
+    Gaussian-integer numerator ``(re, im)`` of its coefficient, all over the
+    one denominator ``den``: the coefficient is ``(re + im*i) / den``.  No
+    numerator is ``(0, 0)``, ``den > 0``, and ``gcd(den, every re and im)``
+    is 1, with zero stored as ``({}, 1)``; so equal forms have equal fields.
+    ``terms`` reads the coefficients as ``Scalar``s.  The constructor takes
     paths of coordinate tuples and :meth:`numbered` takes node numbers.
     Mixed path lengths are allowed; the derivative treats each stored path
     by its own degree.  When a reduction is attached every stored path is
@@ -226,7 +263,7 @@ class UForm:
     def __init__(self, torus, terms=None, reduction=None):
         number = torus.number
         self._fill(torus, reduction, (
-            (tuple(map(number, path)), as_scalar(coeff))
+            (tuple(map(number, path)), coeff)
             for path, coeff in (terms or {}).items()
         ))
 
@@ -242,13 +279,22 @@ class UForm:
             raise ValueError("reduction belongs to a different torus")
         self.torus = torus
         self.reduction = reduction
-        valid = ((path, coeff) for path, coeff in pairs if _valid_path(path))
-        self.terms = _accumulate({}, valid, reduction)
+        triples = [(path, as_scalar(c).triple) for path, c in pairs if _valid_path(path)]
+        den = lcm(*[d for _, (_, _, d) in triples])
+        self.num, self.den = _summed((
+            (path, (a * (den // d), b * (den // d))) for path, (a, b, d) in triples
+        ), den, reduction)
 
-    def _raw(self, terms):
+    def _raw(self, num, den):
         out = UForm.__new__(UForm)
-        out.torus, out.reduction, out.terms = self.torus, self.reduction, terms
+        out.torus, out.reduction, out.num, out.den = self.torus, self.reduction, num, den
         return out
+
+    @property
+    def terms(self):
+        """The ``{path of node numbers: Scalar}`` dict of the form, built on each read."""
+        den = self.den
+        return {p: from_triple(a, b, den) for p, (a, b) in self.num.items()}
 
     # -- structure -------------------------------------------------------
     def _compatible(self, other):
@@ -258,82 +304,129 @@ class UForm:
             raise ValueError("mismatched reduction")
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def is_homogeneous(self):
-        degs = {len(p) - 1 for p in self.terms}
+        degs = {len(p) - 1 for p in self.num}
         return len(degs) <= 1
 
     def degree(self):
-        if not self.terms:
+        if not self.num:
             return 0
-        degs = {len(p) - 1 for p in self.terms}
+        degs = {len(p) - 1 for p in self.num}
         if len(degs) > 1:
             raise ValueError("form is not homogeneous")
         return degs.pop()
 
-    def add(self, other):
+    def _linear(self, other, sign):
+        """self + sign * other; stored paths are canonical already."""
         self._compatible(other)
-        # stored paths are canonical already
-        return self._raw(accumulate(dict(self.terms), other.terms.items()))
+        d, e = self.den, other.den
+        den = lcm(d, e)
+        f, g = den // d, sign * (den // e)
+        return self._raw(*_summed(itertools.chain(
+            ((p, (a * f, b * f)) for p, (a, b) in self.num.items()),
+            ((p, (a * g, b * g)) for p, (a, b) in other.num.items()),
+        ), den))
+
+    def add(self, other):
+        return self._linear(other, 1)
 
     def sub(self, other):
-        return self.add(other.scale(Scalar(-1)))
+        return self._linear(other, -1)
 
     def scale(self, s):
-        s = as_scalar(s)
-        if not s:
-            return self._raw({})
-        return self._raw({p: s * c for p, c in self.terms.items()})
+        x, y, e = as_scalar(s).triple
+        if not (x or y):
+            return self._raw({}, 1)
+        num = {p: (a * x - b * y, a * y + b * x) for p, (a, b) in self.num.items()}
+        return self._raw(*_lowest(num, self.den * e))
 
     def neg(self):
-        return self.scale(Scalar(-1))
+        return self._raw({p: (-a, -b) for p, (a, b) in self.num.items()}, self.den)
 
     # -- algebra ---------------------------------------------------------
     def uproduct(self, other):
         """Concatenation product: b_{..,p} * b_{q,..} = delta_{pq} b_{..,p,..}."""
         self._compatible(other)
+        # the right factor's paths by start node, each as (path after it, numerator)
+        tails = {}
+        for q, c in other.num.items():
+            tails.setdefault(q[0], []).append((q[1:], c))
         pairs = (
-            (p + q[1:], c * d)
-            for p, c in self.terms.items()
-            for q, d in other.terms.items()
-            if p[-1] == q[0]
+            (p + tail, (a * x - b * y, a * y + b * x))
+            for p, (a, b) in self.num.items()
+            for tail, (x, y) in tails.get(p[-1], ())
         )
-        return self._raw(_accumulate({}, pairs, self.reduction))
+        return self._raw(*_summed(pairs, self.den * other.den, self.reduction))
 
     def uderiv(self):
-        """Alternating insertion sum over all nodes and slots."""
-        count = len(self.torus.nodes())
+        """Alternating insertion sum over all nodes and slots, then the quotient.
 
-        def pairs():
-            for path, c in self.terms.items():
-                r = len(path)
-                signed = (c, -c)
-                # slot s: the nodes before and after it (-1 at an end) and the sign
-                slots = [
-                    (path[:s], path[s:], path[s - 1] if s else -1,
-                     path[s] if s < r else -1, signed[s % 2])
-                    for s in range(r + 1)
-                ]
-                for l in range(count):
-                    for head, tail, before, after, coeff in slots:
-                        if l != before and l != after:
-                            yield head + (l,) + tail, coeff
-
-        return self._raw(_accumulate({}, pairs(), self.reduction))
+        Node l inserted at slot s of a path (before its s-th node) gives
+        (-1)^s times the longer path, for every l other than the nodes on
+        either side of the slot.  Under a reduction only the nodes one unit
+        step from both sides are inserted: every other insertion makes a
+        non-unit step, whose path the quotient kills.
+        """
+        red = self.reduction
+        canonicalize = None if red is None else red.canonicalize
+        everywhere = range(len(self.torus.nodes()))
+        num = {}
+        get = num.get
+        for path, (a, b) in self.num.items():
+            r = len(path)
+            for s in range(r + 1):
+                head, tail = path[:s], path[s:]
+                before = path[s - 1] if s else -1
+                after = path[s] if s < r else -1
+                if red is None:
+                    inserted = everywhere
+                elif s == 0:
+                    inserted = red.neighbours[after]
+                elif s == r:
+                    inserted = red.neighbours[before]
+                else:
+                    keys = red._keys[after]
+                    inserted = [l for l in red.neighbours[before] if l in keys]
+                signed = (a, b) if s % 2 == 0 else (-a, -b)
+                for l in inserted:
+                    if l == before or l == after:
+                        continue
+                    new = head + (l,) + tail
+                    c = signed
+                    if canonicalize is not None:
+                        canon = canonicalize(new)
+                        if canon is None:
+                            continue
+                        sgn, new = canon
+                        if sgn < 0:
+                            c = (-c[0], -c[1])
+                    old = get(new)
+                    if old is None:
+                        num[new] = c
+                    else:
+                        # a sum that cancels goes at once: d(d w) cancels wholesale,
+                        # and dead entries would grow the dict to every path touched
+                        x, y = old[0] + c[0], old[1] + c[1]
+                        if x or y:
+                            num[new] = (x, y)
+                        else:
+                            del num[new]
+        return self._raw(*_lowest(num, self.den))
 
     def translate(self, p):
         """Left translation: every node of every path moves by p."""
         shift = self.torus.shift_table(p)
         return self._raw({
-            tuple(shift[m] for m in path): c for path, c in self.terms.items()
-        })
+            tuple(shift[m] for m in path): c for path, c in self.num.items()
+        }, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, UForm):
             return NotImplemented
         self._compatible(other)
-        return self.sub(other).is_zero()
+        return self.den == other.den and self.num == other.num
 
     __hash__ = None
 
@@ -347,18 +440,19 @@ class UForm:
 
     def first_term(self):
         """The shortest, then lexicographically first, path and its scalar."""
-        if not self.terms:
+        if not self.num:
             return None
-        p = min(self.terms, key=lambda q: (len(q), q))
-        return self._coordinates(p), self.terms[p]
+        p = min(self.num, key=lambda q: (len(q), q))
+        return self._coordinates(p), from_triple(*self.num[p], self.den)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "UForm(0)"
         bits = []
-        for p in sorted(self.terms, key=lambda q: (len(q), q))[:4]:
-            bits.append(f"{self.terms[p].to_text()}*b{list(self._coordinates(p))}")
-        more = "" if len(self.terms) <= 4 else f" ... ({len(self.terms)} terms)"
+        for p in sorted(self.num, key=lambda q: (len(q), q))[:4]:
+            c = from_triple(*self.num[p], self.den)
+            bits.append(f"{c.to_text()}*b{list(self._coordinates(p))}")
+        more = "" if len(self.num) <= 4 else f" ... ({len(self.num)} terms)"
         return "UForm(" + " + ".join(bits) + more + ")"
 
 

@@ -1,10 +1,14 @@
+import itertools
 import random
+import re
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from latclif import suites, universal
-from latclif.scalars import ZERO, Scalar
+from latclif.scalars import ONE, ZERO, Scalar
 from latclif.universal import (
     Reduction,
     Torus,
@@ -415,3 +419,147 @@ def test_derivative_and_product_match_coordinate_reference(n, N, reduced):
             assert coordinate_terms(w.uderiv()) == reference_uderiv(torus, cw, reduced)
             nonzero += bool(product)
     assert nonzero >= 3
+
+
+# -- the integer layout against a plain {path: Scalar} reference ----------------
+#
+# A form stores Gaussian-integer numerators over one denominator.  The
+# references above sum Scalars; the coefficients below have denominators 2
+# and 3 and the h^k weights that forms.to_universal gives a degree-k blade.
+
+COEFFS = [Scalar(Fraction(a, d), Fraction(b, d)) * Fraction(2, 3) ** k
+          for a, b, d, k in [(1, 0, 1, 0), (-1, 1, 2, 0), (2, -1, 3, 1), (1, 1, 6, 2),
+                             (-3, 0, 2, 3), (0, 1, 3, 1), (5, 2, 1, 2)]]
+
+
+def assert_lowest(form):
+    """Nonzero numerators over a positive denominator, in lowest terms."""
+    assert form.den > 0
+    assert all(a or b for a, b in form.num.values())
+    assert gcd(form.den, *itertools.chain.from_iterable(form.num.values())) == 1
+    assert form.num or form.den == 1
+    assert form.terms == {p: Scalar(Fraction(a, form.den), Fraction(b, form.den))
+                          for p, (a, b) in form.num.items()}
+
+
+@st.composite
+def coordinate_forms(draw, torus, degree, starts=None):
+    """{coordinate path: Scalar} of unit steps and jumps to other nodes, from ``starts``."""
+    steps = allowed_steps(torus)
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        path = [draw(st.sampled_from(starts or torus.nodes()))]
+        for _ in range(degree):
+            k = draw(st.integers(0, 2 * len(steps)))
+            if k >= len(steps):
+                path.append(draw(st.sampled_from([m for m in torus.nodes() if m != path[-1]])))
+            else:
+                axis, sign = steps[k]
+                path.append(torus.add(path[-1], torus.unit_step(axis, sign)))
+        terms[tuple(path)] = draw(st.sampled_from(COEFFS))
+    return terms
+
+
+@given(st.data())
+def test_integer_layout_matches_scalar_reference(data):
+    n, N = data.draw(st.sampled_from(SHAPES))
+    reduced = data.draw(st.booleans())
+    torus = Torus(n, N)
+    red = Reduction(torus) if reduced else None
+    raw_w = data.draw(coordinate_forms(torus, data.draw(st.integers(0, 2))))
+    w = UForm(torus, raw_w, red)
+    ref_w = reference_sum(torus, raw_w.items(), reduced)
+    ends = [p[-1] for p in ref_w]
+    raw_v = data.draw(coordinate_forms(torus, data.draw(st.integers(0, 2)), ends))
+    v = UForm(torus, raw_v, red)
+    ref_v = reference_sum(torus, raw_v.items(), reduced)
+    s = data.draw(st.sampled_from(COEFFS + [ZERO]))
+    p = data.draw(st.sampled_from(torus.nodes()))
+    expected = [
+        (w, ref_w),
+        (w.add(v), reference_sum(torus, [*ref_w.items(), *ref_v.items()], reduced)),
+        (w.sub(v), reference_sum(torus, [*ref_w.items(), *((q, -c) for q, c in ref_v.items())],
+                                 reduced)),
+        (w.scale(s), {q: s * c for q, c in ref_w.items() if s}),
+        (w.neg(), {q: -c for q, c in ref_w.items()}),
+        (w.uproduct(v), reference_uproduct(torus, ref_w, ref_v, reduced)),
+        (w.uderiv(), reference_uderiv(torus, ref_w, reduced)),
+        (w.translate(p), {tuple(torus.add(m, p) for m in q): c for q, c in ref_w.items()}),
+    ]
+    for form, ref in expected:
+        assert coordinate_terms(form) == ref
+        assert_lowest(form)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+def test_zero_coefficients_are_never_stored(reduced):
+    torus = Torus(2, 3)
+    red = Reduction(torus) if reduced else None
+    edge, other = ((0, 0), (0, 1)), ((1, 1), (1, 2))
+    assert UForm(torus, {edge: 0}, red).is_zero()
+    assert UForm(torus, {edge: ZERO}, red).num == {}
+    assert UForm.numbered(torus, [((0, 1), ZERO)], red).is_zero()
+    form = UForm(torus, {edge: 0, other: Scalar(1, 2)}, red)
+    assert form.coordinate_terms() == [(other, Scalar(1, 2))]
+    assert_lowest(form)
+    # two inputs on one path that cancel
+    assert UForm.numbered(torus, [((0, 1), Scalar(1, 3)), ((0, 1), Scalar(-1, -3))],
+                          red).is_zero()
+
+
+def test_reduced_inputs_cancelling_in_canonical_shape_are_not_stored():
+    torus = Torus(2, 4)
+    red = Reduction(torus)
+    # e_1 then e_2, and e_2 then e_1: one canonical path with opposite signs
+    form = UForm(torus, {((0, 0), (1, 0), (1, 1)): ONE, ((0, 0), (0, 1), (1, 1)): ONE}, red)
+    assert form.is_zero() and form.den == 1
+
+
+def test_numerators_are_in_lowest_terms_over_the_denominator():
+    torus = Torus(1, 5)
+    w = UForm(torus, {((0,), (1,)): Scalar(Fraction(1, 6)), ((1,), (2,)): Scalar(0, Fraction(1, 3))})
+    assert (w.num, w.den) == ({(0, 1): (1, 0), (1, 2): (0, 2)}, 6)
+    twice = w.add(w)
+    assert (twice.num, twice.den) == ({(0, 1): (1, 0), (1, 2): (0, 2)}, 3)
+    assert w.scale(6).den == 1 and w.scale(Scalar(0, 3)).num == {(0, 1): (0, 1), (1, 2): (-2, 0)}
+    assert w.sub(w).num == {} and w.sub(w).den == 1
+    for form in (w, twice, w.uderiv(), w.uproduct(w.translate((1,))), w.scale(Fraction(3, 4))):
+        assert_lowest(form)
+
+
+# -- the oracle's PASS lines can fail ------------------------------------------
+
+def uderiv_without_last_slot(form):
+    """The insertion sum of UForm.uderiv with its last slot (appending) left out."""
+    count = len(form.torus.nodes())
+    pairs = []
+    for path, c in form.terms.items():
+        for s in range(len(path)):
+            for l in range(count):
+                if (s and path[s - 1] == l) or path[s] == l:
+                    continue
+                pairs.append((path[:s] + (l,) + path[s:], c if s % 2 == 0 else -c))
+    return UForm.numbered(form.torus, pairs, form.reduction)
+
+
+def test_a_derivative_without_its_last_slot_fails_the_oracle(monkeypatch):
+    def report():
+        lines = {}
+        for check in suites.universal_suite(2, 3) + suites.reduction_suite(2, 3):
+            [line], _ = check.run()
+            lines[check.name] = line
+        return lines
+
+    intact = UForm.uderiv
+    monkeypatch.setattr(UForm, "uderiv", uderiv_without_last_slot)
+    broken = report()
+    for name in ("universal.nilpotency", "reduction.derivative-graded-bracket"):
+        assert broken[name].startswith(f"CHECK {name} FAIL ")
+        assert re.search(r": at \(\(.*\)\) = \S+$", broken[name]), broken[name]
+    # Reduced, the first slot alone is left multiplication by the adjacency
+    # form G, and G^2 = 0: nilpotency cannot see the missing slot there; the
+    # graded bracket d w = G w - (-1)^r w G above does.
+    assert broken["reduction.nilpotency"] == "CHECK reduction.nilpotency PASS"
+    monkeypatch.undo()
+    assert UForm.uderiv is intact
+    assert all(line.endswith(" PASS") for line in report().values())
