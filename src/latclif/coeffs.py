@@ -157,10 +157,6 @@ class BoxFunction:
     def coordinate(cls, n, h, axis, box):
         return cls.constant(n, h, box).coord_mul(axis)
 
-    @classmethod
-    def from_callable(cls, n, h, box, fn):
-        return cls.from_samples(n, h, box, box, [fn(p) for p in box_points(box)])
-
     def _new(self, support, validity, re, im, den):
         out = BoxFunction.__new__(BoxFunction)
         out.n, out.h, out.support, out.validity = self.n, self.h, support, validity

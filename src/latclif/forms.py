@@ -16,9 +16,10 @@ provide the exact bridge used by the oracle suite.
 
 Blade products take their sign from :func:`latclif.universal.grassmann_sort`,
 the same rule that orders the steps of reduced paths.  Every form built
-term by term (products, derivatives, automorphisms and the primitive
-operators of :mod:`latclif.operators`) goes through :meth:`Form.collect`,
-which drops a polynomial sum that cancels and keeps every box sum.
+term by term (sums of two forms, products, derivatives, automorphisms and
+the primitive operators of :mod:`latclif.operators`) goes through
+:meth:`Form.collect`, which drops a polynomial sum that cancels and keeps
+every box sum.
 """
 
 from __future__ import annotations
@@ -168,10 +169,11 @@ class Form:
         out = cls.zero(n, h)
         terms = out.terms
         for sign, blade, coeff in triples:
-            if sign < 0:
+            old = terms.get(blade)
+            if old is not None:
+                coeff = old.sub(coeff) if sign < 0 else old.add(coeff)
+            elif sign < 0:
                 coeff = coeff.neg()
-            if blade in terms:
-                coeff = terms[blade].add(coeff)
             if _cancelled(coeff):
                 terms.pop(blade, None)
             else:
@@ -199,25 +201,19 @@ class Form:
         if k1 and k2 and k1 != k2:
             raise ValueError("coefficient algebra mismatch")
 
-    def _merge(self, other, subtract):
+    def _linear(self, other, sign):
+        """self + sign * other."""
         self._compatible(other)
-        terms = dict(self.terms)
-        for b, c in other.terms.items():
-            if b not in terms:
-                terms[b] = c.neg() if subtract else c
-                continue
-            s = terms[b].sub(c) if subtract else terms[b].add(c)
-            if _cancelled(s):
-                del terms[b]
-            else:
-                terms[b] = s
-        return self._raw(terms)
+        return Form.collect(self.n, self.h, itertools.chain(
+            ((1, b, c) for b, c in self.terms.items()),
+            ((sign, b, c) for b, c in other.terms.items()),
+        ))
 
     def add(self, other):
-        return self._merge(other, subtract=False)
+        return self._linear(other, 1)
 
     def sub(self, other):
-        return self._merge(other, subtract=True)
+        return self._linear(other, -1)
 
     def scale(self, s):
         s = as_scalar(s)

@@ -418,11 +418,6 @@ class OperatorReport:
     passed: bool
     witness: str | None = None
 
-    def line(self):
-        status = "PASS" if self.passed else "FAIL"
-        extra = f" {self.witness}" if self.witness else ""
-        return f"{self.name} {status}{extra}"
-
 
 def spanning_coeffs(n, h):
     """Polynomial coefficients 1, x_j, x_j x_k (j<k), x_j^2."""

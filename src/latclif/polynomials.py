@@ -296,8 +296,8 @@ def independent_over_scalars(forms):
     return coordinate_rank(forms) == len(forms)
 
 
-def classical_scaling_residual(form, p, q, factor=2):
-    """Residual of R(factor*x) - factor^(p+q) R(x), coefficientwise."""
-    scaled = form.map_coeffs(lambda c: c.scale_variables(factor))
-    target = form.scale(Scalar(factor ** (p + q)))
+def classical_scaling_residual(form, p, q):
+    """Residual of R(2x) - 2^(p+q) R(x), coefficientwise."""
+    scaled = form.map_coeffs(lambda c: c.scale_variables(2))
+    target = form.scale(Scalar(2 ** (p + q)))
     return scaled.sub(target)

@@ -364,17 +364,17 @@ def reduction_suite(n, N):
     def graded_bracket(rng):
         for m in torus.nodes():
             w0 = delta_form(torus, m, red)
-            yield f"0-form at {m}", check_graded_bracket(w0).residual, ZERO
+            yield f"0-form at {m}", check_graded_bracket(w0), ZERO
             for a, sa in allowed_steps(torus):
                 p1 = (m, torus.add(m, torus.unit_step(a, sa)))
                 w1 = upath_form(torus, p1, red)
                 if not w1.is_zero():
-                    yield f"1-path {p1}", check_graded_bracket(w1).residual, ZERO
+                    yield f"1-path {p1}", check_graded_bracket(w1), ZERO
                 for b, sb in allowed_steps(torus):
                     p2 = p1 + (torus.add(p1[1], torus.unit_step(b, sb)),)
                     w2 = upath_form(torus, p2, red)
                     if not w2.is_zero():
-                        yield f"2-path {p2}", check_graded_bracket(w2).residual, ZERO
+                        yield f"2-path {p2}", check_graded_bracket(w2), ZERO
 
     def no_intermediate(rng):
         m = torus.nodes()[0]
@@ -655,7 +655,7 @@ def dirac_suite(n, h, convention=dirac_mod.DEFAULT_CONVENTION):
     ])
 
 
-def intertwine_suite(n, h, default=dirac_mod.DEFAULT_CONVENTION):
+def intertwine_suite(n, h):
     tf = spanning_forms(n, h)
 
     def relations():
@@ -670,6 +670,7 @@ def intertwine_suite(n, h, default=dirac_mod.DEFAULT_CONVENTION):
                 tail = "" if r.passed else f" {r.witness}"
                 status = "PASS" if r.passed else "FAIL"
                 lines.append(f"RELATION {r.name} CONVENTION {conv} {status}{tail}")
+        default = dirac_mod.DEFAULT_CONVENTION
         unique = passing == [default]
         lines.append(check_line("dirac.convention-unique", unique,
                                 f"passing conventions: {passing}"))
@@ -683,7 +684,7 @@ def intertwine_suite(n, h, default=dirac_mod.DEFAULT_CONVENTION):
 # ---------------------------------------------------------------------------
 # polynomial suites.
 
-def poly_suite(n, h, max_degree=4):
+def poly_suite(n, h):
     m = min(n, 2)
     zero = Operator.constant(0)
     ident = Operator.identity()
@@ -697,7 +698,7 @@ def poly_suite(n, h, max_degree=4):
 
     def alphas():
         for s in (1, -1):
-            for total in range(max_degree + 1):
+            for total in range(5):  # total degrees 0 to 4
                 for alpha in multi_indices(n, total):
                     yield s, alpha
 

@@ -49,7 +49,8 @@ def test_shift_square_backward_matches_box_oracle():
     p = x().mul(x())
     shifted = shift(p, 1, -1)
     box = cube(1, -5, 5)
-    oracle = BoxFunction.from_callable(1, 1, box, lambda m: Scalar((m[0] - 1) ** 2))
+    oracle = BoxFunction.from_samples(1, 1, box, box,
+                                      [Scalar((m[0] - 1) ** 2) for m in box_points(box)])
     assert shifted.sample(((-4, 4),)) == oracle
     assert shifted == x().mul(x()).sub(x().scale(Scalar(2))).add(const(1))
 

@@ -157,7 +157,9 @@ def test_intertwining_all_pass_default():
     for n in (1, 2):
         fam = build_family(n, MINUS)
         reports = verify_intertwining(fam, spanning_forms(n, H))
-        assert all(r.passed for r in reports), [r.line() for r in reports]
+        assert all(r.passed for r in reports), [
+            (r.name, r.witness) for r in reports if not r.passed
+        ]
 
 
 def test_intertwining_fails_under_plus_with_witness():

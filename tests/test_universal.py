@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -191,15 +192,15 @@ def test_graded_bracket_zero_one_two_forms():
     torus = Torus(2, 4)
     red = Reduction(torus)
     m = (0, 0)
-    assert check_graded_bracket(delta_form(torus, m, red)).passed
+    assert check_graded_bracket(delta_form(torus, m, red)).is_zero()
     th = theta(torus, (1, 0), red)
-    assert check_graded_bracket(th).passed
+    assert check_graded_bracket(th).is_zero()
     rng = random.Random(7)
     for _ in range(5):
         w = random_uform(torus, 2, rng, red)
         if w.is_zero():
             continue
-        assert check_graded_bracket(w).passed
+        assert check_graded_bracket(w).is_zero()
 
 
 def test_reduced_nilpotency_and_leibniz():
@@ -237,7 +238,6 @@ def test_no_intermediate_edges_summed():
 def test_mixed_degree_forms_supported():
     torus = Torus(1, 5)
     mixed = delta_form(torus, (0,)).add(upath_form(torus, ((0,), (1,))))
-    assert not mixed.is_homogeneous()
     with pytest.raises(ValueError):
         mixed.degree()
 
@@ -419,6 +419,25 @@ def test_derivative_and_product_match_coordinate_reference(n, N, reduced):
             assert coordinate_terms(w.uderiv()) == reference_uderiv(torus, cw, reduced)
             nonzero += bool(product)
     assert nonzero >= 3
+    if reduced:
+        # every basis path of degree <= 2 with distinct steps; at N = 3 a node
+        # one unit step from both sides of a step e exists (-e twice), which
+        # the derivative's end-only insertion leaves out
+        steps = [torus.unit_step(axis, sign) for axis, sign in allowed_steps(torus)]
+        checked = 0
+        for degree in (0, 1, 2):
+            for m in torus.nodes():
+                for walk in itertools.product(steps, repeat=degree):
+                    path = [m]
+                    for step in walk:
+                        path.append(torus.add(path[-1], step))
+                    w = upath_form(torus, path, red)
+                    if w.is_zero():
+                        continue
+                    checked += 1
+                    expected = reference_uderiv(torus, coordinate_terms(w), True)
+                    assert coordinate_terms(w.uderiv()) == expected, path
+        assert checked == len(torus.nodes()) * sum(math.perm(2 * n, k) for k in range(3))
 
 
 # -- the integer layout against a plain {path: Scalar} reference ----------------
@@ -529,20 +548,28 @@ def test_numerators_are_in_lowest_terms_over_the_denominator():
 
 # -- the oracle's PASS lines can fail ------------------------------------------
 
-def uderiv_without_last_slot(form):
-    """The insertion sum of UForm.uderiv with its last slot (appending) left out."""
+def uderiv_without_slot(form, dropped):
+    """The insertion sum of UForm.uderiv without slot 0 (prepending) or -1 (appending)."""
     count = len(form.torus.nodes())
     pairs = []
     for path, c in form.terms.items():
-        for s in range(len(path)):
+        r = len(path)
+        for s in range(r + 1):
+            if s == dropped % (r + 1):
+                continue
             for l in range(count):
-                if (s and path[s - 1] == l) or path[s] == l:
+                if (s and path[s - 1] == l) or (s < r and path[s] == l):
                     continue
                 pairs.append((path[:s] + (l,) + path[s:], c if s % 2 == 0 else -c))
     return UForm.numbered(form.torus, pairs, form.reduction)
 
 
-def test_a_derivative_without_its_last_slot_fails_the_oracle(monkeypatch):
+@pytest.mark.parametrize("dropped, failing", [
+    (0, ("universal.nilpotency", "universal.leibniz", "universal.sum-db-zero",
+         "universal.inner-commutator", "reduction.derivative-graded-bracket")),
+    (-1, ("universal.nilpotency", "reduction.derivative-graded-bracket")),
+], ids=["first", "last"])
+def test_a_derivative_without_an_end_slot_fails_the_oracle(monkeypatch, dropped, failing):
     def report():
         lines = {}
         for check in suites.universal_suite(2, 3) + suites.reduction_suite(2, 3):
@@ -551,14 +578,14 @@ def test_a_derivative_without_its_last_slot_fails_the_oracle(monkeypatch):
         return lines
 
     intact = UForm.uderiv
-    monkeypatch.setattr(UForm, "uderiv", uderiv_without_last_slot)
+    monkeypatch.setattr(UForm, "uderiv", lambda form: uderiv_without_slot(form, dropped))
     broken = report()
-    for name in ("universal.nilpotency", "reduction.derivative-graded-bracket"):
+    for name in failing:
         assert broken[name].startswith(f"CHECK {name} FAIL ")
         assert re.search(r": at \(\(.*\)\) = \S+$", broken[name]), broken[name]
-    # Reduced, the first slot alone is left multiplication by the adjacency
-    # form G, and G^2 = 0: nilpotency cannot see the missing slot there; the
-    # graded bracket d w = G w - (-1)^r w G above does.
+    # Reduced, either end slot alone is a one-sided multiplication by the
+    # adjacency form G, and G^2 = 0: nilpotency cannot see the missing slot
+    # there; the graded bracket d w = G w - (-1)^r w G above does.
     assert broken["reduction.nilpotency"] == "CHECK reduction.nilpotency PASS"
     monkeypatch.undo()
     assert UForm.uderiv is intact
