@@ -322,6 +322,17 @@ class BoxFunction:
         return f"BoxFunction(n={self.n}, support={self.support}, validity={self.validity})"
 
 
+def multi_indices(n, total):
+    """All multi-indices of the given total degree, lexicographic."""
+    if n == 1:
+        return [(total,)]
+    out = []
+    for first in range(total, -1, -1):
+        for rest in multi_indices(n - 1, total - first):
+            out.append((first,) + rest)
+    return out
+
+
 class ExactPolynomial:
     """Sparse multivariate polynomial over exact complex rationals.
 

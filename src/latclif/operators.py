@@ -13,9 +13,14 @@ raising operators ``M`` (x_j T^{s j}), coordinate multiplications ``X``
 and symmetric and skew differences ``nabla`` and ``nablaTilde``.  The Witt
 generators ``xi(s, j) = gamma(s, j) + vartheta(-s, j)/2``, the Clifford
 generators ``upsilon(s, j) = xi(+, j) + s xi(-, j)`` and the shift-free
-``witt(s, j)`` are named combinations of them.  Identity checks are
-decided by exact evaluation on a spanning set of one-term forms with
-polynomial coefficients.
+``witt(s, j)`` are named combinations of them.  Operator identities are
+decided by normal form (:mod:`latclif.normal`): every primitive except
+``vartheta_recursive`` declares its word in x and T, each node builds its
+normal form on first use, for one (n, h), and two sides are equal exactly
+when their normal forms are.  Evaluation on a spanning set of one-term
+forms with polynomial coefficients finds the witness of a failed identity,
+decides an identity that has a side with no normal form, and checks the
+per-element certificates of the monogenic solver.
 
 A form with polynomial coefficients is evaluated as a sparse vector over
 the basis elements (blade, monomial), each numbered once per process
@@ -45,18 +50,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from . import normal
 from .coeffs import (
     ExactPolynomial,
     coord_shift_mul,
     diff,
+    multi_indices,
     shift,
     skew_diff,
     sym_diff,
 )
 from .forms import Form, all_blades, blade_from_factors, blade_mul, single_blade
-from .scalars import ONE, Scalar, accumulate, as_scalar
-
-MINUS_ONE = Scalar(-1)
+from .scalars import MINUS_ONE, ONE, Scalar, accumulate, as_scalar
 
 # Basis elements (blade, exps, h), numbered once per process in the order met.
 _BASIS = []
@@ -101,14 +106,19 @@ def _flat(vec):
 class Operator:
     """A linear endomorphism of the form algebra, as an expression tree."""
 
-    def __init__(self, kind, parts=(), coeffs=(), *, name=None, fn=None):
+    def __init__(self, kind, parts=(), coeffs=(), *, name=None, fn=None, word=None):
         self.kind = kind  # "prim" | "compose" | "sum"
         self.parts = parts  # compose: applied right to left; sum: one per coefficient
         self.coeffs = coeffs
         self.name = name
         self.fn = fn
+        # prim nodes: a function (n, h) -> the normal form of fn; None when
+        # fn declares no word, so that no tree containing it has a normal form
+        self.word = word
         # prim and sum nodes: basis id -> image, as a flat (id, coeff, ...) tuple
         self._images = {}
+        # (n, h) -> normal form, or None when a primitive below has none
+        self._normal = {}
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -202,6 +212,27 @@ class Operator:
             accumulate(out, op.apply_vector({i: c}).items())
         return _flat(out)
 
+    def normal_form(self, n, h):
+        """The normal form of :mod:`latclif.normal` on forms of dimension n and
+        mesh h, or None when some primitive of the tree declares no word."""
+        key = (n, h)
+        if key not in self._normal:
+            self._normal[key] = self._build_normal(n, h)
+        return self._normal[key]
+
+    def _build_normal(self, n, h):
+        if self.kind == "prim":
+            return None if self.word is None else self.word(n, h)
+        parts = [op.normal_form(n, h) for op in self.parts]
+        if None in parts:
+            return None
+        if self.kind == "sum":
+            return normal.combination(zip(self.coeffs, parts))
+        out = normal.identity(n) if not parts else parts[-1]
+        for part in reversed(parts[:-1]):
+            out = normal.product(part, out, h)
+        return out
+
     def to_text(self):
         """The expression in the grammar of :mod:`latclif.opexpr`."""
         if self.name is not None:
@@ -263,7 +294,8 @@ def gamma(sign, axis):
 
         return Form.collect(form.n, form.h, triples())
 
-    return Operator("prim", name=f"gamma({_sign_char(sign)},{axis})", fn=apply)
+    return Operator("prim", name=f"gamma({_sign_char(sign)},{axis})", fn=apply,
+                    word=lambda n, h: normal.blade_word(apply, n, h, axis, sign))
 
 
 @cache
@@ -289,7 +321,8 @@ def vartheta(sign, axis):
 
         return Form.collect(form.n, form.h, triples())
 
-    return Operator("prim", name=f"vartheta({_sign_char(sign)},{axis})", fn=apply)
+    return Operator("prim", name=f"vartheta({_sign_char(sign)},{axis})", fn=apply,
+                    word=lambda n, h: normal.blade_word(apply, n, h, axis, -sign))
 
 
 @cache
@@ -363,21 +396,29 @@ def witt(sign, axis):
     )
 
 
-def _coeffwise(name, fn):
-    """The primitive that applies ``fn`` to every coefficient of a form."""
-    return Operator("prim", name=name, fn=lambda form: form.map_coeffs(fn))
+def _coeffwise(name, fn, axis, terms):
+    """The primitive that applies ``fn`` to every coefficient of a form.
+
+    Its word is the sum of c * x_axis^k T_axis^s over the (c, k, s) of
+    ``terms(h)``.
+    """
+    return Operator("prim", name=name, fn=lambda form: form.map_coeffs(fn),
+                    word=lambda n, h: normal.coefficient_word(n, axis, terms(h)))
 
 
 @cache
 def shift_op(sign, axis):
     sign = _sgn(sign)
-    return _coeffwise(f"T({_sign_char(sign)},{axis})", lambda c: shift(c, axis, sign))
+    return _coeffwise(f"T({_sign_char(sign)},{axis})", lambda c: shift(c, axis, sign),
+                      axis, lambda h: [(ONE, 0, sign)])
 
 
 @cache
 def diff_op(sign, axis):
+    """(T^{s j} - 1) s/h."""
     sign = _sgn(sign)
-    return _coeffwise(f"D({_sign_char(sign)},{axis})", lambda c: diff(c, axis, sign))
+    return _coeffwise(f"D({_sign_char(sign)},{axis})", lambda c: diff(c, axis, sign),
+                      axis, lambda h: [(Scalar(sign / h), 0, sign), (Scalar(-sign / h), 0, 0)])
 
 
 @cache
@@ -385,26 +426,32 @@ def coord_shift(sign, axis):
     """The raising operator M_j^s = x_j T^{s j}, coefficientwise."""
     sign = _sgn(sign)
     return _coeffwise(
-        f"M({_sign_char(sign)},{axis})", lambda c: coord_shift_mul(c, axis, sign)
+        f"M({_sign_char(sign)},{axis})", lambda c: coord_shift_mul(c, axis, sign),
+        axis, lambda h: [(ONE, 1, sign)],
     )
 
 
 @cache
 def coord_mul(axis):
     """Plain multiplication by the coordinate x_j."""
-    return _coeffwise(f"X({axis})", lambda c: c.coord_mul(axis))
+    return _coeffwise(f"X({axis})", lambda c: c.coord_mul(axis), axis, lambda h: [(ONE, 1, 0)])
 
 
 @cache
 def nabla(axis):
-    """Symmetric difference, the mean of the two one-sided differences."""
-    return _coeffwise(f"nabla({axis})", lambda c: sym_diff(c, axis))
+    """Symmetric difference, the mean of the two one-sided differences: (T - T^-1)/(2h)."""
+    return _coeffwise(f"nabla({axis})", lambda c: sym_diff(c, axis), axis, lambda h: [
+        (Scalar(1 / (2 * h)), 0, 1), (Scalar(-1 / (2 * h)), 0, -1),
+    ])
 
 
 @cache
 def nabla_tilde(axis):
-    """Skew difference: (backward - forward) / (2i)."""
-    return _coeffwise(f"nablaTilde({axis})", lambda c: skew_diff(c, axis))
+    """Skew difference: (backward - forward) / (2i) = (2 - T - T^-1) (-i/(2h))."""
+    return _coeffwise(f"nablaTilde({axis})", lambda c: skew_diff(c, axis), axis, lambda h: [
+        (Scalar(0, -1 / h), 0, 0), (Scalar(0, 1 / (2 * h)), 0, 1),
+        (Scalar(0, 1 / (2 * h)), 0, -1),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -443,17 +490,76 @@ def spanning_forms(n, h):
 
 
 def verify_identity(name, lhs, rhs, test_forms):
-    """Exact residual of lhs - rhs over the test set; first failure wins."""
-    return verify_identities([(name, lhs, rhs)], test_forms)[0]
+    """Decide lhs = rhs as operators; see :func:`decide_identities`."""
+    return decide_identities([(name, lhs, rhs)], test_forms)[0]
+
+
+def decide_identities(relations, test_forms):
+    """Reports for each (name, lhs, rhs), decided as operator identities.
+
+    ``test_forms`` are the spanning forms of one dimension n and mesh h.  A
+    relation whose two sides have equal normal forms holds.  The others,
+    and those with a side that has no normal form, go to
+    :func:`verify_identities`, whose witness is the first failure on the
+    test forms.  When the normal forms differ but every test form agrees,
+    the search goes on over blade x monomials of total degree 3, 4, ...:
+    a difference with m distinct shifts fails on some input of degree
+    below m, since polynomials of degree m - 1 separate m points.
+    """
+    if not test_forms:
+        return verify_identities(relations, test_forms)
+    form = test_forms[0][1]
+    n, h = form.n, form.h
+    reports = [None] * len(relations)
+    differences = {}
+    for k, (name, lhs, rhs) in enumerate(relations):
+        left, right = lhs.normal_form(n, h), rhs.normal_form(n, h)
+        if left is None or right is None:
+            differences[k] = None
+        elif left == right:
+            reports[k] = OperatorReport(name, True)
+        else:
+            differences[k] = normal.combination(((ONE, left), (MINUS_ONE, right)))
+    evaluated = verify_identities([relations[k] for k in differences], test_forms)
+    for (k, difference), report in zip(differences.items(), evaluated):
+        if report.passed and difference is not None:
+            report = _higher_degree_failure(relations[k], n, h, difference)
+        reports[k] = report
+    return reports
+
+
+def _higher_degree_failure(relation, n, h, difference):
+    """The first failure of ``relation`` on blade x monomials of degree 3 and up."""
+    shifts = len({b for _, b in difference})
+    for degree in range(3, shifts):
+        report = verify_identities([relation], monomial_forms(n, h, degree))[0]
+        if not report.passed:
+            return report
+    raise AssertionError(f"{relation[0]}: normal forms differ on no input of degree < {shifts}")
+
+
+def monomial_forms(n, h, degree):
+    """Every blade times every monomial of total degree ``degree``, labelled
+    as the spanning forms are, e.g. ``x1^2x2*dx1+``."""
+    out = []
+    for blade in all_blades(n):
+        for e in multi_indices(n, degree):
+            label = "".join(f"x{j}^{k}" if k > 1 else f"x{j}"
+                            for j, k in enumerate(e, start=1) if k) or "1"
+            out.append((f"{label}*{blade.label()}",
+                        Form.blade(ExactPolynomial(n, h, {e: ONE}), blade)))
+    return out
 
 
 def verify_identities(relations, test_forms):
-    """``verify_identity`` for each (name, lhs, rhs), in one pass over the test set.
+    """Reports for each (name, lhs, rhs), by evaluation in one pass over the test set.
 
     The test forms have polynomial coefficients.  Each relation compares
     the images of its two sides form by form until its first failure, as in
     separate calls, so the reports are the same; the witness is the first
-    nonzero term of the residual in blade order, then monomial order.
+    nonzero term of the residual in blade order, then monomial order.  A
+    relation passes when every test form agrees, which proves an operator
+    identity only when the test forms span enough polynomials.
     """
     witnesses = [None] * len(relations)
     live = len(relations)

@@ -14,23 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .coeffs import ExactPolynomial, coord_shift_mul, diff
+from .coeffs import ExactPolynomial, coord_shift_mul, diff, multi_indices
 from .dirac import DEFAULT_CONVENTION, build_family
 from .forms import Form, all_blades
 from .linalg import bareiss_rank, kernel_basis, rank, rref, scalars_to_gaussian
 from .operators import Operator, OperatorReport, vector, verify_identities
 from .scalars import ONE, ZERO, Scalar
-
-
-def multi_indices(n, total):
-    """All multi-indices of the given total degree, lexicographic."""
-    if n == 1:
-        return [(total,)]
-    out = []
-    for first in range(total, -1, -1):
-        for rest in multi_indices(n - 1, total - first):
-            out.append((first,) + rest)
-    return out
 
 
 @dataclass

@@ -222,4 +222,5 @@ def as_scalar(value) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)

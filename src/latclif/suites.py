@@ -6,11 +6,12 @@ function ``cases(rng)`` that yields ``(label, lhs, rhs)`` triples, lazily,
 when the check runs.  The two sides are values (``Form``,
 ``ExactPolynomial``, ``BoxFunction``, ``UForm``, ``Scalar`` or ``bool``;
 ``ZERO`` on the right stands for the zero of the left side's type) or a
-pair of operators, decided on the suite's test forms by ``verify_identity``.
-One driver, :func:`case_checks`, decides the cases in order and stops at
-the first failing one; its witness is the case label plus the first
-difference of the two sides.  A single operator identity with no label
-keeps the bare ``verify_identity`` witness.
+pair of operators, decided by ``verify_identity``: by normal form, with
+the suite's spanning forms evaluated only to find the witness of a
+failure.  One driver, :func:`case_checks`, decides the cases in order and
+stops at the first failing one; its witness is the case label plus the
+first difference of the two sides.  A single operator identity with no
+label keeps the bare ``verify_identity`` witness.
 
 A randomized check draws from its own generator, seeded from the suite
 seed and the check name, so its inputs, and so its report, do not depend
@@ -32,6 +33,7 @@ from .coeffs import (
     coord_shift_mul,
     cube,
     diff,
+    multi_indices,
     shift,
     skew_diff,
     star_laplacian,
@@ -75,7 +77,6 @@ from .polynomials import (
     hermitian_monogenic_basis,
     joint_euler_eigenbasis,
     monomial_principle,
-    multi_indices,
 )
 from .scalars import ZERO, Scalar
 from .universal import (
@@ -128,7 +129,8 @@ def case_checks(seed, test_forms, named_cases):
 
     ``cases(rng)`` yields the check's (label, lhs, rhs) cases; ``rng`` is
     the check's own generator, seeded from ``seed`` and the check name.
-    Operator cases are decided on ``test_forms``.
+    Operator cases are decided by ``verify_identity``; ``test_forms`` are
+    the spanning forms their witnesses come from.
     """
 
     def check(name, cases):

@@ -368,7 +368,9 @@ class UForm:
         node at slot 0 and those of its last node at the end.  Any other
         node makes a non-unit step, and an interior insertion splits a unit
         step e into two unit steps only at N = 3, as -e twice, a repeated
-        step: the quotient kills every such path.
+        step: the quotient kills every such path.  An end neighbour whose
+        step the path already takes also repeats it, so it is skipped
+        before its insertion is built.
         """
         red = self.reduction
         canonicalize = None if red is None else red.canonicalize
@@ -377,14 +379,20 @@ class UForm:
         get = num.get
         for path, (a, b) in self.num.items():
             r = len(path)
+            if red is not None:
+                keys = red._keys
+                used = {keys[m][l] for m, l in zip(path, path[1:])}
             for s in (range(r + 1) if red is None else (0, r)):
                 head, tail = path[:s], path[s:]
                 before = path[s - 1] if s else -1
                 after = path[s] if s < r else -1
                 if red is None:
                     inserted = everywhere
+                elif s == 0:
+                    inserted = [l for l in red.neighbours[after] if keys[l][after] not in used]
                 else:
-                    inserted = red.neighbours[after if s == 0 else before]
+                    inserted = [l for k, l in enumerate(red.neighbours[before])
+                                if k not in used]
                 signed = (a, b) if s % 2 == 0 else (-a, -b)
                 for l in inserted:
                     if l == before or l == after:

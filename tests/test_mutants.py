@@ -1,0 +1,86 @@
+"""Single-point faults in the operator layer, each with the endo checks it
+must turn into FAIL lines at n = 2.
+
+The primitive builders are ``functools.cache``d, and a primitive keeps its
+images and normal forms for the process.  So every fault runs between two
+resets of those caches: no primitive built before the fault is read under
+it, and none built under it outlives it.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from latclif import operators, suites
+from latclif.forms import single_blade
+from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
+
+BUILDERS = (
+    operators.gamma, operators.vartheta, operators.vartheta_recursive,
+    operators.shift_op, operators.diff_op, operators.coord_shift,
+    operators.coord_mul, operators.nabla, operators.nabla_tilde,
+)
+
+
+@pytest.fixture
+def fresh_primitives():
+    for build in BUILDERS:
+        build.cache_clear()
+    yield
+    for build in BUILDERS:
+        build.cache_clear()
+
+
+def xi_without_its_half(sign, axis):
+    sign = _sgn(sign)
+    return Operator("sum", (gamma(sign, axis), vartheta(-sign, axis)), (ONE, ONE),
+                    name=f"xi({_sign_char(sign)},{axis})")
+
+
+def blade_mul_with_one_sign_flipped(monkeypatch):
+    blade_mul = operators.blade_mul
+    dx1_plus, dx2_minus = single_blade(1, 1), single_blade(-1, 2)
+
+    def flipped(b1, b2):
+        out = blade_mul(b1, b2)
+        if out is not None and b1 == dx1_plus and b2 == dx2_minus:
+            return -out[0], out[1]
+        return out
+
+    monkeypatch.setattr(operators, "blade_mul", flipped)
+
+
+def drop_the_half_in_xi(monkeypatch):
+    monkeypatch.setattr(operators, "xi", xi_without_its_half)
+    monkeypatch.setattr(suites, "xi", xi_without_its_half)
+
+
+MUTANTS = {
+    "xi-without-half": (drop_the_half_in_xi, {
+        "endo.xi-witt", "endo.upsilon-signature",
+    }),
+    "blade-mul-sign": (blade_mul_with_one_sign_flipped, {
+        "endo.fermi.gamma-gamma-same", "endo.fermi.gamma-gamma-mixed",
+        "endo.fermi.gamma-vartheta-mixed", "endo.fermi.gamma-vartheta-same",
+        "endo.xi-witt", "endo.upsilon-signature",
+    }),
+}
+
+
+def endo_lines():
+    return {c.name: c.run() for c in suites.endo_suite(2, Fraction(1))}
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_each_fault_fails_exactly_its_checks(monkeypatch, fresh_primitives, mutant):
+    inject, expected = MUTANTS[mutant]
+    inject(monkeypatch)
+    results = endo_lines()
+    assert {name for name, (_, passed) in results.items() if not passed} == expected
+    for name in expected:
+        [line] = results[name][0]
+        assert line.startswith(f"CHECK {name} FAIL ") and " = " in line, line
+
+
+def test_without_a_fault_every_endo_check_passes(fresh_primitives):
+    assert all(passed for _, passed in endo_lines().values())

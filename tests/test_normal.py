@@ -1,0 +1,226 @@
+"""Operator identities decided by normal form, and the link from each
+primitive's declared word to its own evaluation."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from latclif import dirac, normal, polynomials
+from latclif.coeffs import ExactPolynomial, diff
+from latclif.dirac import build_family
+from latclif.forms import Form, all_blades
+from latclif.operators import (
+    Operator,
+    compose,
+    coord_mul,
+    coord_shift,
+    decide_identities,
+    diff_op,
+    gamma,
+    monomial_forms,
+    nabla,
+    nabla_tilde,
+    shift_op,
+    spanning_forms,
+    vartheta,
+    vartheta_recursive,
+    verify_identities,
+    verify_identity,
+)
+from latclif.scalars import I, ONE, Scalar
+
+MESHES = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
+ZERO_OP = Operator.constant(0)
+
+
+def worded_primitives(n):
+    out = []
+    for j in range(1, n + 1):
+        for s in (1, -1):
+            out += [gamma(s, j), vartheta(s, j), shift_op(s, j), diff_op(s, j),
+                    coord_shift(s, j)]
+        out += [coord_mul(j), nabla(j), nabla_tilde(j)]
+    return out
+
+
+def act(nf, form):
+    """The closed-form action: x^a T^b (x) E sends p * B to x^a p(x + b h) E(B)."""
+    n, h = form.n, form.h
+    blades, numbers = all_blades(n), normal.blade_numbers(n)
+    out = Form.zero(n, h)
+    for blade, p in form.terms.items():
+        for (a, b), matrix in nf.items():
+            column = matrix.get(numbers[blade], ())
+            q = p
+            for axis, (k, s) in enumerate(zip(a, b), start=1):
+                for _ in range(abs(s)):
+                    q = q.shift(axis, 1 if s > 0 else -1)
+                for _ in range(k):
+                    q = q.coord_mul(axis)
+            for row, v in zip(column[::2], column[1::2]):
+                out = out.add(Form.blade(q.scale(v), blades[row]))
+    return out
+
+
+def link_failure(op, n, h):
+    """The first spanning or degree-3 form on which op's word and op's fn
+    disagree, or None."""
+    nf = op.normal_form(n, h)
+    forms = spanning_forms(n, h) + monomial_forms(n, h, 3)
+    return next((label for label, form in forms if act(nf, form) != op.fn(form)), None)
+
+
+# -- each primitive's word is its fn --------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("h", MESHES, ids=str)
+def test_every_primitive_word_acts_as_its_fn(n, h):
+    for op in worded_primitives(n):
+        assert link_failure(op, n, h) is None, op.name
+
+
+def test_a_word_that_disagrees_with_its_fn_fails_the_link():
+    forward = diff_op(1, 1)
+    twice = Operator("prim", name="D(+,1)", word=forward.word,
+                     fn=lambda form: form.map_coeffs(lambda c: diff(c.shift(1, 1), 1, 1)))
+    assert link_failure(forward, 1, Fraction(1)) is None
+    assert link_failure(twice, 1, Fraction(1)) == "x1^2*1"
+
+
+def test_primitives_without_a_word_have_no_normal_form():
+    assert vartheta_recursive(1, 1).normal_form(1, Fraction(1)) is None
+    assert (gamma(1, 1) + vartheta_recursive(1, 1)).normal_form(1, Fraction(1)) is None
+    assert Operator("prim", name="adhoc", fn=lambda w: w).normal_form(1, Fraction(1)) is None
+
+
+def test_blade_words_are_read_off_fn():
+    n, h = 2, Fraction(1, 2)
+    [(word, matrix)] = gamma(1, 2).normal_form(n, h).items()
+    assert word == ((0, 0), (0, 1))
+    [(word, _)] = vartheta(1, 2).normal_form(n, h).items()
+    assert word == ((0, 0), (0, -1))
+    # dx2+ times a blade that has no dx2+: one entry +-1 per such column
+    assert len(matrix) == len(all_blades(n)) // 2
+    assert all(len(col) == 2 and col[1] in (ONE, Scalar(-1)) for col in matrix.values())
+
+
+# -- decisions ------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_third_forward_difference_is_not_zero(n):
+    forward = diff_op(1, 1)
+    tf = spanning_forms(n, Fraction(1))
+    cube_ = compose(forward, forward, forward)
+    # it vanishes on every spanning form, so evaluation alone passes it
+    assert verify_identities([("t", cube_, ZERO_OP)], tf)[0].passed
+    report = verify_identity("t", cube_, ZERO_OP, tf)
+    assert not report.passed
+    assert report.witness == f"on x1^3*1: blade 1 at {(0,) * n} = 6"
+
+
+def test_equal_normal_forms_are_not_evaluated():
+    seen = []
+    counted = Operator("prim", name="counted", word=gamma(1, 1).word,
+                       fn=lambda form: seen.append(form) or gamma(1, 1).fn(form))
+    tf = spanning_forms(1, Fraction(1))
+    assert verify_identity("t", counted, gamma(1, 1), tf).passed
+    assert seen == []
+    # a side with no normal form is decided by evaluation, as before
+    assert verify_identity("t", vartheta(1, 1), vartheta_recursive(1, 1), tf).passed
+
+
+def test_decide_identities_keeps_the_evaluated_witnesses():
+    tf = spanning_forms(2, Fraction(1, 3))
+    relations = [
+        ("holds", compose(shift_op(1, 1), shift_op(-1, 1)), Operator.identity()),
+        ("fails", coord_shift(1, 2), coord_mul(2)),
+        ("no-word", vartheta(-1, 2), vartheta_recursive(-1, 2)),
+        ("cube", compose(diff_op(-1, 2), diff_op(-1, 2), diff_op(-1, 2)), ZERO_OP),
+    ]
+    reports = decide_identities(relations, tf)
+    evaluated = verify_identities(relations, tf)
+    assert [r.passed for r in reports] == [True, False, True, False]
+    assert reports[:3] == evaluated[:3]
+    assert reports[3].witness.startswith("on x2^3*1: ")
+
+
+def test_intertwining_reports_match_evaluation(monkeypatch):
+    tf = spanning_forms(2, Fraction(1, 2))
+    for convention in ("plus", "minus"):
+        fam = build_family(2, convention)
+        routed = dirac.verify_intertwining(fam, tf)
+        monkeypatch.setattr(dirac, "decide_identities", verify_identities)
+        assert dirac.verify_intertwining(fam, tf) == routed
+        monkeypatch.undo()
+    assert [r.passed for r in routed] == [True] * 8
+
+
+def test_monogenic_certificates_are_evaluated_per_element(monkeypatch):
+    def no_normal_forms(self, n, h):
+        raise AssertionError("certificates are not operator identities")
+
+    monkeypatch.setattr(Operator, "normal_form", no_normal_forms)
+    basis = polynomials.hermitian_monogenic_basis(1, Fraction(1), 0, 0)
+    assert basis.dimension == 4 and basis.certified
+
+
+# -- normal-form equality is operator equality ----------------------------------
+
+def leaves(n):
+    return worded_primitives(n) + [Operator.identity()]
+
+
+COEFFS = st.sampled_from([ONE, Scalar(-1), Scalar(2), Scalar(Fraction(1, 2)), I])
+
+
+def trees(n, depth):
+    leaf = st.sampled_from(leaves(n))
+    if depth == 0:
+        return leaf
+    sub = trees(n, depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(compose, sub, sub),
+        st.builds(lambda a, b, c, d: Operator("sum", (a, b), (c, d)), sub, sub, COEFFS, COEFFS),
+    )
+
+
+def rewritten(op, h, flips):
+    """An equal tree (each primitive spelled out where a spelling exists),
+    or, where ``flips`` says so, a slightly wrong one."""
+    if op.kind != "prim":
+        return Operator(op.kind, tuple(rewritten(p, h, flips) for p in op.parts), op.coeffs)
+    flip = flips.draw(st.booleans())
+    name, ident = op.name, Operator.identity()
+    sign = 1 if "+" in name else -1
+    axis = int(name[-2])
+    if name.startswith("D("):
+        # D(s) = (T(s) - 1) s/h
+        factor = Scalar(sign / h if not flip else 1 / h)
+        return (shift_op(sign, axis) - ident).scaled(factor)
+    if name.startswith("M("):
+        # M(s) = X T(s); T(s) X is not M(s)
+        factors = (coord_mul(axis), shift_op(sign, axis))
+        return compose(*(factors[::-1] if flip else factors))
+    if name.startswith("gamma("):
+        # gamma(s) = T(s) gamma(s) T(-s)
+        inner = gamma(sign, axis)
+        return compose(shift_op(sign if not flip else -sign, axis), inner, shift_op(-sign, axis))
+    return op
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_normal_form_equality_is_evaluation_on_enough_forms(n, data):
+    h = data.draw(st.sampled_from(MESHES))
+    lhs = data.draw(trees(n, 2))
+    rhs = data.draw(st.one_of(st.just(None), trees(n, 2)))
+    rhs = rewritten(lhs, h, data) if rhs is None else rhs
+    left, right = lhs.normal_form(n, h), rhs.normal_form(n, h)
+    difference = normal.combination([(ONE, left), (Scalar(-1), right)])
+    shifts = len({b for _, b in difference})
+    forms = [f for degree in range(max(shifts, 3)) for f in monomial_forms(n, h, degree)]
+    agree = verify_identities([("t", lhs, rhs)], forms)[0].passed
+    assert (left == right) == (not difference) == agree
