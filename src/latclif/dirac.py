@@ -149,7 +149,7 @@ def verify_intertwining(fam, test_forms):
     All eight checks take the test forms in one pass.  The z-side Euler
     check is the operator acomm(z,dz) + acomm(zdag,dzdag) - n, built from
     the two anticommutators of the first and third relations, so it reads
-    the images they have already computed.
+    the normal forms they have already memoized.
     """
     acomm_z = anticommutator(fam.z, fam.dz)
     acomm_zdag = anticommutator(fam.zdag, fam.dzdag)

@@ -32,7 +32,7 @@ from operator import add
 
 from .coeffs import ExactPolynomial
 from .forms import Form, all_blades
-from .scalars import MINUS_ONE, ONE, Scalar
+from .scalars import MINUS_ONE, ONE, Scalar, interned
 
 
 @cache
@@ -141,7 +141,8 @@ def _matmul(e, f):
 
 
 def _times(w, v):
-    """w * v, without a multiplication when either is 1 or -1."""
+    """w * v, without a multiplication when either is 1 or -1; stored
+    entries are interned, so those two are ONE and MINUS_ONE."""
     if v is ONE:
         return w
     if w is ONE:
@@ -168,11 +169,6 @@ def _add_into(acc, matrix, c):
             dst[row] = v if s is None else s + v
 
 
-# One Scalar per entry value met, so that the checks for 1 and -1 above are
-# identity tests: a few values fill every blade matrix.
-_VALUES = {ONE.triple: ONE, MINUS_ONE.triple: MINUS_ONE}
-
-
 def _cleaned(form):
     """``form`` with each column flat, (row, value, ...) by ascending row, and
     without zero entries, empty columns or empty words."""
@@ -184,7 +180,7 @@ def _cleaned(form):
             for row in sorted(entries):
                 v = entries[row]
                 if v:
-                    flat += (row, _VALUES.setdefault(v.triple, v))
+                    flat += (row, interned(v))
             if flat:
                 kept[col] = tuple(flat)
         if kept:

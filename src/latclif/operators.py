@@ -22,19 +22,19 @@ forms with polynomial coefficients finds the witness of a failed identity,
 decides an identity that has a side with no normal form, and checks the
 per-element certificates of the monogenic solver.
 
-A form with polynomial coefficients is evaluated as a sparse vector over
-the basis elements (blade, monomial), each numbered once per process
-together with its mesh width h, by :func:`vector`, and mapped by
-:meth:`Operator.apply_vector`.  Primitive and sum nodes keep a lazily built
-map from a basis element to its sparse image: a primitive computes
-a missing image by calling itself on the one-term basis form, and a sum
-adds its parts' images with their coefficients.  A product keeps no map;
-it applies its parts to sparse vectors, right to left.  The primitive
+Calling an operator on a form walks the tree: a primitive applies its
+function, a product applies its parts right to left and a sum adds its
+parts' images with their coefficients.  On box coefficients the walk lets
+every coefficient report how far its validity box shrinks.  The witnesses
+of failed identities and the monogenic solver instead map a form with
+polynomial coefficients as a sparse vector over the basis elements (blade,
+monomial), each numbered once per process together with its mesh width h,
+by :func:`vector`, through :meth:`Operator.apply_vector`.  Only primitives
+keep images: a lazily built map from a basis element to its sparse image,
+computed by calling the primitive on the one-term basis form.  Products
+and sums keep none; they combine their parts' vectors.  The primitive
 builders return one shared object per argument tuple, so primitive images
-live for the process and are shared by every operator built on them;
-composite images live as long as their node.  Forms with box coefficients
-are evaluated by walking the tree, so that every coefficient reports how
-far its validity box shrinks.
+live for the process and are shared by every operator built on them.
 
 The Witt generators carry the factor one half on the contraction part so
 that the pairs (xi(+, j), xi(-, j)) obey the duality {xi+, xi-} = id
@@ -61,7 +61,7 @@ from .coeffs import (
     sym_diff,
 )
 from .forms import Form, all_blades, blade_from_factors, blade_mul, single_blade
-from .scalars import MINUS_ONE, ONE, Scalar, accumulate, as_scalar
+from .scalars import MINUS_ONE, ONE, Scalar, accumulate, as_scalar, interned
 
 # Basis elements (blade, exps, h), numbered once per process in the order met.
 _BASIS = []
@@ -82,24 +82,11 @@ def vector(form):
     return vec
 
 
-def _form(n, h, vec):
-    """The form of a sparse vector; the inverse of :func:`vector`."""
-    by_blade = {}
-    for i, c in vec.items():
-        blade, exps, _ = _BASIS[i]
-        by_blade.setdefault(blade, {})[exps] = c
-    return Form(n, h, {b: ExactPolynomial(n, h, t) for b, t in by_blade.items()})
-
-
-# One Scalar per coefficient value met in an image: images repeat few values.
-_COEFFS = {}
-
-
 def _flat(vec):
     """A sparse vector as the flat tuple (id, coeff, id, coeff, ...)."""
     out = []
     for i, c in vec.items():
-        out += (i, _COEFFS.setdefault(c.triple, c))
+        out += (i, interned(c))
     return tuple(out)
 
 
@@ -115,8 +102,9 @@ class Operator:
         # prim nodes: a function (n, h) -> the normal form of fn; None when
         # fn declares no word, so that no tree containing it has a normal form
         self.word = word
-        # prim and sum nodes: basis id -> image, as a flat (id, coeff, ...) tuple
-        self._images = {}
+        # prim nodes: basis id -> image, as a flat (id, coeff, ...) tuple;
+        # None on composite nodes, which keep no images
+        self._images = {} if kind == "prim" else None
         # (n, h) -> normal form, or None when a primitive below has none
         self._normal = {}
 
@@ -151,18 +139,13 @@ class Operator:
         return self.scaled(MINUS_ONE)
 
     def scaled(self, s):
-        s = as_scalar(s)
         # evaluation recognises the coefficients 1 and -1 by identity
-        s = ONE if s == ONE else MINUS_ONE if s == MINUS_ONE else s
-        return Operator("sum", (self,), (s,))
+        return Operator("sum", (self,), (interned(as_scalar(s)),))
 
     # -- evaluation --------------------------------------------------------
     def __call__(self, form):
         if self.kind == "prim":
             return self.fn(form)
-        if form.coeff_kind() != "box":
-            return _form(form.n, form.h, self.apply_vector(vector(form)))
-        # the tree evaluator, which lets each box coefficient track its validity
         if self.kind == "compose":
             for op in reversed(self.parts):
                 form = op(form)
@@ -184,10 +167,16 @@ class Operator:
             for op in reversed(self.parts):
                 vec = op.apply_vector(vec)
             return vec
+        if self.kind == "sum":
+            out = {}
+            for c, op in zip(self.coeffs, self.parts):
+                image = op.apply_vector(vec).items()
+                accumulate(out, image if c is ONE else [(j, c * v) for j, v in image])
+            return out
         images = self._images
         out = {}
         # not scalars.accumulate: one image cannot cancel, so zeros are dropped
-        # once at the end, and this is the hottest loop of identity checks
+        # once at the end, and this is the hot loop of the solver and of witnesses
         for i, c in vec.items():
             image = images.get(i)
             if image is None:
@@ -198,19 +187,14 @@ class Operator:
                     v = c * v
                 s = out.get(j)
                 out[j] = v if s is None else s + v
-        # one image cannot cancel; a zero c comes only from _image, which drops zeros
+        # one image cannot cancel, and no vector holds a zero coefficient
         return out if len(vec) == 1 else {j: v for j, v in out.items() if v}
 
     def _image(self, i):
-        """The image of basis element ``i``, as a flat tuple."""
-        if self.kind == "prim":
-            blade, exps, h = _BASIS[i]
-            unit = ExactPolynomial(len(exps), h, {exps: ONE})
-            return _flat(vector(self(Form.blade(unit, blade))))
-        out = {}
-        for c, op in zip(self.coeffs, self.parts):
-            accumulate(out, op.apply_vector({i: c}).items())
-        return _flat(out)
+        """The image of basis element ``i`` under a primitive, as a flat tuple."""
+        blade, exps, h = _BASIS[i]
+        unit = ExactPolynomial(len(exps), h, {exps: ONE})
+        return _flat(vector(self(Form.blade(unit, blade))))
 
     def normal_form(self, n, h):
         """The normal form of :mod:`latclif.normal` on forms of dimension n and
@@ -567,15 +551,8 @@ def verify_identities(relations, test_forms):
         vec = vector(form)
         for k, (_, lhs, rhs) in enumerate(relations):
             if witnesses[k] is None:
-                res = lhs.apply_vector(vec)
-                res = dict(res) if res is vec else res  # the identity returns its input
-                # inline, not scalars.accumulate: a generator of negated pairs here
-                # measured about 5% slower on whole identity suites
-                for j, v in rhs.apply_vector(vec).items():
-                    s = res.pop(j, None)
-                    s = -v if s is None else s - v
-                    if s:
-                        res[j] = s
+                res = accumulate(dict(lhs.apply_vector(vec)),
+                                 [(j, -v) for j, v in rhs.apply_vector(vec).items()])
                 if res:
                     i = min(res, key=lambda j: (_BASIS[j][0].sort_key(), _BASIS[j][1]))
                     blade, exps, _ = _BASIS[i]

@@ -33,8 +33,9 @@ _TOKEN = re.compile(
 # level, so this bound keeps both far below the interpreter's recursion limit.
 MAX_DEPTH = 100
 
-# On a box-coefficient form, a subexpression used twice, as in acomm(id, a),
-# is applied twice, so the work of one evaluation can double with each
+# Applying an expression to a form, with polynomial or box coefficients,
+# walks its tree, so a subexpression used twice, as in acomm(id, a), is
+# applied twice, and the work of one evaluation can double with each
 # bracket level.  This bounds
 # the primitive applications one evaluation makes on one input term; the
 # largest family atom, GXbar, needs 45 n - 2 of them.

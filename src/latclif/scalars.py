@@ -209,6 +209,16 @@ def accumulate(terms, pairs):
     return terms
 
 
+def interned(c):
+    """The one shared Scalar equal to ``c``.
+
+    Operator images and normal forms repeat few values, so each keeps one
+    object per value, and 1 and -1 are always ``ONE`` and ``MINUS_ONE``:
+    the evaluators skip multiplying by them with an identity test.
+    """
+    return _INTERNED.setdefault(c.triple, c)
+
+
 def as_scalar(value) -> Scalar:
     """Coerce ints, Fractions and text into a Scalar."""
     if isinstance(value, Scalar):
@@ -224,3 +234,4 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)
+_INTERNED = {ONE.triple: ONE, MINUS_ONE.triple: MINUS_ONE}

@@ -27,6 +27,7 @@ CASES = {
     "monogenic-n2-p1q1-ambient":
         (["monogenic", "--n", "2", "--p", "1", "--q", "1", "--ambient"], 0),
     "verify-monogenic-n3": (["verify", "--suite", "monogenic", "--n", "3"], 0),
+    "monogenic-n4-p0q0": (["monogenic", "--n", "4", "--p", "0", "--q", "0"], 0),
     # verify-core-n4.out is checked by a separate CI step, outside tier-1
     "verify-core-n3": (["verify", "--suite", "core", "--n", "3"], 0),
     # exits 1: the two dirac value checks and five plus-convention
@@ -47,10 +48,10 @@ CASES = {
     "verify-forms-n4": (["verify", "--suite", "forms", "--n", "4"], 0),
     "verify-poly-n3": (["verify", "--suite", "poly", "--n", "3"], 0),
     "verify-poly-n4": (["verify", "--suite", "poly", "--n", "4"], 0),
-    # monogenic-n4-p1q1.out, verify-universal-n4-N3.out,
-    # verify-reduction-n4-N3.out, verify-endo-n4.out, verify-intertwine-n4.out
-    # and verify-dirac-n4.out (exit 1, as at n=3) are checked by separate CI
-    # steps, outside tier-1
+    # monogenic-n4-p1q1.out, verify-monogenic-n4.out,
+    # verify-universal-n4-N3.out, verify-reduction-n4-N3.out,
+    # verify-endo-n4.out, verify-intertwine-n4.out and verify-dirac-n4.out
+    # (exit 1, as at n=3) are checked by separate CI steps, outside tier-1
 }
 
 

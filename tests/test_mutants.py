@@ -1,5 +1,6 @@
-"""Single-point faults in the operator layer, each with the endo checks it
-must turn into FAIL lines at n = 2.
+"""Single-point faults, each with the checks it must turn into FAIL lines:
+faults in the operator layer against the endo suite at n = 2, and faults on
+the monogenic solver's path against the monogenic suite at n = 1.
 
 The primitive builders are ``functools.cache``d, and a primitive keeps its
 images and normal forms for the process.  So every fault runs between two
@@ -11,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from latclif import operators, suites
+from latclif import operators, polynomials, suites
 from latclif.forms import single_blade
 from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
+from latclif.scalars import accumulate
 
 BUILDERS = (
     operators.gamma, operators.vartheta, operators.vartheta_recursive,
@@ -84,3 +86,71 @@ def test_each_fault_fails_exactly_its_checks(monkeypatch, fresh_primitives, muta
 
 def test_without_a_fault_every_endo_check_passes(fresh_primitives):
     assert all(passed for _, passed in endo_lines().values())
+
+
+# -- the monogenic solver -----------------------------------------------------
+
+def drop_the_first_kernel_vector(monkeypatch):
+    solve_kernel = polynomials.solve_kernel
+
+    def dropping(ops, candidates):
+        forms, rows = solve_kernel(ops, candidates)
+        return forms[1:], rows
+
+    monkeypatch.setattr(polynomials, "solve_kernel", dropping)
+
+
+def sums_ignore_their_coefficients(monkeypatch):
+    """Every sum node adds its parts' vectors with coefficient 1.
+
+    The matrix and the certificates both read this vector walk, so the
+    certificates still hold for every element and the rank oracle still
+    agrees with the kernel: only the checks with a known answer fail.
+    """
+    apply_vector = Operator.apply_vector
+
+    def ignoring(self, vec):
+        if self.kind != "sum":
+            return apply_vector(self, vec)
+        out = {}
+        for op in self.parts:
+            accumulate(out, op.apply_vector(vec).items())
+        return out
+
+    monkeypatch.setattr(Operator, "apply_vector", ignoring)
+
+
+SOLVER_MUTANTS = {
+    "solve-kernel-drops-a-vector": (drop_the_first_kernel_vector, {
+        "monogenic.oracle-dimension-00", "monogenic.dim00-n1-is-4",
+    }),
+    "sum-ignores-coefficients": (sums_ignore_their_coefficients, {
+        "monogenic.dim00-n1-is-4", "monogenic.non-homogeneity-witness",
+    }),
+}
+
+
+def monogenic_lines():
+    """CHECK name -> its line, over every check of the monogenic suite at n = 1."""
+    lines = {}
+    for check in suites.monogenic_suite(1, Fraction(1)):
+        for line in check.run()[0]:
+            if line.startswith("CHECK "):
+                lines[line.split()[1]] = line
+    return lines
+
+
+def failing(lines):
+    return {name for name, line in lines.items() if line.split()[2] == "FAIL"}
+
+
+@pytest.mark.parametrize("mutant", list(SOLVER_MUTANTS))
+def test_each_solver_fault_fails_exactly_its_checks(monkeypatch, fresh_primitives, mutant):
+    inject, expected = SOLVER_MUTANTS[mutant]
+    inject(monkeypatch)
+    assert failing(monogenic_lines()) == expected
+
+
+def test_without_a_fault_every_monogenic_check_passes(fresh_primitives):
+    lines = monogenic_lines()
+    assert len(lines) == 14 and not failing(lines)

@@ -26,6 +26,7 @@ from latclif.operators import (
     upsilon,
     vartheta,
     vartheta_recursive,
+    vector,
     verify_identities,
     verify_identity,
     witt,
@@ -284,7 +285,7 @@ def test_differences_on_coefficients_are_primitives():
     assert holds(nabla_tilde(1), (backward - forward).scaled(Scalar(0, Fraction(-1, 2))))
 
 
-# -- memoized images ------------------------------------------------------------
+# -- the tree walk and the vector walk -------------------------------------------
 
 PRIMITIVE_BUILDS = [
     (gamma, (1, 1)), (vartheta, (-1, 2)), (vartheta_recursive, (1, 1)),
@@ -300,14 +301,29 @@ def test_primitive_builders_return_one_shared_object(build, args):
     assert build(*args).kind == "prim"
 
 
-def test_family_images_die_with_the_family():
+def nodes(op):
+    """Every node of an operator tree, once each."""
+    seen = {}
+    stack = [op]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack += node.parts
+    return list(seen.values())
+
+
+def test_only_primitives_keep_images():
     fam = build_family(2)
     node = fam.Gamma_X
-    for _, form in TF[:10]:
-        node(form)
-    assert node._images
+    for _, form in TF:
+        node.apply_vector(vector(form))
+    tree = nodes(node)
+    composites = [op for op in tree if op.kind != "prim"]
+    assert composites and all(op._images is None for op in composites)
+    assert all(op._images for op in tree if op.kind == "prim")
     ref = weakref.ref(node)
-    del fam, node
+    del fam, node, tree, composites
     gc.collect()
     assert ref() is None
 
@@ -315,12 +331,11 @@ def test_family_images_die_with_the_family():
 def test_primitive_images_stay_correct_at_alternating_h():
     for build, args in PRIMITIVE_BUILDS:
         prim = build(*args)
-        through_images = compose(prim)
         for h in (Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(1, 2)):
             x1, x2 = coord(1, h=h), coord(2, h=h)
             w = Form.blade(x1.mul(x2).add(const(3, h=h)), Blade((1,), (2,))).add(
                 Form.scalar(x1.mul(x1)))
-            assert through_images(w) == prim(w), (prim.name, h)
+            assert prim.apply_vector(vector(w)) == vector(prim(w)), (prim.name, h)
 
 
 MESHES = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
@@ -357,13 +372,15 @@ def sampled(form, box):
 
 
 def assert_evaluators_agree(op, form):
-    """op(form) through the images, sampled, equals op on the sampled form
-    through the tree evaluator, on the validity box the tree reports."""
+    """The vector walk of op on form equals the tree walk, and the tree walk
+    on the polynomial form, sampled, equals the tree walk on the sampled form,
+    on the validity box it reports."""
+    walked = op(form)
+    assert op.apply_vector(vector(form)) == vector(walked), (op.to_text(), form)
     box = cube(form.n, -HALFWIDTH, HALFWIDTH)
-    images = compose(op)(form) if op.kind == "prim" else op(form)
     tree = op(sampled(form, box))
     assert tree.coeff_kind() in (None, "box")
-    assert sampled(images, box).sub(tree).is_zero(), (op.to_text(), form)
+    assert sampled(walked, box).sub(tree).is_zero(), (op.to_text(), form)
 
 
 @pytest.mark.parametrize("n", [1, 2])
