@@ -30,9 +30,18 @@ of failed identities and the monogenic solver instead map a form with
 polynomial coefficients as a sparse vector over the basis elements (blade,
 monomial), each numbered once per process together with its mesh width h,
 by :func:`vector`, through :meth:`Operator.apply_vector`.  Only primitives
-keep images: a lazily built map from a basis element to its sparse image,
-computed by calling the primitive on the one-term basis form.  Products
-and sums keep none; they combine their parts' vectors.  The primitive
+keep images: a lazily built map from a basis element to its sparse image.
+Products and sums keep none; they combine their parts' vectors.  A form is
+a function tensored with a Grassmann algebra, and so is every primitive
+except ``vartheta_recursive``: its image of (B, x^e, h) is its blade part
+at B, the signed blades that B maps to, times its coefficient part at x^e,
+its coefficient operator's image of x^e.  Each part is memoized on its
+own, so the polynomial work is done once per monomial and h, not once per
+blade.  The coefficientwise primitives have the identity as blade part and
+fill their coefficient part by calling themselves on the 0-form x^e;
+``gamma`` and ``vartheta`` declare their blade map once and take their
+coefficient part from the translation ``T`` they carry.  A primitive
+without a split calls itself on the one-term basis form.  The primitive
 builders return one shared object per argument tuple, so primitive images
 live for the process and are shared by every operator built on them.
 
@@ -68,17 +77,21 @@ _BASIS = []
 _BASIS_ID = {}
 
 
+def _basis_id(key):
+    """The number of basis element ``key``, given on first sight."""
+    i = _BASIS_ID.get(key)
+    if i is None:
+        i = _BASIS_ID[key] = len(_BASIS)
+        _BASIS.append(key)
+    return i
+
+
 def vector(form):
     """A polynomial-coefficient form as a sparse vector {basis id: coefficient}."""
     vec = {}
     for blade, coeff in form.terms.items():
         for exps, c in coeff.terms.items():
-            key = (blade, exps, form.h)
-            i = _BASIS_ID.get(key)
-            if i is None:
-                i = _BASIS_ID[key] = len(_BASIS)
-                _BASIS.append(key)
-            vec[i] = c
+            vec[_basis_id((blade, exps, form.h))] = c
     return vec
 
 
@@ -102,9 +115,12 @@ class Operator:
         # prim nodes: a function (n, h) -> the normal form of fn; None when
         # fn declares no word, so that no tree containing it has a normal form
         self.word = word
-        # prim nodes: basis id -> image, as a flat (id, coeff, ...) tuple;
-        # None on composite nodes, which keep no images
+        # prim nodes: basis id -> image, as a flat (id, coeff, ...) tuple,
+        # built by _image; None on composite nodes, which keep no images
         self._images = {} if kind == "prim" else None
+        # prim nodes whose image of (B, x^e, h) factors (see _image): the
+        # memoized blade part (None for the identity) and coefficient part
+        self.split = None
         # (n, h) -> normal form, or None when a primitive below has none
         self._normal = {}
 
@@ -191,10 +207,23 @@ class Operator:
         return out if len(vec) == 1 else {j: v for j, v in out.items() if v}
 
     def _image(self, i):
-        """The image of basis element ``i`` under a primitive, as a flat tuple."""
+        """The image of basis element ``i`` under a primitive, as a flat tuple.
+
+        A split primitive joins its blade part at B, the (sign, B') pairs
+        (None for the identity), with its coefficient part at x^e, the
+        (e', c) pairs; any other calls itself on the one-term form.
+        """
         blade, exps, h = _BASIS[i]
-        unit = ExactPolynomial(len(exps), h, {exps: ONE})
-        return _flat(vector(self(Form.blade(unit, blade))))
+        if self.split is None:
+            unit = ExactPolynomial(len(exps), h, {exps: ONE})
+            return _flat(vector(self(Form.blade(unit, blade))))
+        blade_part, coeff_part = self.split
+        coeff = coeff_part(exps, h)
+        out = []
+        for sign, image in ((1, blade),) if blade_part is None else blade_part(blade):
+            for e, c in coeff:
+                out += (_basis_id((image, e, h)), c if sign > 0 else interned(-c))
+        return tuple(out)
 
     def normal_form(self, n, h):
         """The normal form of :mod:`latclif.normal` on forms of dimension n and
@@ -263,23 +292,39 @@ def _sign_char(sign):
     return "+" if sign > 0 else "-"
 
 
+def _blade_map(name, blades, axis, step):
+    """The primitive that sends c * B to the sum of sign * T_axis^step(c) * B'
+    over the (sign, B') of ``blades(B)``, which is () or one pair.
+
+    ``blades`` is memoized per blade.  The function, the word and the
+    images all read it; the coefficient part of the images is that of
+    ``shift_op(step, axis)``.
+    """
+    blades = cache(blades)
+
+    def apply(form):
+        return Form.collect(form.n, form.h, (
+            (sign, image, coeff.shift(axis, step))
+            for blade, coeff in form.terms.items() for sign, image in blades(blade)
+        ))
+
+    op = Operator("prim", name=name, fn=apply,
+                  word=lambda n, h: normal.blade_word(apply, n, h, axis, step))
+    op.split = (blades, shift_op(step, axis).split[1])
+    return op
+
+
 @cache
 def gamma(sign, axis):
     """Exterior product with dx_axis^sign (left multiplication)."""
     sign = _sgn(sign)
-    blade = single_blade(sign, axis)
+    factor = single_blade(sign, axis)
 
-    def apply(form):
-        def triples():
-            for b, coeff in form.terms.items():
-                prod = blade_mul(blade, b)
-                if prod is not None:
-                    yield prod[0], prod[1], coeff.shift(axis, sign)
+    def blades(blade):
+        prod = blade_mul(factor, blade)
+        return () if prod is None else (prod,)
 
-        return Form.collect(form.n, form.h, triples())
-
-    return Operator("prim", name=f"gamma({_sign_char(sign)},{axis})", fn=apply,
-                    word=lambda n, h: normal.blade_word(apply, n, h, axis, sign))
+    return _blade_map(f"gamma({_sign_char(sign)},{axis})", blades, axis, sign)
 
 
 @cache
@@ -294,19 +339,15 @@ def vartheta(sign, axis):
     sign = _sgn(sign)
     target = (sign, axis)
 
-    def apply(form):
-        def triples():
-            for b, coeff in form.terms.items():
-                factors = b.factors()
-                if target in factors:
-                    idx = factors.index(target)
-                    _, nb = blade_from_factors(factors[:idx] + factors[idx + 1:])
-                    yield (-1 if idx % 2 else 1), nb, coeff.shift(axis, -sign)
+    def blades(blade):
+        factors = blade.factors()
+        if target not in factors:
+            return ()
+        idx = factors.index(target)
+        _, rest = blade_from_factors(factors[:idx] + factors[idx + 1:])
+        return ((-1 if idx % 2 else 1, rest),)
 
-        return Form.collect(form.n, form.h, triples())
-
-    return Operator("prim", name=f"vartheta({_sign_char(sign)},{axis})", fn=apply,
-                    word=lambda n, h: normal.blade_word(apply, n, h, axis, -sign))
+    return _blade_map(f"vartheta({_sign_char(sign)},{axis})", blades, axis, -sign)
 
 
 @cache
@@ -384,10 +425,20 @@ def _coeffwise(name, fn, axis, terms):
     """The primitive that applies ``fn`` to every coefficient of a form.
 
     Its word is the sum of c * x_axis^k T_axis^s over the (c, k, s) of
-    ``terms(h)``.
+    ``terms(h)``.  Its images have the identity as blade part, and as
+    coefficient part its own image of the 0-form x^e, memoized per (e, h).
     """
-    return Operator("prim", name=name, fn=lambda form: form.map_coeffs(fn),
-                    word=lambda n, h: normal.coefficient_word(n, axis, terms(h)))
+    op = Operator("prim", name=name, fn=lambda form: form.map_coeffs(fn),
+                  word=lambda n, h: normal.coefficient_word(n, axis, terms(h)))
+
+    @cache
+    def monomial(exps, h):
+        image = op(Form.scalar(ExactPolynomial(len(exps), h, {exps: ONE})))
+        return tuple((e, interned(c)) for coeff in image.terms.values()
+                     for e, c in coeff.terms.items())
+
+    op.split = (None, monomial)
+    return op
 
 
 @cache

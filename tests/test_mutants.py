@@ -3,9 +3,10 @@ faults in the operator layer against the endo suite at n = 2, and faults on
 the monogenic solver's path against the monogenic suite at n = 1.
 
 The primitive builders are ``functools.cache``d, and a primitive keeps its
-images and normal forms for the process.  So every fault runs between two
-resets of those caches: no primitive built before the fault is read under
-it, and none built under it outlives it.
+images, their blade and coefficient parts and its normal forms for the
+process.  So every fault runs between two resets of those caches: no
+primitive built before the fault is read under it, and none built under
+it outlives it.
 """
 
 from fractions import Fraction
@@ -52,6 +53,26 @@ def blade_mul_with_one_sign_flipped(monkeypatch):
     monkeypatch.setattr(operators, "blade_mul", flipped)
 
 
+def image_join_ignores_blade_signs(monkeypatch):
+    """A split primitive's image takes each blade sign of its blade part as +.
+
+    Only the join in ``Operator._image`` is wrong: ``fn``, the tree walk and
+    the normal forms are untouched, so only checks that read the images of
+    ``gamma`` or ``vartheta`` on a blade with a negative sign can fail.
+    """
+    image = Operator._image
+
+    def unsigned(self, i):
+        if self.split is None or self.split[0] is None:
+            return image(self, i)
+        blade, exps, h = operators._BASIS[i]
+        blade_part, coeff_part = self.split
+        return tuple(x for _, b in blade_part(blade) for e, c in coeff_part(exps, h)
+                     for x in (operators._basis_id((b, e, h)), c))
+
+    monkeypatch.setattr(Operator, "_image", unsigned)
+
+
 def drop_the_half_in_xi(monkeypatch):
     monkeypatch.setattr(operators, "xi", xi_without_its_half)
     monkeypatch.setattr(suites, "xi", xi_without_its_half)
@@ -66,6 +87,9 @@ MUTANTS = {
         "endo.fermi.gamma-vartheta-mixed", "endo.fermi.gamma-vartheta-same",
         "endo.xi-witt", "endo.upsilon-signature",
     }),
+    # the one endo check decided by evaluation: vartheta against the
+    # recursion, whose images come from its fn
+    "image-join-unsigned": (image_join_ignores_blade_signs, {"endo.vartheta-recursion"}),
 }
 
 
@@ -127,6 +151,9 @@ SOLVER_MUTANTS = {
     "sum-ignores-coefficients": (sums_ignore_their_coefficients, {
         "monogenic.dim00-n1-is-4", "monogenic.non-homogeneity-witness",
     }),
+    # the kernel solves four relations on the same wrong images; the
+    # certificates also check the Gamma relations, and gamma-zdag fails
+    "image-join-unsigned": (image_join_ignores_blade_signs, {"monogenic.certificates-00"}),
 }
 
 

@@ -18,6 +18,7 @@ from latclif.operators import (
     coord_shift,
     diff_op,
     gamma,
+    monomial_forms,
     nabla,
     nabla_tilde,
     opsum,
@@ -336,6 +337,13 @@ def test_primitive_images_stay_correct_at_alternating_h():
             w = Form.blade(x1.mul(x2).add(const(3, h=h)), Blade((1,), (2,))).add(
                 Form.scalar(x1.mul(x1)))
             assert prim.apply_vector(vector(w)) == vector(prim(w)), (prim.name, h)
+    worded = [prim for prim in primitives(3) if prim.word is not None]
+    for h in (Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1, 3)):
+        basis = [w for degree in range(3) for _, w in monomial_forms(3, h, degree)]
+        assert len(basis) == 64 * 10
+        for prim in worded:
+            for w in basis:
+                assert prim.apply_vector(vector(w)) == vector(prim(w)), (prim.name, h, w)
 
 
 MESHES = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
