@@ -45,11 +45,15 @@ PINNED = [
     ("verify-universal-n3-N3", "verify --suite universal --n 3 --N 3", 0, "tier1"),
     ("verify-endo-n3", "verify --suite endo --n 3", 0, "tier1"),
     ("verify-endo-n2-h1_2", "verify --suite endo --n 2 --h 1/2", 0, "tier1"),
+    # mesh widths that put powers of 2 or 3 into the normal-form denominators
+    ("verify-endo-n3-h1_3", "verify --suite endo --n 3 --h 1/3", 0, "tier1"),
+    ("verify-intertwine-n3-h1_2", "verify --suite intertwine --n 3 --h 1/2", 0, "tier1"),
     ("verify-intertwine-n3", "verify --suite intertwine --n 3", 0, "tier1"),
     ("verify-intertwine-n2-h1_3", "verify --suite intertwine --n 2 --h 1/3", 0, "tier1"),
     # exits 1: the two dirac value checks fail by design
     ("verify-dirac-n3", "verify --suite dirac --n 3", 1, "tier1"),
     ("verify-dirac-n2-h1_3", "verify --suite dirac --n 2 --h 1/3", 1, "tier1"),
+    ("verify-dirac-n3-h1_2", "verify --suite dirac --n 3 --h 1/2", 1, "tier1"),
     ("verify-forms-n4", "verify --suite forms --n 4", 0, "tier1"),
     ("verify-poly-n3", "verify --suite poly --n 3", 0, "tier1"),
     ("verify-poly-n4", "verify --suite poly --n 4", 0, "tier1"),
@@ -62,6 +66,8 @@ PINNED = [
     # exits 1, as at n=3
     ("verify-dirac-n4", "verify --suite dirac --n 4", 1, "ci"),
     ("verify-intertwine-n4", "verify --suite intertwine --n 4", 0, "ci"),
+    # the one n=4 pin at h != 1
+    ("verify-intertwine-n4-h1_3", "verify --suite intertwine --n 4 --h 1/3", 0, "ci"),
 ]
 
 

@@ -1,37 +1,42 @@
 """Single-point faults, each with the checks it must turn into FAIL lines:
-faults in the operator layer against the endo suite at n = 2, and faults on
-the monogenic solver's path against the monogenic suite at n = 1.
+faults in the operator layer against the endo suite at n = 2, a fault in
+the normal-form layer against the endo and dirac suites at n = 2, and
+faults on the monogenic solver's path against the monogenic suite at n = 1.
 
-The primitive builders are ``functools.cache``d, and a primitive keeps its
-images, their blade and coefficient parts and its normal forms for the
-process.  So every fault runs between two resets of those caches: no
-primitive built before the fault is read under it, and none built under
-it outlives it.
+The builders of primitives and of the named operators ``xi``, ``upsilon``
+and ``witt`` are ``functools.cache``d, and each node keeps its normal forms
+(a primitive also its images and their blade and coefficient parts) for as
+long as it lives.  So every fault runs between two resets of every cached
+builder of :mod:`latclif.operators`: no node built before the fault is read
+under it, and none built under it outlives it.  Composite nodes are shared
+by (kind, parts, coefficients), with parts compared by identity, so a
+composite built on the fresh primitives is never one built before.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from latclif import operators, polynomials, suites
+from latclif import normal, operators, polynomials, suites
+from latclif.cli import main
 from latclif.forms import single_blade
 from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
 from latclif.scalars import accumulate
 
-BUILDERS = (
-    operators.gamma, operators.vartheta, operators.vartheta_recursive,
-    operators.shift_op, operators.diff_op, operators.coord_shift,
-    operators.coord_mul, operators.nabla, operators.nabla_tilde,
-)
+BUILDERS = [build for build in vars(operators).values()
+            if hasattr(build, "cache_clear") and build.__module__ == operators.__name__]
+
+
+def reset_builders():
+    for build in BUILDERS:
+        build.cache_clear()
 
 
 @pytest.fixture
 def fresh_primitives():
-    for build in BUILDERS:
-        build.cache_clear()
+    reset_builders()
     yield
-    for build in BUILDERS:
-        build.cache_clear()
+    reset_builders()
 
 
 def xi_without_its_half(sign, axis):
@@ -65,10 +70,10 @@ def image_join_ignores_blade_signs(monkeypatch):
     def unsigned(self, i):
         if self.split is None or self.split[0] is None:
             return image(self, i)
-        blade, exps, h = operators._BASIS[i]
+        blade, exps, mesh = operators._BASIS[i]
         blade_part, coeff_part = self.split
-        return tuple(x for _, b in blade_part(blade) for e, c in coeff_part(exps, h)
-                     for x in (operators._basis_id((b, e, h)), c))
+        return tuple(x for _, b in blade_part(blade) for e, c in coeff_part(exps, mesh)
+                     for x in (operators._basis_id(mesh, b, e), c))
 
     monkeypatch.setattr(Operator, "_image", unsigned)
 
@@ -97,6 +102,11 @@ def endo_lines():
     return {c.name: c.run() for c in suites.endo_suite(2, Fraction(1))}
 
 
+def test_the_reset_covers_every_cached_builder():
+    names = {build.__name__ for build in BUILDERS}
+    assert {"gamma", "vartheta", "shift_op", "xi", "upsilon", "witt"} <= names
+
+
 @pytest.mark.parametrize("mutant", list(MUTANTS))
 def test_each_fault_fails_exactly_its_checks(monkeypatch, fresh_primitives, mutant):
     inject, expected = MUTANTS[mutant]
@@ -110,6 +120,51 @@ def test_each_fault_fails_exactly_its_checks(monkeypatch, fresh_primitives, muta
 
 def test_without_a_fault_every_endo_check_passes(fresh_primitives):
     assert all(passed for _, passed in endo_lines().values())
+
+
+# -- the normal-form layer ------------------------------------------------------
+
+def shifts_commute_with_coordinates(monkeypatch):
+    """(x + b h)^c keeps only its top term x^c, so in every product of
+    normal forms T and x commute.
+
+    Evaluation is untouched.  So the two dirac value checks, which fail
+    only by the h-terms of T x = (x + h) T, now pass, and a relation whose
+    normal forms now differ while evaluation agrees fails with a witness
+    that names both routes.
+    """
+    shifted_power = normal._shifted_power
+    monkeypatch.setattr(normal, "_shifted_power", lambda c, b, p, q: tuple(
+        term for term in shifted_power(c, b, p, q) if term[1] == c))
+
+
+def check_lines(checks):
+    """CHECK name -> its line, over every check of ``checks``."""
+    return {line.split()[1]: line for check in checks
+            for line in check.run()[0] if line.startswith("CHECK ")}
+
+
+def test_commuting_shifts_flip_the_dirac_values_and_fail_the_endo_relations(
+        monkeypatch, capsys, fresh_primitives):
+    values = ("dirac.vector-anticommutator-value", "dirac.square-variable-value")
+    routes = "normal forms differ, but evaluation agrees on every input of degree < 3"
+    assert all(" FAIL " in check_lines(suites.dirac_suite(2, Fraction(1)))[name]
+               for name in values)
+    reset_builders()
+    shifts_commute_with_coordinates(monkeypatch)
+    dirac = check_lines(suites.dirac_suite(2, Fraction(1)))
+    endo = check_lines(suites.endo_suite(2, Fraction(1)))
+    assert [dirac[name] for name in values] == [f"CHECK {name} PASS" for name in values]
+    assert {name for name, line in endo.items() if " FAIL " in line} == {
+        "endo.coeff-op-relations"}
+    assert endo["endo.coeff-op-relations"] == (
+        f"CHECK endo.coeff-op-relations FAIL [D+1, M-1]: {routes}")
+    [intertwining] = suites.intertwine_suite(2, Fraction(1))
+    assert (f"RELATION EX=EXbar(Xbar-side) CONVENTION minus FAIL {routes}"
+            in intertwining.run()[0])
+    capsys.readouterr()
+    assert main(["verify", "--suite", "endo", "--n", "2"]) == 1
+    assert f"CHECK endo.coeff-op-relations FAIL [D+1, M-1]: {routes}\n" in capsys.readouterr().out
 
 
 # -- the monogenic solver -----------------------------------------------------
@@ -158,13 +213,7 @@ SOLVER_MUTANTS = {
 
 
 def monogenic_lines():
-    """CHECK name -> its line, over every check of the monogenic suite at n = 1."""
-    lines = {}
-    for check in suites.monogenic_suite(1, Fraction(1)):
-        for line in check.run()[0]:
-            if line.startswith("CHECK "):
-                lines[line.split()[1]] = line
-    return lines
+    return check_lines(suites.monogenic_suite(1, Fraction(1)))
 
 
 def failing(lines):

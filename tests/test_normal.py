@@ -1,12 +1,15 @@
 """Operator identities decided by normal form, and the link from each
 primitive's declared word to its own evaluation."""
 
+import gc
+import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latclif import dirac, normal, polynomials
+from latclif import dirac, normal, operators, polynomials
 from latclif.coeffs import ExactPolynomial, diff
 from latclif.dirac import build_family
 from latclif.forms import Form, all_blades
@@ -27,6 +30,7 @@ from latclif.operators import (
     vartheta_recursive,
     verify_identities,
     verify_identity,
+    xi,
 )
 from latclif.scalars import I, ONE, Scalar
 
@@ -48,9 +52,10 @@ def act(nf, form):
     """The closed-form action: x^a T^b (x) E sends p * B to x^a p(x + b h) E(B)."""
     n, h = form.n, form.h
     blades, numbers = all_blades(n), normal.blade_numbers(n)
+    den, words = nf
     out = Form.zero(n, h)
     for blade, p in form.terms.items():
-        for (a, b), matrix in nf.items():
+        for (a, b), matrix in words.items():
             column = matrix.get(numbers[blade], ())
             q = p
             for axis, (k, s) in enumerate(zip(a, b), start=1):
@@ -58,7 +63,8 @@ def act(nf, form):
                     q = q.shift(axis, 1 if s > 0 else -1)
                 for _ in range(k):
                     q = q.coord_mul(axis)
-            for row, v in zip(column[::2], column[1::2]):
+            for row, re, im in zip(column[::3], column[1::3], column[2::3]):
+                v = Scalar(Fraction(re, den), Fraction(im, den))
                 out = out.add(Form.blade(q.scale(v), blades[row]))
     return out
 
@@ -96,13 +102,106 @@ def test_primitives_without_a_word_have_no_normal_form():
 
 def test_blade_words_are_read_off_fn():
     n, h = 2, Fraction(1, 2)
-    [(word, matrix)] = gamma(1, 2).normal_form(n, h).items()
-    assert word == ((0, 0), (0, 1))
-    [(word, _)] = vartheta(1, 2).normal_form(n, h).items()
+    den, words = gamma(1, 2).normal_form(n, h)
+    [(word, matrix)] = words.items()
+    assert den == 1 and word == ((0, 0), (0, 1))
+    [(word, _)] = vartheta(1, 2).normal_form(n, h)[1].items()
     assert word == ((0, 0), (0, -1))
     # dx2+ times a blade that has no dx2+: one entry +-1 per such column
     assert len(matrix) == len(all_blades(n)) // 2
-    assert all(len(col) == 2 and col[1] in (ONE, Scalar(-1)) for col in matrix.values())
+    assert all(len(col) == 3 and col[1:] in ((1, 0), (-1, 0)) for col in matrix.values())
+
+
+# -- the layout: Gaussian-integer numerators over one denominator -----------------
+
+def assert_lowest_terms(nf):
+    den, words = nf
+    assert type(den) is int and den > 0
+    numerators = [x for matrix in words.values() for col in matrix.values()
+                  for i, x in enumerate(col) if i % 3]
+    assert gcd(den, *numerators) == 1
+    for matrix in words.values():
+        assert matrix
+        for col in matrix.values():
+            rows = col[::3]
+            assert col and list(rows) == sorted(set(rows))
+            assert all(re or im for re, im in zip(col[1::3], col[2::3]))
+
+
+@pytest.mark.parametrize("h", MESHES, ids=str)
+def test_normal_forms_are_in_lowest_terms(h):
+    ops = leaves(2) + [xi(1, 1), xi(-1, 2), compose(diff_op(1, 1), coord_mul(1), nabla(2)),
+                       (nabla_tilde(1) * coord_shift(-1, 1)).scaled(Scalar(Fraction(2, 3), 1))]
+    for op in ops:
+        assert_lowest_terms(op.normal_form(2, h))
+
+
+def test_xi_has_denominator_two_and_zero_has_one_form():
+    den, words = xi(1, 1).normal_form(1, Fraction(1))
+    assert den == 2 and words
+    # gamma carries numerator 2 over 2, the half contraction numerator 1
+    assert {col[1] for matrix in words.values() for col in matrix.values()} == {1, 2}
+    zero = (1, {})
+    assert normal.ZERO == zero
+    assert ZERO_OP.normal_form(2, Fraction(1, 3)) == zero
+    assert (xi(1, 1) - xi(1, 1)).normal_form(1, Fraction(1, 2)) == zero
+    word = gamma(1, 1).normal_form(1, Fraction(1))
+    assert normal.combination([(Scalar(3), zero), (ONE, word)]) == word
+
+
+# -- shared nodes -------------------------------------------------------------
+
+def built_apart():
+    return (compose(gamma(1, 1), diff_op(-1, 1)) + nabla(1).scaled(Scalar(5, 7))
+            - shift_op(1, 1))
+
+
+def test_equal_trees_built_apart_are_one_node():
+    first, second = built_apart(), built_apart()
+    assert first is second
+    assert compose(shift_op(1, 1), gamma(1, 1)) is shift_op(1, 1) * gamma(1, 1)
+    assert Operator.constant(Fraction(1, 2)) is Operator.constant(Scalar(Fraction(1, 2)))
+    assert xi(1, 2) is xi(1, 2)
+    # a coefficient of another value is another node
+    assert nabla(1).scaled(2) is not nabla(1).scaled(3)
+
+
+def test_a_relation_decided_twice_builds_no_product_twice(monkeypatch):
+    calls = []
+    product = normal.product
+    monkeypatch.setattr(normal, "product", lambda *args: calls.append(1) or product(*args))
+    tf = spanning_forms(2, Fraction(1, 7))
+
+    def relation():
+        lhs = compose(xi(-1, 2), coord_mul(2), xi(1, 2)) + compose(xi(1, 2), xi(-1, 2))
+        return "t", lhs, compose(coord_mul(2), xi(-1, 2), xi(1, 2))
+
+    first = relation()
+    decided = verify_identity(*first, tf)
+    assert calls
+    calls.clear()
+    # built apart while the first is alive: the same nodes, with their normal forms
+    second = relation()
+    assert second[1] is first[1] and verify_identity(*second, tf) == decided
+    assert not calls
+
+
+def test_dropped_trees_leave_no_node_in_the_table():
+    gc.collect()
+    before = len(operators._NODES)
+    tree = built_apart() * compose(coord_mul(2), nabla_tilde(2)).scaled(Scalar(11, 13))
+    tree.normal_form(2, Fraction(1))
+    nodes, stack = [], [tree]
+    while stack:
+        op = stack.pop()
+        if op.kind != "prim":
+            nodes.append(weakref.ref(op))
+            stack += op.parts
+    assert len(operators._NODES) > before
+    del tree, op, stack
+    gc.collect()
+    assert all(ref() is None for ref in nodes)
+    assert len(operators._NODES) == before
 
 
 # -- decisions ------------------------------------------------------------------
@@ -219,7 +318,7 @@ def test_normal_form_equality_is_evaluation_on_enough_forms(n, data):
     rhs = data.draw(st.one_of(st.just(None), trees(n, 2)))
     rhs = rewritten(lhs, h, data) if rhs is None else rhs
     left, right = lhs.normal_form(n, h), rhs.normal_form(n, h)
-    difference = normal.combination([(ONE, left), (Scalar(-1), right)])
+    _, difference = normal.combination([(ONE, left), (Scalar(-1), right)])
     shifts = len({b for _, b in difference})
     forms = [f for degree in range(max(shifts, 3)) for f in monomial_forms(n, h, degree)]
     agree = verify_identities([("t", lhs, rhs)], forms)[0].passed
