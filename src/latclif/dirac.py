@@ -121,18 +121,15 @@ def build_family(n, convention=DEFAULT_CONVENTION):
     )
 
 
-def intertwining_relations(fam, acomm_z, acomm_zdag):
-    """The six relations, as (name, lhs, rhs) triples.
-
-    ``acomm_z`` and ``acomm_zdag`` are acomm(z,dz) and acomm(zdag,dzdag),
-    the left sides of the first and third relations.
-    """
+def intertwining_relations(fam):
+    """The six relations, as (name, lhs, rhs) triples."""
     n_id = Operator.constant(fam.n)
     zero = Operator.constant(0)
     return [
-        ("acomm(z,dz)=beta+Ez", acomm_z, fam.beta + fam.E_z),
+        ("acomm(z,dz)=beta+Ez", anticommutator(fam.z, fam.dz), fam.beta + fam.E_z),
         ("comm(z,dz)=-beta+Gz", commutator(fam.z, fam.dz), fam.Gamma_z - fam.beta),
-        ("acomm(zdag,dzdag)=n-beta+Ezdag", acomm_zdag, (n_id - fam.beta) + fam.E_zdag),
+        ("acomm(zdag,dzdag)=n-beta+Ezdag", anticommutator(fam.zdag, fam.dzdag),
+         (n_id - fam.beta) + fam.E_zdag),
         (
             "comm(zdag,dzdag)=-(n-beta)+Gzdag",
             commutator(fam.zdag, fam.dzdag),
@@ -147,17 +144,15 @@ def verify_intertwining(fam, test_forms):
     """Reports for the six relations plus the Euler-operator consistency.
 
     All eight checks take the test forms in one pass.  The z-side Euler
-    check is the operator acomm(z,dz) + acomm(zdag,dzdag) - n, built from
-    the two anticommutators of the first and third relations, so it reads
-    the normal forms they have already memoized.
+    check is the operator acomm(z,dz) + acomm(zdag,dzdag) - n; equal trees
+    are one node, so it reads the normal forms that the first and third
+    relations have already memoized.
     """
-    acomm_z = anticommutator(fam.z, fam.dz)
-    acomm_zdag = anticommutator(fam.zdag, fam.dzdag)
     n_id = Operator.constant(fam.n)
-    from_z = acomm_z + acomm_zdag - n_id
+    from_z = anticommutator(fam.z, fam.dz) + anticommutator(fam.zdag, fam.dzdag) - n_id
     from_xbar = -anticommutator(fam.Xbar, fam.dXbar) - n_id
     return decide_identities(
-        intertwining_relations(fam, acomm_z, acomm_zdag) + [
+        intertwining_relations(fam) + [
             ("EX=Ez+Ezdag(z-side)", from_z, fam.E_X),
             ("EX=EXbar(Xbar-side)", from_xbar, fam.E_X),
         ],

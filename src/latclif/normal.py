@@ -1,6 +1,6 @@
 """Operators as normal forms: sums of words x^a T^b times blade matrices.
 
-Every operator built from ``gamma``, ``vartheta`` and the coefficientwise
+Every operator built from the blade maps and the coefficientwise
 primitives lies in one algebra: the blade endomorphisms of the exterior
 algebra on the 2n differentials, tensored with the shift-Weyl algebra in
 the coordinates x_j and the translations T_j, where T_j x_j = (x_j + h) T_j.
@@ -33,8 +33,7 @@ from functools import cache
 from math import comb, gcd, lcm
 from operator import add
 
-from .coeffs import ExactPolynomial
-from .forms import Form, all_blades
+from .forms import all_blades
 
 ZERO = (1, {})
 
@@ -68,26 +67,20 @@ def coefficient_word(n, axis, terms):
     )
 
 
-def blade_word(fn, n, h, axis, step):
-    """T_axis^step (x) E, with E read off ``fn`` on the constant one-term forms.
-
-    ``fn`` must map each constant one-term form to a form with constant
-    coefficients, as a pure shift times a blade map does.
-    """
+def blade_word(blades, n):
+    """The sum over translations b of T^b (x) E_b, where E_b sends each blade
+    B to the sum of sign * B' over the (sign, B', b) of ``blades(B)``; b is
+    given as sorted (axis, k) pairs."""
     numbers = blade_numbers(n)
-    one = ExactPolynomial.constant(n, h)
     zero = (0,) * n
-    entries = []
+    words = {}
     for col, blade in enumerate(all_blades(n)):
-        for image_blade, coeff in fn(Form.blade(one, blade)).terms.items():
-            if set(coeff.terms) != {zero}:
-                raise ValueError(f"{blade.label()} maps to a non-constant coefficient")
-            entries.append((col, numbers[image_blade], coeff.terms[zero].triple))
-    den = lcm(*(d for _, _, (_, _, d) in entries))
-    matrix = {}
-    for col, row, (a, b, d) in entries:
-        matrix.setdefault(col, {})[row] = (a * (den // d), b * (den // d))
-    return _reduced(den, {(zero, _unit(n, axis, step)): matrix})
+        for sign, image, b in blades(blade):
+            steps = dict(b)
+            shift = tuple(steps.get(axis, 0) for axis in range(1, n + 1))
+            column = words.setdefault((zero, shift), {}).setdefault(col, {})
+            column.setdefault(numbers[image], [0, 0])[0] += sign
+    return _reduced(1, words)
 
 
 def combination(pairs):

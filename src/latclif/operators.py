@@ -7,17 +7,17 @@ combination (``"sum"``) of parts with Q(i) coefficients, which adds a part
 of coefficient 1 and subtracts one of coefficient -1 without scaling it.
 
 The primitives are ``gamma(s, j)``, exterior multiplication by dx_j^s;
-``vartheta(s, j)``, the dual contraction with its compensating shift; and
-the coefficientwise translations ``T``, one-sided differences ``D``,
-raising operators ``M`` (x_j T^{s j}), coordinate multiplications ``X``
-and symmetric and skew differences ``nabla`` and ``nablaTilde``.  The Witt
+``vartheta(s, j)``, the dual contraction with its compensating shift, and
+``vartheta_recursive(s, j)``, its defining recursion; and the
+coefficientwise translations ``T``, one-sided differences ``D``, raising
+operators ``M`` (x_j T^{s j}), coordinate multiplications ``X`` and
+symmetric and skew differences ``nabla`` and ``nablaTilde``.  The Witt
 generators ``xi(s, j) = gamma(s, j) + vartheta(-s, j)/2``, the Clifford
 generators ``upsilon(s, j) = xi(+, j) + s xi(-, j)`` and the shift-free
 ``witt(s, j)`` are named combinations of them.  Operator identities are
-decided by normal form (:mod:`latclif.normal`): every primitive except
-``vartheta_recursive`` declares its word in x and T, each node builds its
-normal form on first use, for one (n, h), and two sides are equal exactly
-when their normal forms are.
+decided by normal form (:mod:`latclif.normal`): every primitive declares
+its word in x and T, each node builds its normal form on first use, for
+one (n, h), and two sides are equal exactly when their normal forms are.
 
 Nodes are shared.  The builders of primitives and of ``xi``, ``upsilon``
 and ``witt`` return one object per argument tuple, for the process.
@@ -28,9 +28,8 @@ subexpression written twice is one node and builds its normal form once,
 and no entry of the table outlives the trees that use its node.
 
 Evaluation on a spanning set of one-term forms with polynomial
-coefficients finds the witness of a failed identity, decides an identity
-that has a side with no normal form, and checks the per-element
-certificates of the monogenic solver.
+coefficients finds the witness of a failed identity and checks the
+per-element certificates of the monogenic solver.
 
 Calling an operator on a form walks the tree: a primitive applies its
 function, a product applies its parts right to left and a sum adds its
@@ -43,19 +42,18 @@ by :func:`vector`, through :meth:`Operator.apply_vector`.  Each mesh width
 has its own numbering table, so a form or an image looks h up once, not
 once per term.  Only primitives keep images: a lazily built map from a
 basis element to its sparse image.  Products and sums keep none; they
-combine their parts' vectors.  A form is a function tensored with a
-Grassmann algebra, and so is every primitive except
-``vartheta_recursive``: its image of (B, x^e, h) is its blade part at B,
-the signed blades that B maps to, times its coefficient part at x^e, its
-coefficient operator's image of x^e.  Each part is memoized on its own, so
-the polynomial work is done once per monomial and mesh, not once per
-blade.  The coefficientwise primitives have the identity as blade part and
-fill their coefficient part by calling themselves on the 0-form x^e;
-``gamma`` and ``vartheta`` declare their blade map once and take their
-coefficient part from the translation ``T`` they carry.  A primitive
-without a split calls itself on the one-term basis form.  The primitive
-builders return one shared object per argument tuple, so primitive images
-live for the process and are shared by every operator built on them.
+combine their parts' vectors.
+
+A form is a function tensored with a Grassmann algebra, and so is every
+primitive: a blade map (``gamma``, ``vartheta``, ``vartheta_recursive``)
+sends each blade B to signed blades B', each with a translation T^b of
+the coefficient, and a coefficientwise primitive applies one coefficient
+operator under every blade.  Its image of (B, x^e, h) joins its blade part
+at B with its coefficient part at x^e, each memoized on its own, so the
+polynomial work is done once per monomial and mesh, not once per blade.
+The primitive builders return one shared object per argument tuple, so
+primitive images live for the process and are shared by every operator
+built on them.
 
 The Witt generators carry the factor one half on the contraction part so
 that the pairs (xi(+, j), xi(-, j)) obey the duality {xi+, xi-} = id
@@ -129,14 +127,6 @@ def vector(form):
     return vec
 
 
-def _flat(vec):
-    """A sparse vector as the flat tuple (id, coeff, id, coeff, ...)."""
-    out = []
-    for i, c in vec.items():
-        out += (i, interned(c))
-    return tuple(out)
-
-
 class Operator:
     """A linear endomorphism of the form algebra, as an expression tree."""
 
@@ -146,17 +136,15 @@ class Operator:
         self.coeffs = coeffs
         self.name = name
         self.fn = fn
-        # prim nodes: a function (n, h) -> the normal form of fn; None when
-        # fn declares no word, so that no tree containing it has a normal form
+        # prim nodes: a function (n, h) -> the normal form of fn
         self.word = word
         # prim nodes: basis id -> image, as a flat (id, coeff, ...) tuple,
         # built by _image; None on composite nodes, which keep no images
         self._images = {} if kind == "prim" else None
-        # prim nodes whose image of (B, x^e, h) factors (see _image): the
-        # memoized blade part (None for the identity) and coefficient part
+        # prim nodes: the memoized blade part and coefficient part that
+        # _image joins
         self.split = None
-        # (n, h) -> normal form, keyed by (n, h's numerator, h's denominator),
-        # or None when a primitive below has none
+        # (n, h) -> normal form, keyed by (n, h's numerator, h's denominator)
         self._normal = {}
 
     # -- construction ----------------------------------------------------
@@ -242,27 +230,19 @@ class Operator:
         return out if len(vec) == 1 else {j: v for j, v in out.items() if v}
 
     def _image(self, i):
-        """The image of basis element ``i`` under a primitive, as a flat tuple.
-
-        A split primitive joins its blade part at B, the (sign, B') pairs
-        (None for the identity), with its coefficient part at x^e, the
-        (e', c) pairs; any other calls itself on the one-term form.
-        """
+        """The image of basis element ``i`` under a primitive, as a flat tuple:
+        the join of its blade part at B, the (sign, B', b) triples, with its
+        coefficient part at x^e and each translation b, the (e', c) pairs."""
         blade, exps, mesh = _BASIS[i]
-        if self.split is None:
-            unit = ExactPolynomial(len(exps), mesh.h, {exps: ONE})
-            return _flat(vector(self(Form.blade(unit, blade))))
-        blade_part, coeff_part = self.split
-        coeff = coeff_part(exps, mesh)
+        blades, coeff = self.split
         out = []
-        for sign, image in ((1, blade),) if blade_part is None else blade_part(blade):
-            for e, c in coeff:
+        for sign, image, b in blades(blade):
+            for e, c in coeff(exps, b, mesh):
                 out += (_basis_id(mesh, image, e), c if sign > 0 else interned(-c))
         return tuple(out)
 
     def normal_form(self, n, h):
-        """The normal form of :mod:`latclif.normal` on forms of dimension n and
-        mesh h, or None when some primitive of the tree declares no word."""
+        """The normal form of :mod:`latclif.normal` on forms of dimension n and mesh h."""
         key = (n, h.numerator, h.denominator)  # ints hash faster than a Fraction
         if key not in self._normal:
             self._normal[key] = self._build_normal(n, h)
@@ -270,10 +250,8 @@ class Operator:
 
     def _build_normal(self, n, h):
         if self.kind == "prim":
-            return None if self.word is None else self.word(n, h)
+            return self.word(n, h)
         parts = [op.normal_form(n, h) for op in self.parts]
-        if None in parts:
-            return None
         if self.kind == "sum":
             return normal.combination(zip(self.coeffs, parts))
         out = normal.identity(n) if not parts else parts[-1]
@@ -344,25 +322,48 @@ def _sign_char(sign):
     return "+" if sign > 0 else "-"
 
 
-def _blade_map(name, blades, axis, step):
-    """The primitive that sends c * B to the sum of sign * T_axis^step(c) * B'
-    over the (sign, B') of ``blades(B)``, which is () or one pair.
+def _moved(b, axis, k):
+    """The translation b followed by T_axis^k, as sorted (axis, k) pairs."""
+    steps = dict(b)
+    steps[axis] = steps.get(axis, 0) + k
+    return tuple(sorted((a, m) for a, m in steps.items() if m))
+
+
+def _translate(coeff, b):
+    """T^b applied to a coefficient."""
+    for axis, k in b:
+        coeff = coeff.shift(axis, k)
+    return coeff
+
+
+@cache
+def _translated(exps, b, mesh):
+    """x^e under T^b on ``mesh``, as (e', c) pairs: the coefficient part of
+    every blade map."""
+    coeff = _translate(ExactPolynomial(len(exps), mesh.h, {exps: ONE}), b)
+    return tuple((e, interned(c)) for e, c in coeff.terms.items())
+
+
+def _blade_map(name, blades):
+    """The primitive that sends c * B to the sum of sign * T^b(c) * B' over
+    the (sign, B', b) of ``blades(B)``, which is () or one triple, so that
+    no image cancels (see ``apply_vector``); the translation b is given as
+    sorted (axis, k) pairs.
 
     ``blades`` is memoized per blade.  The function, the word and the
-    images all read it; the coefficient part of the images is that of
-    ``shift_op(step, axis)``.
+    images all read it.
     """
     blades = cache(blades)
 
     def apply(form):
         return Form.collect(form.n, form.h, (
-            (sign, image, coeff.shift(axis, step))
-            for blade, coeff in form.terms.items() for sign, image in blades(blade)
+            (sign, image, _translate(coeff, b))
+            for blade, coeff in form.terms.items() for sign, image, b in blades(blade)
         ))
 
     op = Operator("prim", name=name, fn=apply,
-                  word=lambda n, h: normal.blade_word(apply, n, h, axis, step))
-    op.split = (blades, shift_op(step, axis).split[1])
+                  word=lambda n, h: normal.blade_word(blades, n))
+    op.split = (blades, _translated)
     return op
 
 
@@ -371,12 +372,13 @@ def gamma(sign, axis):
     """Exterior product with dx_axis^sign (left multiplication)."""
     sign = _sgn(sign)
     factor = single_blade(sign, axis)
+    step = ((axis, sign),)
 
     def blades(blade):
         prod = blade_mul(factor, blade)
-        return () if prod is None else (prod,)
+        return () if prod is None else (prod + (step,),)
 
-    return _blade_map(f"gamma({_sign_char(sign)},{axis})", blades, axis, sign)
+    return _blade_map(f"gamma({_sign_char(sign)},{axis})", blades)
 
 
 @cache
@@ -390,6 +392,7 @@ def vartheta(sign, axis):
     """
     sign = _sgn(sign)
     target = (sign, axis)
+    step = ((axis, -sign),)
 
     def blades(blade):
         factors = blade.factors()
@@ -397,46 +400,44 @@ def vartheta(sign, axis):
             return ()
         idx = factors.index(target)
         _, rest = blade_from_factors(factors[:idx] + factors[idx + 1:])
-        return ((-1 if idx % 2 else 1, rest),)
+        return ((-1 if idx % 2 else 1, rest, step),)
 
-    return _blade_map(f"vartheta({_sign_char(sign)},{axis})", blades, axis, -sign)
+    return _blade_map(f"vartheta({_sign_char(sign)},{axis})", blades)
 
 
 @cache
 def vartheta_recursive(sign, axis):
-    """The contraction recursion taken literally, for cross-checking."""
+    """The contraction recursion taken literally, for cross-checking.
+
+    The recursion only ever translates and negates its coefficient, so it
+    runs once per blade, on a sign and a translation.
+    """
     sign = _sgn(sign)
 
-    def contract(coeff, factors):
-        # coefficient sits left of the factor list; returns [(coeff, factors)]
+    def contract(b, factors):
+        # a coefficient translated by b sits left of the factor list;
+        # returns [(sign, translation, factors)]
         if not factors:
             return []
         (s, a), rest = factors[0], factors[1:]
-        inner = coeff.shift(a, -s)  # move the coefficient past the factor
+        inner = _moved(b, a, -s)  # move the coefficient past the factor
         out = []
         if a == axis and s == sign:
-            out.append((inner.shift(axis, sign), rest))
-        for c2, b2 in contract(inner, rest):
-            prod = blade_from_factors(((s, a),) + b2)
+            out.append((1, _moved(inner, axis, sign), rest))
+        for sgn2, b2, f2 in contract(inner, rest):
+            prod = blade_from_factors(((s, a),) + f2)
             if prod is None:
                 continue
             sgn, nb = prod
-            c = c2.shift(a, s)
-            if sgn > 0:
-                c = c.neg()
-            out.append((c, nb.factors()))
+            out.append((-sgn2 if sgn > 0 else sgn2, _moved(b2, a, s), nb.factors()))
         return out
 
-    def apply(form):
-        def triples():
-            for b, coeff in form.terms.items():
-                for c, factors in contract(coeff.shift(axis, -sign), b.factors()):
-                    _, nb = blade_from_factors(factors)  # factors come out sorted
-                    yield 1, nb, c
+    def blades(blade):
+        # the factors come out sorted, so each blade_from_factors has sign +1
+        return tuple((sgn, blade_from_factors(factors)[1], b)
+                     for sgn, b, factors in contract(((axis, -sign),), blade.factors()))
 
-        return Form.collect(form.n, form.h, triples())
-
-    return Operator("prim", name=f"varthetaRec({_sign_char(sign)},{axis})", fn=apply)
+    return _blade_map(f"varthetaRec({_sign_char(sign)},{axis})", blades)
 
 
 @cache
@@ -476,23 +477,28 @@ def witt(sign, axis):
     )
 
 
+def _unmoved(blade):
+    return ((1, blade, ()),)
+
+
 def _coeffwise(name, fn, axis, terms):
     """The primitive that applies ``fn`` to every coefficient of a form.
 
     Its word is the sum of c * x_axis^k T_axis^s over the (c, k, s) of
-    ``terms(h)``.  Its images have the identity as blade part, and as
-    coefficient part its own image of the 0-form x^e, memoized per (e, mesh).
+    ``terms(h)``.  Its images have the identity as blade part, with no
+    translation, and as coefficient part its own image of the 0-form x^e,
+    memoized per (e, mesh).
     """
     op = Operator("prim", name=name, fn=lambda form: form.map_coeffs(fn),
                   word=lambda n, h: normal.coefficient_word(n, axis, terms(h)))
 
     @cache
-    def monomial(exps, mesh):
+    def monomial(exps, b, mesh):  # b is (): the blade part translates nothing
         image = op(Form.scalar(ExactPolynomial(len(exps), mesh.h, {exps: ONE})))
         return tuple((e, interned(c)) for coeff in image.terms.values()
                      for e, c in coeff.terms.items())
 
-    op.split = (None, monomial)
+    op.split = (_unmoved, monomial)
     return op
 
 
@@ -588,9 +594,8 @@ def decide_identities(relations, test_forms):
     """Reports for each (name, lhs, rhs), decided as operator identities.
 
     ``test_forms`` are the spanning forms of one dimension n and mesh h.  A
-    relation whose two sides have equal normal forms holds.  The others,
-    and those with a side that has no normal form, go to
-    :func:`verify_identities`, whose witness is the first failure on the
+    relation whose two sides have equal normal forms holds.  The others go
+    to :func:`verify_identities`, whose witness is the first failure on the
     test forms.  When the normal forms differ but every test form agrees,
     the search goes on over blade x monomials of total degree 3, 4, ...:
     a difference with m distinct shifts fails on some input of degree
@@ -606,15 +611,13 @@ def decide_identities(relations, test_forms):
     differences = {}
     for k, (name, lhs, rhs) in enumerate(relations):
         left, right = lhs.normal_form(n, h), rhs.normal_form(n, h)
-        if left is None or right is None:
-            differences[k] = None
-        elif left == right:
+        if left == right:
             reports[k] = OperatorReport(name, True)
         else:
             _, differences[k] = normal.combination(((ONE, left), (MINUS_ONE, right)))
     evaluated = verify_identities([relations[k] for k in differences], test_forms)
     for (k, difference), report in zip(differences.items(), evaluated):
-        if report.passed and difference is not None:
+        if report.passed:
             report = _higher_degree_failure(relations[k], n, h, difference)
         reports[k] = report
     return reports

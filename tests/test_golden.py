@@ -63,6 +63,8 @@ PINNED = [
     ("verify-universal-n4-N3", "verify --suite universal --n 4 --N 3", 0, "ci"),
     ("verify-reduction-n4-N3", "verify --suite reduction --n 4 --N 3", 0, "ci"),
     ("verify-endo-n4", "verify --suite endo --n 4", 0, "ci"),
+    # the translations of the contraction recursion at h != 1
+    ("verify-endo-n4-h1_3", "verify --suite endo --n 4 --h 1/3", 0, "ci"),
     # exits 1, as at n=3
     ("verify-dirac-n4", "verify --suite dirac --n 4", 1, "ci"),
     ("verify-intertwine-n4", "verify --suite intertwine --n 4", 0, "ci"),

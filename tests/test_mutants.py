@@ -1,7 +1,9 @@
 """Single-point faults, each with the checks it must turn into FAIL lines:
 faults in the operator layer against the endo suite at n = 2, a fault in
-the normal-form layer against the endo and dirac suites at n = 2, and
-faults on the monogenic solver's path against the monogenic suite at n = 1.
+the image join against the comparison of images with the tree walk, a
+fault in the normal-form layer against the endo and dirac suites at n = 2,
+and faults on the monogenic solver's path against the monogenic suite at
+n = 1.
 
 The builders of primitives and of the named operators ``xi``, ``upsilon``
 and ``witt`` are ``functools.cache``d, and each node keeps its normal forms
@@ -13,13 +15,16 @@ by (kind, parts, coefficients), with parts compared by identity, so a
 composite built on the fresh primitives is never one built before.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
+from test_operators import assert_evaluators_agree
 
 from latclif import normal, operators, polynomials, suites
 from latclif.cli import main
-from latclif.forms import single_blade
+from latclif.coeffs import ExactPolynomial
+from latclif.forms import Form, single_blade
 from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
 from latclif.scalars import accumulate
 
@@ -59,23 +64,35 @@ def blade_mul_with_one_sign_flipped(monkeypatch):
 
 
 def image_join_ignores_blade_signs(monkeypatch):
-    """A split primitive's image takes each blade sign of its blade part as +.
+    """A primitive's image takes each blade sign of its blade part as +.
 
     Only the join in ``Operator._image`` is wrong: ``fn``, the tree walk and
-    the normal forms are untouched, so only checks that read the images of
+    the normal forms are untouched, so only what reads the images of
     ``gamma`` or ``vartheta`` on a blade with a negative sign can fail.
     """
-    image = Operator._image
-
     def unsigned(self, i):
-        if self.split is None or self.split[0] is None:
-            return image(self, i)
         blade, exps, mesh = operators._BASIS[i]
-        blade_part, coeff_part = self.split
-        return tuple(x for _, b in blade_part(blade) for e, c in coeff_part(exps, mesh)
-                     for x in (operators._basis_id(mesh, b, e), c))
+        blades, coeff = self.split
+        return tuple(x for _, image, b in blades(blade) for e, c in coeff(exps, b, mesh)
+                     for x in (operators._basis_id(mesh, image, e), c))
 
     monkeypatch.setattr(Operator, "_image", unsigned)
+
+
+def recursion_moves_the_wrong_way(monkeypatch):
+    """The contraction recursion moves the coefficient past a factor dx_a^s
+    by T_a^s instead of T_a^-s.
+
+    The fault is one token of the source of ``vartheta_recursive``, so the
+    recursion itself is wrong, and its word, its fn and its images with it.
+    """
+    source = inspect.getsource(operators.vartheta_recursive)
+    mutated = source.replace("_moved(b, a, -s)", "_moved(b, a, s)")
+    assert mutated != source
+    namespace = dict(vars(operators))
+    exec(mutated, namespace)
+    for module in (operators, suites):
+        monkeypatch.setattr(module, "vartheta_recursive", namespace["vartheta_recursive"])
 
 
 def drop_the_half_in_xi(monkeypatch):
@@ -92,9 +109,10 @@ MUTANTS = {
         "endo.fermi.gamma-vartheta-mixed", "endo.fermi.gamma-vartheta-same",
         "endo.xi-witt", "endo.upsilon-signature",
     }),
-    # the one endo check decided by evaluation: vartheta against the
-    # recursion, whose images come from its fn
-    "image-join-unsigned": (image_join_ignores_blade_signs, {"endo.vartheta-recursion"}),
+    # decided by normal form; the witness comes from the recursion's images
+    "recursion-moves-the-wrong-way": (recursion_moves_the_wrong_way, {
+        "endo.vartheta-recursion",
+    }),
 }
 
 
@@ -120,6 +138,24 @@ def test_each_fault_fails_exactly_its_checks(monkeypatch, fresh_primitives, muta
 
 def test_without_a_fault_every_endo_check_passes(fresh_primitives):
     assert all(passed for _, passed in endo_lines().values())
+
+
+def test_the_recursion_fault_fails_with_an_evaluation_witness(monkeypatch, fresh_primitives):
+    recursion_moves_the_wrong_way(monkeypatch)
+    [line] = endo_lines()["endo.vartheta-recursion"][0]
+    assert line == ("CHECK endo.vartheta-recursion FAIL closed form vs recursion (1,1):"
+                    " on x1*dx1+: blade 1 at (0, 0) = -2")
+
+
+def test_the_image_join_fault_is_caught_by_the_images_against_the_tree(
+        monkeypatch, fresh_primitives):
+    """Every endo check is decided by normal form, so none reads an image;
+    the comparison of the images with the tree walk does."""
+    image_join_ignores_blade_signs(monkeypatch)
+    assert all(passed for _, passed in endo_lines().values())
+    form = Form.blade(ExactPolynomial.coordinate(2, Fraction(1), 1), single_blade(1, 1))
+    with pytest.raises(AssertionError):
+        assert_evaluators_agree(gamma(1, 2), form)
 
 
 # -- the normal-form layer ------------------------------------------------------

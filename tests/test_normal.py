@@ -38,12 +38,12 @@ MESHES = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
 ZERO_OP = Operator.constant(0)
 
 
-def worded_primitives(n):
+def primitives(n):
     out = []
     for j in range(1, n + 1):
         for s in (1, -1):
-            out += [gamma(s, j), vartheta(s, j), shift_op(s, j), diff_op(s, j),
-                    coord_shift(s, j)]
+            out += [gamma(s, j), vartheta(s, j), vartheta_recursive(s, j), shift_op(s, j),
+                    diff_op(s, j), coord_shift(s, j)]
         out += [coord_mul(j), nabla(j), nabla_tilde(j)]
     return out
 
@@ -82,7 +82,7 @@ def link_failure(op, n, h):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("h", MESHES, ids=str)
 def test_every_primitive_word_acts_as_its_fn(n, h):
-    for op in worded_primitives(n):
+    for op in primitives(n):
         assert link_failure(op, n, h) is None, op.name
 
 
@@ -94,10 +94,13 @@ def test_a_word_that_disagrees_with_its_fn_fails_the_link():
     assert link_failure(twice, 1, Fraction(1)) == "x1^2*1"
 
 
-def test_primitives_without_a_word_have_no_normal_form():
-    assert vartheta_recursive(1, 1).normal_form(1, Fraction(1)) is None
-    assert (gamma(1, 1) + vartheta_recursive(1, 1)).normal_form(1, Fraction(1)) is None
-    assert Operator("prim", name="adhoc", fn=lambda w: w).normal_form(1, Fraction(1)) is None
+def test_the_recursion_has_the_normal_form_of_the_closed_form():
+    for n in (1, 2, 3):
+        for h in MESHES:
+            for j in range(1, n + 1):
+                for s in (1, -1):
+                    assert (vartheta_recursive(s, j).normal_form(n, h)
+                            == vartheta(s, j).normal_form(n, h)), (n, h, s, j)
 
 
 def test_blade_words_are_read_off_fn():
@@ -225,7 +228,7 @@ def test_equal_normal_forms_are_not_evaluated():
     tf = spanning_forms(1, Fraction(1))
     assert verify_identity("t", counted, gamma(1, 1), tf).passed
     assert seen == []
-    # a side with no normal form is decided by evaluation, as before
+    # the recursion is a blade map, so it is decided by normal form too
     assert verify_identity("t", vartheta(1, 1), vartheta_recursive(1, 1), tf).passed
 
 
@@ -234,7 +237,7 @@ def test_decide_identities_keeps_the_evaluated_witnesses():
     relations = [
         ("holds", compose(shift_op(1, 1), shift_op(-1, 1)), Operator.identity()),
         ("fails", coord_shift(1, 2), coord_mul(2)),
-        ("no-word", vartheta(-1, 2), vartheta_recursive(-1, 2)),
+        ("recursion", vartheta(-1, 2), vartheta_recursive(-1, 2)),
         ("cube", compose(diff_op(-1, 2), diff_op(-1, 2), diff_op(-1, 2)), ZERO_OP),
     ]
     reports = decide_identities(relations, tf)
@@ -267,7 +270,7 @@ def test_monogenic_certificates_are_evaluated_per_element(monkeypatch):
 # -- normal-form equality is operator equality ----------------------------------
 
 def leaves(n):
-    return worded_primitives(n) + [Operator.identity()]
+    return primitives(n) + [Operator.identity()]
 
 
 COEFFS = st.sampled_from([ONE, Scalar(-1), Scalar(2), Scalar(Fraction(1, 2)), I])
