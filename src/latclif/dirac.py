@@ -140,13 +140,14 @@ def intertwining_relations(fam):
     ]
 
 
-def verify_intertwining(fam, test_forms):
-    """Reports for the six relations plus the Euler-operator consistency.
+def verify_intertwining(fam, h):
+    """Reports for the six relations plus the Euler-operator consistency at
+    mesh width h, decided together.
 
-    All eight checks take the test forms in one pass.  The z-side Euler
-    check is the operator acomm(z,dz) + acomm(zdag,dzdag) - n; equal trees
-    are one node, so it reads the normal forms that the first and third
-    relations have already memoized.
+    The z-side Euler check is the operator
+    acomm(z,dz) + acomm(zdag,dzdag) - n; equal trees are one node, so it
+    reads the normal forms that the first and third relations have already
+    memoized.
     """
     n_id = Operator.constant(fam.n)
     from_z = anticommutator(fam.z, fam.dz) + anticommutator(fam.zdag, fam.dzdag) - n_id
@@ -156,15 +157,15 @@ def verify_intertwining(fam, test_forms):
             ("EX=Ez+Ezdag(z-side)", from_z, fam.E_X),
             ("EX=EXbar(Xbar-side)", from_xbar, fam.E_X),
         ],
-        test_forms,
+        fam.n, h,
     )
 
 
-def determine_convention(n, test_forms):
+def determine_convention(n, h):
     """The convention under which every intertwining relation holds."""
     passing = []
     for conv in (PLUS, MINUS):
         fam = build_family(n, conv)
-        if all(r.passed for r in verify_intertwining(fam, test_forms)):
+        if all(r.passed for r in verify_intertwining(fam, h)):
             passing.append(conv)
     return passing

@@ -1,30 +1,39 @@
-"""Operators as normal forms: sums of words x^a T^b times blade matrices.
+"""Operators as normal forms: sums of words c x^a T^b a+_S a_T.
 
 Every operator built from the blade maps and the coefficientwise
 primitives lies in one algebra: the blade endomorphisms of the exterior
 algebra on the 2n differentials, tensored with the shift-Weyl algebra in
 the coordinates x_j and the translations T_j, where T_j x_j = (x_j + h) T_j.
-Each such operator has exactly one normal form
 
-    sum over (a, b) of  x^a T^b (x) E_{a,b},
+The differentials are fermionic modes in canonical factor order: dx_j^- is
+mode j - 1 and dx_j^+ is mode n + j - 1, and a set of modes is a bitmask.
+A blade B is |B> = a+_m1 ... a+_mk |0> with m1 < ... < mk, so
+``gamma(s, j)`` is T^(s e_j) a+_m and ``vartheta(s, j)`` is T^(-s e_j) a_m,
+with the Jordan-Wigner signs (Z. Phys. 47, 1928).  With a+_S the ascending
+product and a_T = (a+_T)^dagger, a+_S a_T |B> is nonzero exactly when T
+lies in B and S misses R = B \\ T; it is then
+(-1)^(inv(T, R) + inv(S, R)) |S u R>, where inv(X, Y) counts the pairs
+x in X, y in Y with y < x.  These normal-ordered words (Wick, Phys. Rev.
+80, 1950) are a basis of the blade endomorphisms, and the words x^a T^b
+are independent on polynomials (applied to e^{t.x}, distinct shifts b give
+distinct exponentials).  So each operator has exactly one normal form, a
+sum of c x^a T^b a+_S a_T, and two operators are equal exactly when their
+normal forms are (Ore, Ann. Math. 34, 1933; Chyzak and Salvy, J. Symbolic
+Comput. 26, 1998).
 
-which acts on a one-term form p * B as x^a p(x + b h) E_{a,b}(B).  The
-words x^a T^b are independent on polynomials: applied to e^{t.x}, distinct
-shifts b give the distinct exponentials e^{t.b h}.  So two operators are
-equal exactly when their normal forms are (Ore, Ann. Math. 34, 1933;
-Chyzak and Salvy, J. Symbolic Comput. 26, 1998).
+Products normal-order by one rule, a_m a+_m = 1 - a+_m a_m, with distinct
+modes anticommuting.  ``blade_word`` reads a blade map's words off by a
+triangular solve over the blades in order of degree: a+_S a_B sends B to
+|S>, and every other word that reaches B has T a proper subset of B.
 
-A normal form is a pair (den, words): a positive int den and a dict words
-from (a, b) to E, where a is the exponent tuple of x and b the shift tuple
-of T, both of length n.  E is a sparse blade matrix of Gaussian-integer
-numerators over den: a dict from a column to the flat tuple
-(row, re, im, row, re, im, ...) of its nonzero entries by ascending row,
-each entry (re + im i) / den, with blades numbered by their position in
-``all_blades(n)``.  No stored entry, column or word is zero, the gcd of den
-and all the numerators is 1, and zero is ``ZERO``, (1, {}).  So two normal
-forms are equal exactly when the pairs are, and a product or combination
-is int arithmetic over one common denominator, reduced by one gcd pass.
-A normal form is never changed after it is built.
+A normal form is a pair (den, words): a positive int den and a flat dict
+from (a, b, S, T), a the exponents of x and b the shifts of T, to the
+Gaussian-integer numerator (re, im) of the coefficient (re + im i) / den.
+No stored numerator is zero, the gcd of den and all the numerators is 1,
+and zero is ``ZERO``, (1, {}).  So two normal forms are equal exactly when
+the pairs are, and a product or combination is int arithmetic over one
+common denominator, reduced by one gcd pass.  A normal form is never
+changed after it is built.
 """
 
 from __future__ import annotations
@@ -39,20 +48,39 @@ ZERO = (1, {})
 
 
 @cache
-def blade_numbers(n):
-    """Blade -> its position in ``all_blades(n)``."""
-    return {blade: i for i, blade in enumerate(all_blades(n))}
+def blade_masks(n):
+    """Every blade of dimension n, in order of degree -> its modes as a
+    bitmask: dx_j^- is bit j - 1 and dx_j^+ bit n + j - 1."""
+    return {blade: sum(1 << (a - 1) for a in blade.minus)
+            + sum(1 << (n + a - 1) for a in blade.plus)
+            for blade in sorted(all_blades(n), key=lambda b: b.degree)}
 
 
-@cache
-def _identity_matrix(n):
-    return {c: (c, 1, 0) for c in range(len(all_blades(n)))}
+def _odd(x, y):
+    """Whether inv(x, y), the pairs of a mode of x above a mode of y, is odd."""
+    count = 0
+    while x:
+        low = x & -x
+        count += (y & (low - 1)).bit_count()
+        x ^= low
+    return count & 1
+
+
+def word_action(s, t, blade):
+    """a+_S a_T |B> for the bitmasks s, t and blade: (sign, S u R), with
+    R = B \\ T, or None when it is zero."""
+    if t & ~blade:
+        return None
+    rest = blade ^ t
+    if s & rest:
+        return None
+    return -1 if _odd(t, rest) ^ _odd(s, rest) else 1, s | rest
 
 
 def identity(n):
     """The normal form of the identity operator."""
     zero = (0,) * n
-    return 1, {(zero, zero): _identity_matrix(n)}
+    return 1, {(zero, zero, 0, 0): (1, 0)}
 
 
 def _unit(n, axis, k):
@@ -60,27 +88,41 @@ def _unit(n, axis, k):
 
 
 def coefficient_word(n, axis, terms):
-    """Sum of c * x_axis^k T_axis^s (x) 1 over the (Scalar c, k, s) of ``terms``."""
-    ident = _identity_matrix(n)
+    """Sum of c * x_axis^k T_axis^s over the (Scalar c, k, s) of ``terms``."""
     return combination(
-        (c, (1, {(_unit(n, axis, k), _unit(n, axis, s)): ident})) for c, k, s in terms
+        (c, (1, {(_unit(n, axis, k), _unit(n, axis, s), 0, 0): (1, 0)})) for c, k, s in terms
     )
 
 
 def blade_word(blades, n):
-    """The sum over translations b of T^b (x) E_b, where E_b sends each blade
-    B to the sum of sign * B' over the (sign, B', b) of ``blades(B)``; b is
-    given as sorted (axis, k) pairs."""
-    numbers = blade_numbers(n)
+    """The normal form of the map that sends each blade B to the sum of
+    sign * T^b B' over the (sign, B', b) of ``blades(B)``; b is given as
+    sorted (axis, k) pairs.
+
+    A triangular solve over the blades in order of degree: the coefficient
+    of a+_S a_B at shift b is that of T^b |S> in what remains of the image
+    of B once the words found before B, whose T are smaller blades, have
+    acted on B.
+    """
     zero = (0,) * n
-    words = {}
-    for col, blade in enumerate(all_blades(n)):
-        for sign, image, b in blades(blade):
-            steps = dict(b)
-            shift = tuple(steps.get(axis, 0) for axis in range(1, n + 1))
-            column = words.setdefault((zero, shift), {}).setdefault(col, {})
-            column.setdefault(numbers[image], [0, 0])[0] += sign
-    return _reduced(1, words)
+    masks, shifts = blade_masks(n), {}
+    found = []  # (b, S, T, c)
+    for blade, mask in masks.items():
+        rest = {}
+        for sign, image, steps in blades(blade):
+            shift = shifts.get(steps)
+            if shift is None:
+                moves = dict(steps)
+                shift = shifts[steps] = tuple(moves.get(axis, 0) for axis in range(1, n + 1))
+            key = shift, masks[image]
+            rest[key] = rest.get(key, 0) + sign
+        for shift, s, t, c in found:
+            hit = word_action(s, t, mask)
+            if hit is not None:
+                key = shift, hit[1]
+                rest[key] = rest.get(key, 0) - hit[0] * c
+        found += [(shift, s, mask, c) for (shift, s), c in rest.items() if c]
+    return _reduced(1, {(zero, shift, s, t): (c, 0) for shift, s, t, c in found})
 
 
 def combination(pairs):
@@ -88,36 +130,48 @@ def combination(pairs):
     terms = [(c.triple, form) for c, form in pairs]
     den = lcm(*(d * form[0] for (_, _, d), form in terms))
     out = {}
-    for (a, b, d), (form_den, words) in terms:
-        if not (a or b):
+    for (cr, ci, d), (form_den, words) in terms:
+        if not (cr or ci):
             continue
         m = den // (d * form_den)
-        for word, matrix in words.items():
-            _add_into(out.setdefault(word, {}), matrix, a * m, b * m)
+        cr, ci = cr * m, ci * m
+        for word, (re, im) in words.items():
+            re, im = re * cr - im * ci, re * ci + im * cr
+            s = out.get(word)
+            out[word] = (re, im) if s is None else (s[0] + re, s[1] + im)
     return _reduced(den, out)
 
 
 def product(left, right, h):
     """The normal form of left * right (right applied first).
 
-    x^a T^b (x) E times x^c T^d (x) F is x^a (x + b h)^c T^(b+d) (x) EF.
-    With h = p/q, (x + b h)^c has denominators up to q^|c|, so the product
-    is taken over the denominator of left times that of right times q^top,
-    top the largest total degree |c| on the right.
+    x^a T^b E times x^c T^d F is x^a (x + b h)^c T^(b+d) EF, with EF the
+    normal-ordered product of the words E and F.  With h = p/q,
+    (x + b h)^c has denominators up to q^|c|, so the product is taken over
+    the denominator of left times that of right times q^top, top the
+    largest total degree |c| on the right.
     """
     (left_den, left_words), (right_den, right_words) = left, right
     p, q = h.numerator, h.denominator
-    top = max(sum(c) for c, _ in right_words) if right_words else 0
+    top = max(sum(word[0]) for word in right_words) if right_words else 0
     out = {}
-    for (a, b), e in left_words.items():
-        for (c, d), f in right_words.items():
-            ef = _matmul(e, f)
+    for (a, b, s, t), (lr, li) in left_words.items():
+        for (c, d, u, v), (rr, ri) in right_words.items():
+            ef = _word_product(s, t, u, v)
             if not ef:
                 continue
+            re, im = lr * rr - li * ri, lr * ri + li * rr
             shift = tuple(map(add, b, d))
             scale = q ** (top - sum(c))
-            for t, k in _shifted_power(c, b, p, q):
-                _add_into(out.setdefault((tuple(map(add, a, k)), shift), {}), ef, t * scale, 0)
+            for k, e in _shifted_power(c, b, p, q):
+                x = tuple(map(add, a, e))
+                k *= scale
+                for sign, s2, t2 in ef:
+                    m = k if sign > 0 else -k
+                    word = x, shift, s2, t2
+                    old = out.get(word)
+                    out[word] = ((re * m, im * m) if old is None
+                                 else (old[0] + re * m, old[1] + im * m))
     return _reduced(left_den * right_den * q ** top, out)
 
 
@@ -132,100 +186,37 @@ def _shifted_power(c, b, p, q):
     return tuple(terms)
 
 
-def _matmul(e, f):
-    """The numerators of the blade matrix EF (F applied first), as clean
-    columns: flat (row, re, im, ...) by ascending row, with no zero entry."""
-    out = {}
-    for col, fcol in f.items():
-        if len(fcol) == 3:
-            # one entry v at row k of F: the column is v times column k of E
-            ecol = e.get(fcol[0])
-            if ecol is not None:
-                out[col] = _scaled(ecol, fcol[1], fcol[2])
-            continue
-        acc = {}
-        it = iter(fcol)
-        for k, vr, vi in zip(it, it, it):
-            ecol = e.get(k)
-            if ecol is None:
-                continue
-            jt = iter(ecol)
-            for row, wr, wi in zip(jt, jt, jt):
-                if vi or wi:
-                    re, im = wr * vr - wi * vi, wr * vi + wi * vr
-                else:
-                    re, im = wr * vr, 0
-                s = acc.get(row)
-                acc[row] = (re, im) if s is None else (s[0] + re, s[1] + im)
-        flat = [x for row in sorted(acc) if any(acc[row]) for x in (row, *acc[row])]
-        if flat:
-            out[col] = flat
-    return out
+@cache
+def _word_product(s, t, u, v):
+    """a+_S a_T a+_U a_V in normal order, as (sign, S', T') triples.
 
-
-def _scaled(col, cr, ci):
-    """(cr + ci i) times a clean column, cr + ci i nonzero: again clean."""
-    if ci:
-        out = list(col)
-        re, im = col[1::3], col[2::3]
-        out[1::3] = [x * cr - y * ci for x, y in zip(re, im)]
-        out[2::3] = [x * ci + y * cr for x, y in zip(re, im)]
-        return out
-    if cr == 1:
-        return col
-    return [x if i % 3 == 0 else x * cr for i, x in enumerate(col)]
-
-
-def _add_into(acc, matrix, cr, ci):
-    """acc += (cr + ci i) * matrix, in place, for a nonzero cr + ci i and a
-    matrix of clean columns.  A column of ``acc`` that one term reached is
-    that term's clean column; one that several reached is {row: [re, im]}."""
-    for col, entries in matrix.items():
-        dst = acc.get(col)
-        if dst is None:
-            acc[col] = _scaled(entries, cr, ci)
-            continue
-        if type(dst) is not dict:
-            it = iter(dst)
-            dst = acc[col] = {row: [re, im] for row, re, im in zip(it, it, it)}
-        it = iter(entries)
-        for row, re, im in zip(it, it, it):
-            if ci:
-                re, im = re * cr - im * ci, re * ci + im * cr
-            elif cr != 1:
-                re, im = re * cr, im * cr
-            s = dst.get(row)
-            if s is None:
-                dst[row] = [re, im]
-            else:
-                s[0] += re
-                s[1] += im
+    The lowest annihilator a_m of a_T passes a+_U: each creator of another
+    mode flips the sign, and a+_m leaves the contraction term by
+    a_m a+_m = 1 - a+_m a_m.  Then a_m joins a_V, past its modes above m.
+    """
+    if not t:
+        return () if s & u else ((-1 if _odd(s, u) else 1, s | u, v),)
+    low = t & -t
+    below = low - 1
+    out = []
+    if not v & low:
+        flips = u.bit_count() + (v & ~below).bit_count()
+        out += [(-sign if flips & 1 else sign, s2, t2)
+                for sign, s2, t2 in _word_product(s, t ^ low, u, v | low)]
+    if u & low:
+        flips = (u & below).bit_count()
+        out += [(-sign if flips & 1 else sign, s2, t2)
+                for sign, s2, t2 in _word_product(s, t ^ low, u ^ low, v)]
+    return tuple(out)
 
 
 def _reduced(den, words):
-    """The normal form of ``words`` over ``den``, whose columns are clean or
-    {row: [re, im]}: each column clean, with no empty column or word, and
-    the common factor of den and every numerator divided out."""
-    out = {}
-    g = den
-    for word, matrix in words.items():
-        kept = {}
-        for col, entries in matrix.items():
-            if type(entries) is dict:
-                entries = [x for row in sorted(entries) if any(entries[row])
-                           for x in (row, *entries[row])]
-                if not entries:
-                    continue
-            if g != 1:
-                g = gcd(g, *entries[1::3], *entries[2::3])
-            kept[col] = entries
-        if kept:
-            out[word] = kept
+    """The normal form of the numerators ``words`` over ``den``: no zero
+    numerator, and the common factor of den and every numerator divided out."""
+    out = {word: c for word, c in words.items() if c[0] or c[1]}
     if not out:
         return ZERO
-    for matrix in out.values():
-        for col, flat in matrix.items():
-            if g != 1:
-                flat = [x if i % 3 == 0 else x // g for i, x in enumerate(flat)]
-            matrix[col] = tuple(flat)
+    g = gcd(den, *(x for c in out.values() for x in c))
+    if g != 1:
+        out = {word: (re // g, im // g) for word, (re, im) in out.items()}
     return den // g, out

@@ -15,9 +15,10 @@ symmetric and skew differences ``nabla`` and ``nablaTilde``.  The Witt
 generators ``xi(s, j) = gamma(s, j) + vartheta(-s, j)/2``, the Clifford
 generators ``upsilon(s, j) = xi(+, j) + s xi(-, j)`` and the shift-free
 ``witt(s, j)`` are named combinations of them.  Operator identities are
-decided by normal form (:mod:`latclif.normal`): every primitive declares
-its word in x and T, each node builds its normal form on first use, for
-one (n, h), and two sides are equal exactly when their normal forms are.
+decided by normal form (:mod:`latclif.normal`): a coefficientwise
+primitive declares its words in x and T, a blade map's words are read off
+its blade map, each node builds its normal form on first use, for one
+(n, h), and two sides are equal exactly when their normal forms are.
 
 Nodes are shared.  The builders of primitives and of ``xi``, ``upsilon``
 and ``witt`` return one object per argument tuple, for the process.
@@ -577,36 +578,34 @@ def spanning_coeffs(n, h):
 
 
 def spanning_forms(n, h):
-    """All blades times the spanning polynomial coefficients."""
-    out = []
+    """All blades times the spanning polynomial coefficients, labelled, each
+    built when it is read."""
+    coeffs = spanning_coeffs(n, h)
     for blade in all_blades(n):
-        for label, coeff in spanning_coeffs(n, h):
-            out.append((f"{label}*{blade.label()}", Form.blade(coeff, blade)))
-    return out
+        for label, coeff in coeffs:
+            yield f"{label}*{blade.label()}", Form.blade(coeff, blade)
 
 
-def verify_identity(name, lhs, rhs, test_forms):
-    """Decide lhs = rhs as operators; see :func:`decide_identities`."""
-    return decide_identities([(name, lhs, rhs)], test_forms)[0]
+def verify_identity(name, lhs, rhs, n, h):
+    """Decide lhs = rhs as operators on forms of dimension n and mesh h; see
+    :func:`decide_identities`."""
+    return decide_identities([(name, lhs, rhs)], n, h)[0]
 
 
-def decide_identities(relations, test_forms):
-    """Reports for each (name, lhs, rhs), decided as operator identities.
+def decide_identities(relations, n, h):
+    """Reports for each (name, lhs, rhs), decided as operator identities on
+    forms of dimension n and mesh h.
 
-    ``test_forms`` are the spanning forms of one dimension n and mesh h.  A
-    relation whose two sides have equal normal forms holds.  The others go
-    to :func:`verify_identities`, whose witness is the first failure on the
-    test forms.  When the normal forms differ but every test form agrees,
-    the search goes on over blade x monomials of total degree 3, 4, ...:
-    a difference with m distinct shifts fails on some input of degree
-    below m, since polynomials of degree m - 1 separate m points.  Should
-    evaluation still agree on every such input, the two routes contradict
-    each other, and the relation fails with a witness that says so.
+    A relation whose two sides have equal normal forms holds.  The others
+    go to :func:`verify_identities`, whose witness is the first failure on
+    the spanning forms, built only as far as they are read.  When the
+    normal forms differ but every spanning form agrees, the search goes on
+    over blade x monomials of total degree 3, 4, ...: a difference with m
+    distinct shifts fails on some input of degree below m, since
+    polynomials of degree m - 1 separate m points.  Should evaluation still
+    agree on every such input, the two routes contradict each other, and
+    the relation fails with a witness that says so.
     """
-    if not test_forms:
-        return verify_identities(relations, test_forms)
-    form = test_forms[0][1]
-    n, h = form.n, form.h
     reports = [None] * len(relations)
     differences = {}
     for k, (name, lhs, rhs) in enumerate(relations):
@@ -615,7 +614,8 @@ def decide_identities(relations, test_forms):
             reports[k] = OperatorReport(name, True)
         else:
             _, differences[k] = normal.combination(((ONE, left), (MINUS_ONE, right)))
-    evaluated = verify_identities([relations[k] for k in differences], test_forms)
+    evaluated = verify_identities([relations[k] for k in differences],
+                                  spanning_forms(n, h)) if differences else ()
     for (k, difference), report in zip(differences.items(), evaluated):
         if report.passed:
             report = _higher_degree_failure(relations[k], n, h, difference)
@@ -629,7 +629,7 @@ def _higher_degree_failure(relation, n, h, difference):
 
     ``difference`` holds the words of the difference of the normal forms.
     """
-    shifts = len({b for _, b in difference})
+    shifts = len({word[1] for word in difference})
     for degree in range(3, shifts):
         report = verify_identities([relation], monomial_forms(n, h, degree))[0]
         if not report.passed:
@@ -679,5 +679,5 @@ def verify_identities(relations, test_forms):
     return [OperatorReport(name, w is None, w) for (name, _, _), w in zip(relations, witnesses)]
 
 
-def operators_equal(lhs, rhs, test_forms):
-    return verify_identity("eq", lhs, rhs, test_forms).passed
+def operators_equal(lhs, rhs, n, h):
+    return verify_identity("eq", lhs, rhs, n, h).passed

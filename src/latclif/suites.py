@@ -62,7 +62,6 @@ from .operators import (
     gamma,
     opsum,
     shift_op,
-    spanning_forms,
     upsilon,
     vartheta,
     vartheta_recursive,
@@ -124,19 +123,20 @@ def check_line(name, passed, witness=None):
     return f"CHECK {name} {status}{tail}"
 
 
-def case_checks(seed, test_forms, named_cases):
+def case_checks(seed, space, named_cases):
     """One Check per (name, cases) pair, each decided by the case driver.
 
     ``cases(rng)`` yields the check's (label, lhs, rhs) cases; ``rng`` is
     the check's own generator, seeded from ``seed`` and the check name.
-    Operator cases are decided by ``verify_identity``; ``test_forms`` are
-    the spanning forms their witnesses come from.
+    Operator cases are decided by ``verify_identity`` on forms of the
+    dimension and mesh width ``space``, a pair (n, h); it is () for checks
+    with no operator case.
     """
 
     def check(name, cases):
         def run():
             rng = random.Random(f"{seed}:{name}")
-            witness = _first_failure(name, cases(rng), test_forms)
+            witness = _first_failure(name, cases(rng), space)
             return [check_line(name, witness is None, witness)], witness is None
 
         return Check(name, run)
@@ -144,14 +144,14 @@ def case_checks(seed, test_forms, named_cases):
     return [check(name, cases) for name, cases in named_cases]
 
 
-def _first_failure(name, cases, test_forms):
+def _first_failure(name, cases, space):
     """The witness of the first failing case, or None when all hold.
 
     Cases after the first failure are never generated.
     """
     for label, lhs, rhs in cases:
         if isinstance(lhs, Operator):
-            found = verify_identity(name, lhs, rhs, test_forms).witness
+            found = verify_identity(name, lhs, rhs, *space).witness
         else:
             found = _difference(lhs, rhs)
         if found is not None:
@@ -530,7 +530,6 @@ def forms_suite(n, h):
 # endomorphism suite.
 
 def endo_suite(n, h):
-    tf = spanning_forms(n, h)
     zero = Operator.constant(0)
     ident = Operator.identity()
     axes = range(1, n + 1)
@@ -579,7 +578,7 @@ def endo_suite(n, h):
             v = _rand_form(n, h, rng, deg=2, nterms=2)
             yield op.name, op(w.add(v.scale(s))), op(w).add(op(v).scale(s))
 
-    return case_checks(505, tf, [
+    return case_checks(505, (n, h), [
         ("endo.fermi.gamma-gamma-same", anticommutators(lambda: [
             (gamma(s, j), gamma(s, k), zero) for s in signs for j in axes for k in axes
         ])),
@@ -618,7 +617,6 @@ def endo_suite(n, h):
 # dirac suite.
 
 def dirac_suite(n, h, convention=dirac_mod.DEFAULT_CONVENTION):
-    tf = spanning_forms(n, h)
     fam = dirac_mod.build_family(n, convention)
     zero = Operator.constant(0)
     lap = opsum(*[diff_op(-1, j) * diff_op(1, j) for j in range(1, n + 1)])
@@ -636,7 +634,7 @@ def dirac_suite(n, h, convention=dirac_mod.DEFAULT_CONVENTION):
         )
         yield None, fam.E_z, alt
 
-    return case_checks(606, tf, [
+    return case_checks(606, (n, h), [
         ("dirac.isotropy-dz", identity(fam.dz * fam.dz, zero)),
         ("dirac.isotropy-dzdag", identity(fam.dzdag * fam.dzdag, zero)),
         ("dirac.isotropy-z", identity(fam.z * fam.z, zero)),
@@ -658,14 +656,12 @@ def dirac_suite(n, h, convention=dirac_mod.DEFAULT_CONVENTION):
 
 
 def intertwine_suite(n, h):
-    tf = spanning_forms(n, h)
-
     def relations():
         lines = []
         passing = []
         for conv in (dirac_mod.PLUS, dirac_mod.MINUS):
             fam = dirac_mod.build_family(n, conv)
-            reports = dirac_mod.verify_intertwining(fam, tf)
+            reports = dirac_mod.verify_intertwining(fam, h)
             if all(r.passed for r in reports):
                 passing.append(conv)
             for r in reports:
@@ -718,7 +714,7 @@ def poly_suite(n, h):
             yield (f"[D{-s}{j}, M{s}{k}]", commutator(diff_op(-s, j), coord_shift(s, k)),
                    ident if j == k else zero)
 
-    return case_checks(707, spanning_forms(m, h), [
+    return case_checks(707, (m, h), [
         ("poly.rodrigues-values", rodrigues),
         ("poly.basicness", basicness),
         ("poly.monomial-principle", principle),

@@ -118,21 +118,21 @@ def test_criterion_5_dirac_identities():
 def test_criterion_5_square_variable_values():
     n = 1
     fam = build_family(n, MINUS)
-    tf = spanning_forms(n, Fraction(1, 2))
+    h = Fraction(1, 2)
     summ = opsum(*[coord_shift(1, j) * coord_shift(-1, j) for j in range(1, n + 1)])
-    rep1 = verify_identity("zz", anticommutator(fam.z, fam.zdag), summ, tf)
-    rep2 = verify_identity("xx", fam.X * fam.X, -summ, tf)
+    rep1 = verify_identity("zz", anticommutator(fam.z, fam.zdag), summ, n, h)
+    rep2 = verify_identity("xx", fam.X * fam.X, -summ, n, h)
     assert rep1.passed and rep2.passed
 
 
 def test_criterion_6_intertwining():
     start = time.monotonic()
     for n in (1, 2):
-        tf = spanning_forms(n, Fraction(1))
-        assert determine_convention(n, tf) == [MINUS]
-        reports = verify_intertwining(build_family(n, MINUS), tf)
+        h = Fraction(1)
+        assert determine_convention(n, h) == [MINUS]
+        reports = verify_intertwining(build_family(n, MINUS), h)
         assert all(r.passed for r in reports)
-        other_reports = verify_intertwining(build_family(n, PLUS), tf)
+        other_reports = verify_intertwining(build_family(n, PLUS), h)
         failed = [r for r in other_reports if not r.passed]
         assert failed and all(r.witness for r in failed)
     report(6, "intertwining", start, 60)
@@ -179,10 +179,11 @@ def _artifact_forms():
     """Representative forms produced by the other suites."""
     rng = random.Random(99)
     out = []
-    for _, form in spanning_forms(2, Fraction(1, 2))[:12]:
+    spanning = list(spanning_forms(2, Fraction(1, 2)))
+    for _, form in spanning[:12]:
         out.append(form)
     fam = build_family(2, MINUS)
-    for _, form in spanning_forms(2, Fraction(1, 2))[12:18]:
+    for _, form in spanning[12:18]:
         out.append(fam.dz(form))
         out.append(fam.Gamma_z(form))
     for alpha in ((2, 0), (1, 1)):

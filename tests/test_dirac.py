@@ -18,18 +18,16 @@ from latclif.operators import (
     coord_shift,
     diff_op,
     opsum,
-    spanning_forms,
     verify_identity,
 )
 from latclif.scalars import Scalar
 
 N, H = 2, Fraction(1, 2)
-TF = spanning_forms(N, H)
 ZERO_OP = Operator.identity().scaled(Scalar(0))
 
 
-def holds(lhs, rhs, forms=TF):
-    return verify_identity("t", lhs, rhs, forms).passed
+def holds(lhs, rhs, n=N):
+    return verify_identity("t", lhs, rhs, n, H).passed
 
 
 def laplacian(n):
@@ -47,7 +45,7 @@ def test_dirac_pm_isotropy():
     for n in (1, 2):
         for s in (1, -1):
             op = dirac_pm(n, s)
-            assert holds(op * op, ZERO_OP, spanning_forms(n, H))
+            assert holds(op * op, ZERO_OP, n)
 
 
 def test_dirac_kahler_annihilates_constants():
@@ -59,14 +57,13 @@ def test_dirac_kahler_annihilates_constants():
 def test_dirac_equals_difference_of_halves():
     for n in (1, 2):
         fam = build_family(n)
-        assert holds(fam.dirac, fam.d_plus - fam.d_minus, spanning_forms(n, H))
+        assert holds(fam.dirac, fam.d_plus - fam.d_minus, n)
 
 
 def test_dirac_squares_to_minus_laplacian():
     for n in (1, 2):
         fam = build_family(n)
-        forms = spanning_forms(n, H)
-        assert holds(fam.dirac * fam.dirac, -laplacian(n), forms)
+        assert holds(fam.dirac * fam.dirac, -laplacian(n), n)
 
 
 def test_dirac_kahler_on_square_1d():
@@ -156,7 +153,7 @@ def test_square_variable_clean_value():
 def test_intertwining_all_pass_default():
     for n in (1, 2):
         fam = build_family(n, MINUS)
-        reports = verify_intertwining(fam, spanning_forms(n, H))
+        reports = verify_intertwining(fam, H)
         assert all(r.passed for r in reports), [
             (r.name, r.witness) for r in reports if not r.passed
         ]
@@ -164,7 +161,7 @@ def test_intertwining_all_pass_default():
 
 def test_intertwining_fails_under_plus_with_witness():
     fam = build_family(N, PLUS)
-    reports = verify_intertwining(fam, TF)
+    reports = verify_intertwining(fam, H)
     failed = [r for r in reports if not r.passed]
     assert failed
     assert all(r.witness for r in failed)
@@ -172,7 +169,7 @@ def test_intertwining_fails_under_plus_with_witness():
 
 def test_exactly_one_convention():
     for n in (1, 2):
-        assert determine_convention(n, spanning_forms(n, H)) == [MINUS]
+        assert determine_convention(n, H) == [MINUS]
 
 
 def test_beta_on_unit_form():

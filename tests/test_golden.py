@@ -13,7 +13,7 @@ from latclif import suites
 from latclif.cli import main
 from latclif.coeffs import BoxFunction, ExactPolynomial, cube
 from latclif.forms import EMPTY_BLADE, Form, single_blade
-from latclif.operators import Operator, gamma, spanning_forms, verify_identity
+from latclif.operators import Operator, gamma, verify_identity
 from latclif.scalars import ZERO, Scalar
 from latclif.universal import Torus, delta_form, g_power
 
@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # Every pinned run: name, argv, exit code and tier; its stdout is in
 # golden/<name>.out.  Tier-1 runs the "tier1" rows in process.  The "ci"
-# rows, at n=4, take seconds each; one CI step runs them through
+# rows, at n=4 and 5, take seconds each; one CI step runs them through
 # `PYTHONPATH=src python tests/test_golden.py`, each in a fresh interpreter.
 PINNED = [
     ("monogenic-n2-p0q0", "monogenic --n 2 --p 0 --q 0", 0, "tier1"),
@@ -70,6 +70,11 @@ PINNED = [
     ("verify-intertwine-n4", "verify --suite intertwine --n 4", 0, "ci"),
     # the one n=4 pin at h != 1
     ("verify-intertwine-n4-h1_3", "verify --suite intertwine --n 4 --h 1/3", 0, "ci"),
+    # the identity suites at n=5
+    ("verify-endo-n5", "verify --suite endo --n 5", 0, "ci"),
+    # exits 1, as at n=3
+    ("verify-dirac-n5", "verify --suite dirac --n 5", 1, "ci"),
+    ("verify-intertwine-n5", "verify --suite intertwine --n 5", 0, "ci"),
 ]
 
 
@@ -110,11 +115,11 @@ def run_pinned():
 # -- the case driver behind every suite check ---------------------------------
 
 X = ExactPolynomial.coordinate(1, Fraction(1), 1)
-TF1 = spanning_forms(1, Fraction(1))
+SPACE1 = (1, Fraction(1))
 
 
-def run_one(cases, test_forms=()):
-    [check] = suites.case_checks(0, test_forms, [("t.case", cases)])
+def run_one(cases, space=()):
+    [check] = suites.case_checks(0, space, [("t.case", cases)])
     return check.run()
 
 
@@ -133,7 +138,7 @@ def test_driver_passes_when_every_case_holds():
         yield "zero", X.sub(X), ZERO
         yield "operator", gamma(1, 1), gamma(1, 1)
 
-    assert run_one(cases, TF1) == (["CHECK t.case PASS"], True)
+    assert run_one(cases, SPACE1) == (["CHECK t.case PASS"], True)
 
 
 @pytest.mark.parametrize("lhs, rhs, witness", [
@@ -145,14 +150,14 @@ def test_driver_passes_when_every_case_holds():
     (Scalar(1), Scalar(2), "1 != 2"),
 ], ids=["form", "poly", "box", "uform", "operator", "scalar"])
 def test_fail_names_label_and_first_difference(lhs, rhs, witness):
-    lines, passed = run_one(lambda rng: [("case 7", lhs, rhs)], TF1)
+    lines, passed = run_one(lambda rng: [("case 7", lhs, rhs)], SPACE1)
     assert not passed
     assert lines == [f"CHECK t.case FAIL case 7: {witness}"]
 
 
 def test_unlabeled_operator_identity_keeps_the_bare_witness():
-    bare = verify_identity("t.case", gamma(1, 1), Operator.constant(0), TF1).witness
-    lines, _ = run_one(lambda rng: [(None, gamma(1, 1), Operator.constant(0))], TF1)
+    bare = verify_identity("t.case", gamma(1, 1), Operator.constant(0), *SPACE1).witness
+    lines, _ = run_one(lambda rng: [(None, gamma(1, 1), Operator.constant(0))], SPACE1)
     assert lines == [f"CHECK t.case FAIL {bare}"]
 
 

@@ -1,7 +1,7 @@
 """Single-point faults, each with the checks it must turn into FAIL lines:
 faults in the operator layer against the endo suite at n = 2, a fault in
-the image join against the comparison of images with the tree walk, a
-fault in the normal-form layer against the endo and dirac suites at n = 2,
+the image join against the comparison of images with the tree walk,
+faults in the normal-form layer against the endo and dirac suites at n = 2,
 and faults on the monogenic solver's path against the monogenic suite at
 n = 1.
 
@@ -201,6 +201,43 @@ def test_commuting_shifts_flip_the_dirac_values_and_fail_the_endo_relations(
     capsys.readouterr()
     assert main(["verify", "--suite", "endo", "--n", "2"]) == 1
     assert f"CHECK endo.coeff-op-relations FAIL [D+1, M-1]: {routes}\n" in capsys.readouterr().out
+
+
+def products_drop_the_contraction(monkeypatch):
+    """a_m a+_m = -a+_m a_m: the normal-ordered product of two blade words
+    keeps no contraction term.
+
+    Evaluation is untouched, so each relation whose normal forms lose a
+    contraction fails with a witness that names both routes.
+    """
+    source = inspect.getsource(normal._word_product)
+    mutated = source.replace("    if u & low:", "    if False:")
+    assert mutated != source
+    namespace = dict(vars(normal))
+    exec(mutated, namespace)
+    monkeypatch.setattr(normal, "_word_product", namespace["_word_product"])
+
+
+def test_a_product_without_its_contraction_fails_the_fermion_relations(
+        monkeypatch, fresh_primitives):
+    routes = "normal forms differ, but evaluation agrees on every input of degree <"
+    products_drop_the_contraction(monkeypatch)
+    lines = {**check_lines(suites.endo_suite(2, Fraction(1))),
+             **check_lines(suites.dirac_suite(2, Fraction(1)))}
+    assert {name: line for name, line in lines.items() if " FAIL " in line} == {
+        "endo.fermi.gamma-vartheta-same": ("CHECK endo.fermi.gamma-vartheta-same FAIL"
+                                           f" {{gamma(+,1),vartheta(+,1)}}: {routes} 3"),
+        "endo.xi-witt": f"CHECK endo.xi-witt FAIL {{xi(+,1),xi(-,1)}}: {routes} 3",
+        "endo.upsilon-signature": f"CHECK endo.upsilon-signature FAIL axis 1: {routes} 3",
+        "dirac.laplacian-dX": f"CHECK dirac.laplacian-dX FAIL {routes} 5",
+        "dirac.laplacian-dXbar": f"CHECK dirac.laplacian-dXbar FAIL {routes} 5",
+        "dirac.laplacian-hermitian": f"CHECK dirac.laplacian-hermitian FAIL {routes} 5",
+        # the two value checks fail by design, as without the fault
+        "dirac.vector-anticommutator-value": ("CHECK dirac.vector-anticommutator-value FAIL"
+                                              " on 1*1: blade 1 at (0, 1) = -1"),
+        "dirac.square-variable-value": ("CHECK dirac.square-variable-value FAIL"
+                                        " on 1*1: blade 1 at (0, 1) = 1"),
+    }
 
 
 # -- the monogenic solver -----------------------------------------------------

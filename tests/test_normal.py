@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from latclif import dirac, normal, operators, polynomials
 from latclif.coeffs import ExactPolynomial, diff
 from latclif.dirac import build_family
-from latclif.forms import Form, all_blades
+from latclif.forms import Form
 from latclif.operators import (
     Operator,
     compose,
@@ -49,23 +49,27 @@ def primitives(n):
 
 
 def act(nf, form):
-    """The closed-form action: x^a T^b (x) E sends p * B to x^a p(x + b h) E(B)."""
+    """The closed-form action: c x^a T^b a+_S a_T sends p * B to
+    c x^a p(x + b h) a+_S a_T |B>."""
     n, h = form.n, form.h
-    blades, numbers = all_blades(n), normal.blade_numbers(n)
+    masks = normal.blade_masks(n)
+    blades = {mask: blade for blade, mask in masks.items()}
     den, words = nf
     out = Form.zero(n, h)
     for blade, p in form.terms.items():
-        for (a, b), matrix in words.items():
-            column = matrix.get(numbers[blade], ())
+        for (a, b, s, t), (re, im) in words.items():
+            hit = normal.word_action(s, t, masks[blade])
+            if hit is None:
+                continue
+            sign, image = hit
             q = p
-            for axis, (k, s) in enumerate(zip(a, b), start=1):
-                for _ in range(abs(s)):
-                    q = q.shift(axis, 1 if s > 0 else -1)
+            for axis, (k, step) in enumerate(zip(a, b), start=1):
+                for _ in range(abs(step)):
+                    q = q.shift(axis, 1 if step > 0 else -1)
                 for _ in range(k):
                     q = q.coord_mul(axis)
-            for row, re, im in zip(column[::3], column[1::3], column[2::3]):
-                v = Scalar(Fraction(re, den), Fraction(im, den))
-                out = out.add(Form.blade(q.scale(v), blades[row]))
+            v = Scalar(Fraction(sign * re, den), Fraction(sign * im, den))
+            out = out.add(Form.blade(q.scale(v), blades[image]))
     return out
 
 
@@ -73,7 +77,7 @@ def link_failure(op, n, h):
     """The first spanning or degree-3 form on which op's word and op's fn
     disagree, or None."""
     nf = op.normal_form(n, h)
-    forms = spanning_forms(n, h) + monomial_forms(n, h, 3)
+    forms = [*spanning_forms(n, h), *monomial_forms(n, h, 3)]
     return next((label for label, form in forms if act(nf, form) != op.fn(form)), None)
 
 
@@ -103,16 +107,21 @@ def test_the_recursion_has_the_normal_form_of_the_closed_form():
                             == vartheta(s, j).normal_form(n, h)), (n, h, s, j)
 
 
-def test_blade_words_are_read_off_fn():
-    n, h = 2, Fraction(1, 2)
-    den, words = gamma(1, 2).normal_form(n, h)
-    [(word, matrix)] = words.items()
-    assert den == 1 and word == ((0, 0), (0, 1))
-    [(word, _)] = vartheta(1, 2).normal_form(n, h)[1].items()
-    assert word == ((0, 0), (0, -1))
-    # dx2+ times a blade that has no dx2+: one entry +-1 per such column
-    assert len(matrix) == len(all_blades(n)) // 2
-    assert all(len(col) == 3 and col[1:] in ((1, 0), (-1, 0)) for col in matrix.values())
+def test_the_blade_maps_are_one_word_each():
+    # read off the blade maps: gamma(s, j) = T^(s e_j) a+_m, vartheta(s, j)
+    # and its recursion T^(-s e_j) a_m, with m the mode of dx_j^s
+    h = Fraction(1, 2)
+    for n in (1, 2, 3, 4):
+        zero = (0,) * n
+        for j in range(1, n + 1):
+            for s in (1, -1):
+                mode = 1 << (j - 1 if s < 0 else n + j - 1)
+                step = tuple(s if i == j else 0 for i in range(1, n + 1))
+                back = tuple(-k for k in step)
+                assert gamma(s, j).normal_form(n, h) == (1, {(zero, step, mode, 0): (1, 0)})
+                closed = (1, {(zero, back, 0, mode): (1, 0)})
+                assert vartheta(s, j).normal_form(n, h) == closed
+                assert vartheta_recursive(s, j).normal_form(n, h) == closed
 
 
 # -- the layout: Gaussian-integer numerators over one denominator -----------------
@@ -120,15 +129,10 @@ def test_blade_words_are_read_off_fn():
 def assert_lowest_terms(nf):
     den, words = nf
     assert type(den) is int and den > 0
-    numerators = [x for matrix in words.values() for col in matrix.values()
-                  for i, x in enumerate(col) if i % 3]
-    assert gcd(den, *numerators) == 1
-    for matrix in words.values():
-        assert matrix
-        for col in matrix.values():
-            rows = col[::3]
-            assert col and list(rows) == sorted(set(rows))
-            assert all(re or im for re, im in zip(col[1::3], col[2::3]))
+    assert gcd(den, *(x for c in words.values() for x in c)) == 1
+    for (a, b, s, t), (re, im) in words.items():
+        assert len(a) == len(b) and type(s) is int and type(t) is int
+        assert type(re) is int and type(im) is int and (re or im)
 
 
 @pytest.mark.parametrize("h", MESHES, ids=str)
@@ -143,13 +147,44 @@ def test_xi_has_denominator_two_and_zero_has_one_form():
     den, words = xi(1, 1).normal_form(1, Fraction(1))
     assert den == 2 and words
     # gamma carries numerator 2 over 2, the half contraction numerator 1
-    assert {col[1] for matrix in words.values() for col in matrix.values()} == {1, 2}
+    assert sorted(words.values()) == [(1, 0), (2, 0)]
     zero = (1, {})
     assert normal.ZERO == zero
     assert ZERO_OP.normal_form(2, Fraction(1, 3)) == zero
     assert (xi(1, 1) - xi(1, 1)).normal_form(1, Fraction(1, 2)) == zero
     word = gamma(1, 1).normal_form(1, Fraction(1))
     assert normal.combination([(Scalar(3), zero), (ONE, word)]) == word
+
+
+# -- the product rule ---------------------------------------------------------
+
+def word_image(words, blade):
+    """The sum of c a+_S a_T |B> over {(S, T): c}, as {mask: c}; B a mask."""
+    out = {}
+    for (s, t), c in words.items():
+        hit = normal.word_action(s, t, blade)
+        if hit is not None:
+            out[hit[1]] = out.get(hit[1], 0) + hit[0] * c
+    return {mask: c for mask, c in out.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_the_normal_ordered_product_acts_as_the_two_words_composed(data):
+    n = data.draw(st.sampled_from([1, 2]))
+    masks = st.tuples(st.integers(0, 4**n - 1), st.integers(0, 4**n - 1))
+    left, right = data.draw(masks), data.draw(masks)
+    zero = (0,) * n
+    den, words = normal.product(*[(1, {(zero, zero, *w): (1, 0)}) for w in (left, right)],
+                                Fraction(1))
+    assert den == 1 and all(im == 0 for _, im in words.values())
+    product = {(s, t): re for (_, _, s, t), (re, _) in words.items()}
+    for blade in range(4**n):
+        composed = {}
+        for middle, c in word_image({right: 1}, blade).items():
+            for image, d in word_image({left: 1}, middle).items():
+                composed[image] = composed.get(image, 0) + c * d
+        assert word_image(product, blade) == {m: c for m, c in composed.items() if c}
 
 
 # -- shared nodes -------------------------------------------------------------
@@ -173,19 +208,19 @@ def test_a_relation_decided_twice_builds_no_product_twice(monkeypatch):
     calls = []
     product = normal.product
     monkeypatch.setattr(normal, "product", lambda *args: calls.append(1) or product(*args))
-    tf = spanning_forms(2, Fraction(1, 7))
+    space = (2, Fraction(1, 7))
 
     def relation():
         lhs = compose(xi(-1, 2), coord_mul(2), xi(1, 2)) + compose(xi(1, 2), xi(-1, 2))
         return "t", lhs, compose(coord_mul(2), xi(-1, 2), xi(1, 2))
 
     first = relation()
-    decided = verify_identity(*first, tf)
+    decided = verify_identity(*first, *space)
     assert calls
     calls.clear()
     # built apart while the first is alive: the same nodes, with their normal forms
     second = relation()
-    assert second[1] is first[1] and verify_identity(*second, tf) == decided
+    assert second[1] is first[1] and verify_identity(*second, *space) == decided
     assert not calls
 
 
@@ -212,11 +247,10 @@ def test_dropped_trees_leave_no_node_in_the_table():
 @pytest.mark.parametrize("n", [1, 2])
 def test_third_forward_difference_is_not_zero(n):
     forward = diff_op(1, 1)
-    tf = spanning_forms(n, Fraction(1))
     cube_ = compose(forward, forward, forward)
     # it vanishes on every spanning form, so evaluation alone passes it
-    assert verify_identities([("t", cube_, ZERO_OP)], tf)[0].passed
-    report = verify_identity("t", cube_, ZERO_OP, tf)
+    assert verify_identities([("t", cube_, ZERO_OP)], spanning_forms(n, Fraction(1)))[0].passed
+    report = verify_identity("t", cube_, ZERO_OP, n, Fraction(1))
     assert not report.passed
     assert report.witness == f"on x1^3*1: blade 1 at {(0,) * n} = 6"
 
@@ -225,35 +259,35 @@ def test_equal_normal_forms_are_not_evaluated():
     seen = []
     counted = Operator("prim", name="counted", word=gamma(1, 1).word,
                        fn=lambda form: seen.append(form) or gamma(1, 1).fn(form))
-    tf = spanning_forms(1, Fraction(1))
-    assert verify_identity("t", counted, gamma(1, 1), tf).passed
+    assert verify_identity("t", counted, gamma(1, 1), 1, Fraction(1)).passed
     assert seen == []
     # the recursion is a blade map, so it is decided by normal form too
-    assert verify_identity("t", vartheta(1, 1), vartheta_recursive(1, 1), tf).passed
+    assert verify_identity("t", vartheta(1, 1), vartheta_recursive(1, 1), 1, Fraction(1)).passed
 
 
 def test_decide_identities_keeps_the_evaluated_witnesses():
-    tf = spanning_forms(2, Fraction(1, 3))
+    h = Fraction(1, 3)
     relations = [
         ("holds", compose(shift_op(1, 1), shift_op(-1, 1)), Operator.identity()),
         ("fails", coord_shift(1, 2), coord_mul(2)),
         ("recursion", vartheta(-1, 2), vartheta_recursive(-1, 2)),
         ("cube", compose(diff_op(-1, 2), diff_op(-1, 2), diff_op(-1, 2)), ZERO_OP),
     ]
-    reports = decide_identities(relations, tf)
-    evaluated = verify_identities(relations, tf)
+    reports = decide_identities(relations, 2, h)
+    evaluated = verify_identities(relations, spanning_forms(2, h))
     assert [r.passed for r in reports] == [True, False, True, False]
     assert reports[:3] == evaluated[:3]
     assert reports[3].witness.startswith("on x2^3*1: ")
 
 
 def test_intertwining_reports_match_evaluation(monkeypatch):
-    tf = spanning_forms(2, Fraction(1, 2))
+    h = Fraction(1, 2)
     for convention in ("plus", "minus"):
         fam = build_family(2, convention)
-        routed = dirac.verify_intertwining(fam, tf)
-        monkeypatch.setattr(dirac, "decide_identities", verify_identities)
-        assert dirac.verify_intertwining(fam, tf) == routed
+        routed = dirac.verify_intertwining(fam, h)
+        monkeypatch.setattr(dirac, "decide_identities", lambda relations, n, h:
+                            verify_identities(relations, spanning_forms(n, h)))
+        assert dirac.verify_intertwining(fam, h) == routed
         monkeypatch.undo()
     assert [r.passed for r in routed] == [True] * 8
 
@@ -322,7 +356,7 @@ def test_normal_form_equality_is_evaluation_on_enough_forms(n, data):
     rhs = rewritten(lhs, h, data) if rhs is None else rhs
     left, right = lhs.normal_form(n, h), rhs.normal_form(n, h)
     _, difference = normal.combination([(ONE, left), (Scalar(-1), right)])
-    shifts = len({b for _, b in difference})
+    shifts = len({word[1] for word in difference})
     forms = [f for degree in range(max(shifts, 3)) for f in monomial_forms(n, h, degree)]
     agree = verify_identities([("t", lhs, rhs)], forms)[0].passed
     assert (left == right) == (not difference) == agree

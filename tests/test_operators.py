@@ -37,7 +37,7 @@ from latclif.opexpr import _FAMILY, parse_expression
 from latclif.scalars import Scalar
 
 N, H = 2, Fraction(1)
-TF = spanning_forms(N, H)
+TF = list(spanning_forms(N, H))
 ZERO_OP = Operator.identity().scaled(Scalar(0))
 ID = Operator.identity()
 
@@ -50,8 +50,8 @@ def coord(j, n=N, h=H):
     return ExactPolynomial.coordinate(n, h, j)
 
 
-def holds(lhs, rhs, forms=TF):
-    return verify_identity("t", lhs, rhs, forms).passed
+def holds(lhs, rhs):
+    return verify_identity("t", lhs, rhs, N, H).passed
 
 
 # -- gamma ---------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_verify_identities_matches_separate_checks(monkeypatch):
         ("fails-first", ID, ZERO_OP),
         ("shift", shift_op(1, 1) * shift_op(-1, 1), ID),
     ]
-    separate = [verify_identity(*rel, TF) for rel in relations]
+    separate = [verify_identity(*rel, N, H) for rel in relations]
     assert [r.passed for r in separate] == [True, False, False, True]
     assert verify_identities(relations, TF) == separate
 

@@ -2,6 +2,7 @@
 its bounds, complex scale factors and the ``Operator.to_text`` round trip."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,7 +124,7 @@ def test_largest_family_atom_parses_at_n3():
 
 
 def test_complex_scale_factor():
-    _, w = spanning_forms(2, 1)[5]
+    _, w = list(spanning_forms(2, 1))[5]
     op = parse_expression("scale(0+1i,dz)", 2)
     assert op(w) == build_family(2).dz(w).scale(Scalar(0, 1))
     op = parse_expression("scale(-1/2-3/4i,id)", 2)
@@ -135,4 +136,4 @@ def test_complex_scale_factor():
 def test_family_atom_text_parses_back(n, atom):
     op = getattr(build_family(n), _FAMILY[atom])
     again = parse_expression(op.to_text(), n)
-    assert verify_identity(atom, again, op, spanning_forms(n, 1)).passed
+    assert verify_identity(atom, again, op, n, Fraction(1)).passed
