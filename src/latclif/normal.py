@@ -34,6 +34,11 @@ and zero is ``ZERO``, (1, {}).  So two normal forms are equal exactly when
 the pairs are, and a product or combination is int arithmetic over one
 common denominator, reduced by one gcd pass.  A normal form is never
 changed after it is built.
+
+``act`` applies a normal form to sparse vectors over (blade mask,
+monomial) in closed form, one signed blade and one binomial expansion per
+word and basis element: the monogenic solver builds its matrix this way,
+while the tree walk of :mod:`latclif.operators` certifies what it finds.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from math import comb, gcd, lcm
 from operator import add
 
 from .forms import all_blades
+from .scalars import from_triple
 
 ZERO = (1, {})
 
@@ -75,6 +81,51 @@ def word_action(s, t, blade):
     if s & rest:
         return None
     return -1 if _odd(t, rest) ^ _odd(s, rest) else 1, s | rest
+
+
+def act(form, h, vectors):
+    """The images of the sparse vectors {(blade mask, exps): Scalar} under
+    the normal form ``form`` at mesh h, as sparse vectors of the same kind.
+
+    The word c x^a T^b a+_S a_T sends x^e |B> to c x^a (x + b h)^e
+    a+_S a_T |B>: one signed blade (``word_action``) times a binomial
+    expansion (``_shifted_power``).  Each image is summed as
+    Gaussian-integer numerators over one denominator, den times the lcm of
+    the vector's denominators times q^top, with h = p/q and top the largest
+    total degree in the vector.
+    """
+    den, words = form
+    p, q = h.numerator, h.denominator
+    by_blade_word = {}
+    for (a, b, s, t), c in words.items():
+        by_blade_word.setdefault((s, t), []).append((a, b, c))
+    out = []
+    for vec in vectors:
+        top = max((sum(e) for _, e in vec), default=0)
+        common = lcm(*(v.triple[2] for v in vec.values()))
+        sums = {}
+        for (blade, e), v in vec.items():
+            vr, vi, vd = v.triple
+            m = common // vd * q ** (top - sum(e))
+            vr, vi = vr * m, vi * m
+            for (s, t), coeffs in by_blade_word.items():
+                hit = word_action(s, t, blade)
+                if hit is None:
+                    continue
+                sign, image = hit
+                for a, b, (re, im) in coeffs:
+                    cr, ci = re * vr - im * vi, re * vi + im * vr
+                    if sign < 0:
+                        cr, ci = -cr, -ci
+                    for k, x in _shifted_power(e, b, p, q):
+                        key = image, tuple(map(add, a, x))
+                        old = sums.get(key)
+                        sums[key] = ((cr * k, ci * k) if old is None
+                                     else (old[0] + cr * k, old[1] + ci * k))
+        total = den * common * q ** top
+        out.append({key: from_triple(re, im, total)
+                    for key, (re, im) in sums.items() if re or im})
+    return out
 
 
 def identity(n):

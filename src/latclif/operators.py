@@ -28,33 +28,21 @@ coefficients), from a table that holds its nodes weakly.  So a
 subexpression written twice is one node and builds its normal form once,
 and no entry of the table outlives the trees that use its node.
 
-Evaluation on a spanning set of one-term forms with polynomial
-coefficients finds the witness of a failed identity and checks the
-per-element certificates of the monogenic solver.
-
 Calling an operator on a form walks the tree: a primitive applies its
-function, a product applies its parts right to left and a sum adds its
-parts' images with their coefficients.  On box coefficients the walk lets
-every coefficient report how far its validity box shrinks.  The witnesses
-of failed identities and the monogenic solver instead map a form with
-polynomial coefficients as a sparse vector over the basis elements (blade,
-monomial), each numbered once per process together with its mesh width h,
-by :func:`vector`, through :meth:`Operator.apply_vector`.  Each mesh width
-has its own numbering table, so a form or an image looks h up once, not
-once per term.  Only primitives keep images: a lazily built map from a
-basis element to its sparse image.  Products and sums keep none; they
-combine their parts' vectors.
+function, a product applies its parts right to left and a sum collects
+its parts' images with their coefficients.  On box coefficients the walk
+lets every coefficient report how far its validity box shrinks.  The
+walk finds the witness of a failed identity on a spanning set of one-term
+forms with polynomial coefficients, and certifies the elements that the
+monogenic solver finds.  The solver's matrix comes from the normal forms
+instead, by :func:`latclif.normal.act`, so the matrix and the certificates
+that check it take separate routes above the primitives.
 
 A form is a function tensored with a Grassmann algebra, and so is every
 primitive: a blade map (``gamma``, ``vartheta``, ``vartheta_recursive``)
 sends each blade B to signed blades B', each with a translation T^b of
 the coefficient, and a coefficientwise primitive applies one coefficient
-operator under every blade.  Its image of (B, x^e, h) joins its blade part
-at B with its coefficient part at x^e, each memoized on its own, so the
-polynomial work is done once per monomial and mesh, not once per blade.
-The primitive builders return one shared object per argument tuple, so
-primitive images live for the process and are shared by every operator
-built on them.
+operator under every blade.
 
 The Witt generators carry the factor one half on the contraction part so
 that the pairs (xi(+, j), xi(-, j)) obey the duality {xi+, xi-} = id
@@ -82,50 +70,7 @@ from .coeffs import (
     sym_diff,
 )
 from .forms import Form, all_blades, blade_from_factors, blade_mul, single_blade
-from .scalars import MINUS_ONE, ONE, Scalar, accumulate, as_scalar, interned
-
-
-class _Mesh:
-    """One mesh width h and the numbers of its basis elements, keyed by
-    (blade, exps).  Hashed by identity, so a lookup through it never
-    hashes h."""
-
-    __slots__ = ("h", "ids")
-
-    def __init__(self, h):
-        self.h, self.ids = h, {}
-
-
-# Basis elements (blade, exps, mesh), numbered once per process in the order
-# met; one _Mesh per mesh width h.
-_BASIS = []
-_MESHES = {}
-
-
-def _mesh(h):
-    mesh = _MESHES.get(h)
-    if mesh is None:
-        mesh = _MESHES[h] = _Mesh(h)
-    return mesh
-
-
-def _basis_id(mesh, blade, exps):
-    """The number of basis element (blade, exps, mesh), given on first sight."""
-    i = mesh.ids.get((blade, exps))
-    if i is None:
-        i = mesh.ids[blade, exps] = len(_BASIS)
-        _BASIS.append((blade, exps, mesh))
-    return i
-
-
-def vector(form):
-    """A polynomial-coefficient form as a sparse vector {basis id: coefficient}."""
-    mesh = _mesh(form.h)
-    vec = {}
-    for blade, coeff in form.terms.items():
-        for exps, c in coeff.terms.items():
-            vec[_basis_id(mesh, blade, exps)] = c
-    return vec
+from .scalars import MINUS_ONE, ONE, Scalar, as_scalar, interned
 
 
 class Operator:
@@ -139,12 +84,6 @@ class Operator:
         self.fn = fn
         # prim nodes: a function (n, h) -> the normal form of fn
         self.word = word
-        # prim nodes: basis id -> image, as a flat (id, coeff, ...) tuple,
-        # built by _image; None on composite nodes, which keep no images
-        self._images = {} if kind == "prim" else None
-        # prim nodes: the memoized blade part and coefficient part that
-        # _image joins
-        self.split = None
         # (n, h) -> normal form, keyed by (n, h's numerator, h's denominator)
         self._normal = {}
 
@@ -179,7 +118,7 @@ class Operator:
         return self.scaled(MINUS_ONE)
 
     def scaled(self, s):
-        # evaluation recognises the coefficients 1 and -1 by identity
+        # the tree walk recognises the coefficients 1 and -1 by identity
         return _node("sum", (self,), (interned(as_scalar(s)),))
 
     # -- evaluation --------------------------------------------------------
@@ -190,57 +129,9 @@ class Operator:
             for op in reversed(self.parts):
                 form = op(form)
             return form
-        out = None
-        for c, op in zip(self.coeffs, self.parts):
-            image = op(form)
-            if c is MINUS_ONE:
-                out = image.neg() if out is None else out.sub(image)
-                continue
-            if c is not ONE:
-                image = image.scale(c)
-            out = image if out is None else out.add(image)
-        return out
-
-    def apply_vector(self, vec):
-        """The image of a sparse vector {basis id: coefficient}; may be ``vec`` itself."""
-        if self.kind == "compose":
-            for op in reversed(self.parts):
-                vec = op.apply_vector(vec)
-            return vec
-        if self.kind == "sum":
-            out = {}
-            for c, op in zip(self.coeffs, self.parts):
-                image = op.apply_vector(vec).items()
-                accumulate(out, image if c is ONE else [(j, c * v) for j, v in image])
-            return out
-        images = self._images
-        out = {}
-        # not scalars.accumulate: one image cannot cancel, so zeros are dropped
-        # once at the end, and this is the hot loop of the solver and of witnesses
-        for i, c in vec.items():
-            image = images.get(i)
-            if image is None:
-                image = images[i] = self._image(i)
-            it = iter(image)
-            for j, v in zip(it, it):
-                if c is not ONE:
-                    v = c * v
-                s = out.get(j)
-                out[j] = v if s is None else s + v
-        # one image cannot cancel, and no vector holds a zero coefficient
-        return out if len(vec) == 1 else {j: v for j, v in out.items() if v}
-
-    def _image(self, i):
-        """The image of basis element ``i`` under a primitive, as a flat tuple:
-        the join of its blade part at B, the (sign, B', b) triples, with its
-        coefficient part at x^e and each translation b, the (e', c) pairs."""
-        blade, exps, mesh = _BASIS[i]
-        blades, coeff = self.split
-        out = []
-        for sign, image, b in blades(blade):
-            for e, c in coeff(exps, b, mesh):
-                out += (_basis_id(mesh, image, e), c if sign > 0 else interned(-c))
-        return tuple(out)
+        return Form.collect(form.n, form.h, (
+            (-1, b, f) if c is MINUS_ONE else (1, b, f if c is ONE else f.scale(c))
+            for c, op in zip(self.coeffs, self.parts) for b, f in op(form).terms.items()))
 
     def normal_form(self, n, h):
         """The normal form of :mod:`latclif.normal` on forms of dimension n and mesh h."""
@@ -337,22 +228,12 @@ def _translate(coeff, b):
     return coeff
 
 
-@cache
-def _translated(exps, b, mesh):
-    """x^e under T^b on ``mesh``, as (e', c) pairs: the coefficient part of
-    every blade map."""
-    coeff = _translate(ExactPolynomial(len(exps), mesh.h, {exps: ONE}), b)
-    return tuple((e, interned(c)) for e, c in coeff.terms.items())
-
-
 def _blade_map(name, blades):
     """The primitive that sends c * B to the sum of sign * T^b(c) * B' over
-    the (sign, B', b) of ``blades(B)``, which is () or one triple, so that
-    no image cancels (see ``apply_vector``); the translation b is given as
+    the (sign, B', b) of ``blades(B)``; the translation b is given as
     sorted (axis, k) pairs.
 
-    ``blades`` is memoized per blade.  The function, the word and the
-    images all read it.
+    ``blades`` is memoized per blade.  The function and the word both read it.
     """
     blades = cache(blades)
 
@@ -362,10 +243,8 @@ def _blade_map(name, blades):
             for blade, coeff in form.terms.items() for sign, image, b in blades(blade)
         ))
 
-    op = Operator("prim", name=name, fn=apply,
-                  word=lambda n, h: normal.blade_word(blades, n))
-    op.split = (blades, _translated)
-    return op
+    return Operator("prim", name=name, fn=apply,
+                    word=lambda n, h: normal.blade_word(blades, n))
 
 
 @cache
@@ -478,29 +357,14 @@ def witt(sign, axis):
     )
 
 
-def _unmoved(blade):
-    return ((1, blade, ()),)
-
-
 def _coeffwise(name, fn, axis, terms):
     """The primitive that applies ``fn`` to every coefficient of a form.
 
     Its word is the sum of c * x_axis^k T_axis^s over the (c, k, s) of
-    ``terms(h)``.  Its images have the identity as blade part, with no
-    translation, and as coefficient part its own image of the 0-form x^e,
-    memoized per (e, mesh).
+    ``terms(h)``.
     """
-    op = Operator("prim", name=name, fn=lambda form: form.map_coeffs(fn),
-                  word=lambda n, h: normal.coefficient_word(n, axis, terms(h)))
-
-    @cache
-    def monomial(exps, b, mesh):  # b is (): the blade part translates nothing
-        image = op(Form.scalar(ExactPolynomial(len(exps), mesh.h, {exps: ONE})))
-        return tuple((e, interned(c)) for coeff in image.terms.values()
-                     for e, c in coeff.terms.items())
-
-    op.split = (_unmoved, monomial)
-    return op
+    return Operator("prim", name=name, fn=lambda form: form.map_coeffs(fn),
+                    word=lambda n, h: normal.coefficient_word(n, axis, terms(h)))
 
 
 @cache
@@ -654,25 +518,22 @@ def monomial_forms(n, h, degree):
 def verify_identities(relations, test_forms):
     """Reports for each (name, lhs, rhs), by evaluation in one pass over the test set.
 
-    The test forms have polynomial coefficients.  Each relation compares
-    the images of its two sides form by form until its first failure, as in
-    separate calls, so the reports are the same; the witness is the first
-    nonzero term of the residual in blade order, then monomial order.  A
-    relation passes when every test form agrees, which proves an operator
-    identity only when the test forms span enough polynomials.
+    Each relation walks the trees of its two sides on each test form until
+    its first failure, as in separate calls, so the reports are the same;
+    the witness is the first nonzero term of the residual in blade order,
+    then monomial order.  A relation passes when every test form agrees,
+    which proves an operator identity only when the test forms span enough
+    polynomials.
     """
     witnesses = [None] * len(relations)
     live = len(relations)
     for label, form in test_forms:
-        vec = vector(form)
         for k, (_, lhs, rhs) in enumerate(relations):
             if witnesses[k] is None:
-                res = accumulate(dict(lhs.apply_vector(vec)),
-                                 [(j, -v) for j, v in rhs.apply_vector(vec).items()])
-                if res:
-                    i = min(res, key=lambda j: (_BASIS[j][0].sort_key(), _BASIS[j][1]))
-                    blade, exps, _ = _BASIS[i]
-                    witnesses[k] = f"on {label}: blade {blade.label()} at {exps} = {res[i]}"
+                spot = lhs(form).first_difference(rhs(form))
+                if spot is not None:
+                    blade, exps, value = spot
+                    witnesses[k] = f"on {label}: blade {blade.label()} at {exps} = {value}"
                     live -= 1
         if not live:
             break

@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 
+from . import normal
 from .coeffs import ExactPolynomial, coord_shift_mul, diff, multi_indices
 from .dirac import DEFAULT_CONVENTION, build_family
 from .forms import Form, all_blades
 from .linalg import bareiss_rank, kernel_basis, rank, rref, scalars_to_gaussian
-from .operators import Operator, OperatorReport, vector, verify_identities
+from .operators import Operator, OperatorReport, verify_identities
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -136,12 +137,11 @@ def ambient_space(n, h, degree, blades=None):
 # Exact kernel solving on a candidate span.
 
 def form_coordinates(form):
-    """Sparse coordinates of a polynomial-coefficient form."""
-    coords = {}
-    for blade, coeff in form.terms.items():
-        for exps, value in coeff.terms.items():
-            coords[(blade.sort_key(), exps)] = value
-    return coords
+    """A polynomial-coefficient form as a sparse vector {(blade mask, exps):
+    coefficient}, over the blade masks of :func:`latclif.normal.blade_masks`."""
+    masks = normal.blade_masks(form.n)
+    return {(masks[blade], exps): value
+            for blade, coeff in form.terms.items() for exps, value in coeff.terms.items()}
 
 
 def _rows(columns):
@@ -162,27 +162,28 @@ def reduce_candidates(candidates):
     be dependent; solving on a reduced basis keeps kernel dimensions equal
     to dimensions of actual solution spaces.
     """
-    _, pivots = rref(_rows([vector(form) for _, form in candidates]))
+    _, pivots = rref(_rows([form_coordinates(form) for _, form in candidates]))
     return [candidates[i] for i in pivots]
 
 
-def assemble_matrix(operators, candidates):
-    """Stacked pair-row matrix of the operators over the candidate span.
+def assemble_matrix(operators, candidates, n, h):
+    """Stacked pair-row matrix of the operators over the candidate span, on
+    forms of dimension n and mesh h.
 
-    Each operator maps the candidates' vectors to its columns and
-    contributes one row per basis element its images reach; column j is
-    candidate j.
+    Each operator's normal form acts on the candidates' coordinates
+    (:func:`latclif.normal.act`) and contributes one row per basis element
+    its images reach; column j is candidate j.
     """
-    vectors = [vector(form) for _, form in candidates]
+    vectors = [form_coordinates(form) for _, form in candidates]
     rows = []
     for op in operators:
-        rows += _rows([op.apply_vector(vec) for vec in vectors])
+        rows += _rows(normal.act(op.normal_form(n, h), h, vectors))
     return rows
 
 
-def solve_kernel(operators, candidates):
+def solve_kernel(operators, candidates, n, h):
     """Kernel of the stacked operators, as forms; plus the raw matrix."""
-    rows = assemble_matrix(operators, candidates)
+    rows = assemble_matrix(operators, candidates, n, h)
     forms = []
     for vec in kernel_basis(rows, len(candidates)):
         forms.append(reduce(Form.add, (candidates[j][1].scale(c) for j, c in vec)))
@@ -224,7 +225,7 @@ def joint_euler_eigenbasis(n, h, p, q, blades=None, ambient=False):
     """Exact basis of the coupled Euler eigenspace inside the candidate span."""
     candidates = _candidate_space(n, h, p, q, blades, ambient)
     euler = _relations(build_family(n), p, q)[:2]
-    basis, _ = solve_kernel([lhs - rhs for _, lhs, rhs in euler], candidates)
+    basis, _ = solve_kernel([lhs - rhs for _, lhs, rhs in euler], candidates, n, h)
     return basis, candidates
 
 
@@ -263,21 +264,40 @@ def hermitian_monogenic_basis(
     blades = spinor_blades(n) if spinor else None
     candidates = _candidate_space(n, h, p, q, blades, ambient)
     relations = _relations(build_family(n, convention), p, q)
-    elements, rows = solve_kernel([lhs - rhs for _, lhs, rhs in relations[:4]], candidates)
+    elements, rows = solve_kernel([lhs - rhs for _, lhs, rhs in relations[:4]],
+                                  candidates, n, h)
     result = MonogenicBasis(n=n, p=p, q=q, convention=convention)
     result.elements = elements
     result.oracle_dimension = oracle_kernel_dimension(rows, len(candidates))
+    # the four defining relations built the kernel from normal forms, so the
+    # tree walk certifies them; the Gamma relations built nothing, and the
+    # action of their normal forms decides them
+    coords = [form_coordinates(el) for el in elements]
+    residuals = [(name, normal.act((lhs - rhs).normal_form(n, h), h, coords))
+                 for name, lhs, rhs in relations[4:]]
     for k, el in enumerate(elements):
-        reports = verify_identities(relations, [(f"element {k}", el)])
+        label = f"element {k}"
+        reports = verify_identities(relations[:4], [(label, el)])
+        for name, images in residuals:
+            witness = f"on {label}: {_first_term(images[k], n)}" if images[k] else None
+            reports.append(OperatorReport(name, witness is None, witness))
         result.certificates.append({r.name: r.passed for r in reports})
         if result.witness is None:
             result.witness = next((f"{r.name} {r.witness}" for r in reports if r.witness), None)
     return result
 
 
+def _first_term(vec, n):
+    """The first term of a nonzero sparse vector in blade order, then
+    monomial order, as the tree walk's witness reads it."""
+    blades = {mask: blade for blade, mask in normal.blade_masks(n).items()}
+    key = min(vec, key=lambda k: (blades[k[0]].sort_key(), k[1]))
+    return f"blade {blades[key[0]].label()} at {key[1]} = {vec[key]}"
+
+
 def coordinate_rank(forms):
-    """Exact rank of the matrix whose columns are the forms' vectors."""
-    return rank(_rows([vector(form) for form in forms]))
+    """Exact rank of the matrix whose columns are the forms' coordinates."""
+    return rank(_rows([form_coordinates(form) for form in forms]))
 
 
 def independent_over_scalars(forms):

@@ -11,10 +11,11 @@ denominator is 1, so the common integer case never pays for a gcd.  The
 ``re``/``im`` parts are available as ``Fraction``s for reading only.
 
 :func:`accumulate` is the one sparse-sum rule for ``Scalar`` values: the
-sparse Q(i) linear combinations kept as ``Scalar``s (polynomial terms,
-operator images and matrix rows) add their ``(key, Scalar)`` pairs into a
-dict through it.  Box samples and universal path forms keep Gaussian-integer
-numerators over one denominator instead, and sum those as ints.
+sparse Q(i) linear combinations kept as ``Scalar``s (polynomial terms and
+matrix rows) add their ``(key, Scalar)`` pairs into a dict through it.
+Box samples, universal path forms and normal forms keep Gaussian-integer
+numerators over one denominator instead, and sum those as ints; so does
+the action of a normal form, before it makes ``Scalar``s of its images.
 """
 
 from __future__ import annotations
@@ -192,8 +193,9 @@ def accumulate(terms, pairs):
     """Add each ``(key, Scalar)`` pair into the dict ``terms`` in place; return it.
 
     The one sparse-sum rule of the linear combinations kept as ``Scalar``s
-    (not box samples or universal path forms, which sum int numerators): a
-    sum that cancels is removed, so no stored value is ever zero.
+    (not box samples, universal path forms or normal forms, which sum int
+    numerators): a sum that cancels is removed, so no stored value is ever
+    zero.
     """
     for key, c in pairs:
         old = terms.get(key)
@@ -212,9 +214,9 @@ def accumulate(terms, pairs):
 def interned(c):
     """The one shared Scalar equal to ``c``.
 
-    Operator images and normal forms repeat few values, so each keeps one
-    object per value, and 1 and -1 are always ``ONE`` and ``MINUS_ONE``:
-    the evaluators skip multiplying by them with an identity test.
+    ``Operator.scaled`` passes its factor through it, so a factor of 1 or
+    -1 is ``ONE`` or ``MINUS_ONE``, which the tree walk recognises by
+    identity and does not multiply by.
     """
     return _INTERNED.setdefault(c.triple, c)
 

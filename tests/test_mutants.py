@@ -1,14 +1,13 @@
 """Single-point faults, each with the checks it must turn into FAIL lines:
-faults in the operator layer against the endo suite at n = 2, a fault in
-the image join against the comparison of images with the tree walk,
-faults in the normal-form layer against the endo and dirac suites at n = 2,
-and faults on the monogenic solver's path against the monogenic suite at
-n = 1.
+faults in the operator layer against the endo suite at n = 2, faults in
+the normal-form layer against the endo and dirac suites at n = 2, faults
+on the monogenic solver's path against the monogenic suite at n = 1, and
+a fault in the closed-form action that builds the solver's matrix against
+the tree walk that certifies it, at n = 2.
 
 The builders of primitives and of the named operators ``xi``, ``upsilon``
 and ``witt`` are ``functools.cache``d, and each node keeps its normal forms
-(a primitive also its images and their blade and coefficient parts) for as
-long as it lives.  So every fault runs between two resets of every cached
+for as long as it lives.  So every fault runs between two resets of every cached
 builder of :mod:`latclif.operators`: no node built before the fault is read
 under it, and none built under it outlives it.  Composite nodes are shared
 by (kind, parts, coefficients), with parts compared by identity, so a
@@ -19,14 +18,11 @@ import inspect
 from fractions import Fraction
 
 import pytest
-from test_operators import assert_evaluators_agree
 
 from latclif import normal, operators, polynomials, suites
 from latclif.cli import main
-from latclif.coeffs import ExactPolynomial
 from latclif.forms import Form, single_blade
 from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
-from latclif.scalars import accumulate
 
 BUILDERS = [build for build in vars(operators).values()
             if hasattr(build, "cache_clear") and build.__module__ == operators.__name__]
@@ -63,20 +59,20 @@ def blade_mul_with_one_sign_flipped(monkeypatch):
     monkeypatch.setattr(operators, "blade_mul", flipped)
 
 
-def image_join_ignores_blade_signs(monkeypatch):
-    """A primitive's image takes each blade sign of its blade part as +.
+def act_drops_the_word_signs(monkeypatch):
+    """The closed-form action of a normal form takes the sign of every
+    blade word's action as +.
 
-    Only the join in ``Operator._image`` is wrong: ``fn``, the tree walk and
-    the normal forms are untouched, so only what reads the images of
-    ``gamma`` or ``vartheta`` on a blade with a negative sign can fail.
+    Only ``normal.act`` is wrong: the normal forms, ``fn`` and the tree
+    walk are untouched, so what fails is what reads the solver's matrix or
+    the Gamma certificates.
     """
-    def unsigned(self, i):
-        blade, exps, mesh = operators._BASIS[i]
-        blades, coeff = self.split
-        return tuple(x for _, image, b in blades(blade) for e, c in coeff(exps, b, mesh)
-                     for x in (operators._basis_id(mesh, image, e), c))
-
-    monkeypatch.setattr(Operator, "_image", unsigned)
+    source = inspect.getsource(normal.act)
+    mutated = source.replace("if sign < 0:", "if False:")
+    assert mutated != source
+    namespace = dict(vars(normal))
+    exec(mutated, namespace)
+    monkeypatch.setattr(normal, "act", namespace["act"])
 
 
 def recursion_moves_the_wrong_way(monkeypatch):
@@ -84,7 +80,7 @@ def recursion_moves_the_wrong_way(monkeypatch):
     by T_a^s instead of T_a^-s.
 
     The fault is one token of the source of ``vartheta_recursive``, so the
-    recursion itself is wrong, and its word, its fn and its images with it.
+    recursion itself is wrong, and its word and its fn with it.
     """
     source = inspect.getsource(operators.vartheta_recursive)
     mutated = source.replace("_moved(b, a, -s)", "_moved(b, a, s)")
@@ -109,7 +105,7 @@ MUTANTS = {
         "endo.fermi.gamma-vartheta-mixed", "endo.fermi.gamma-vartheta-same",
         "endo.xi-witt", "endo.upsilon-signature",
     }),
-    # decided by normal form; the witness comes from the recursion's images
+    # decided by normal form; the witness comes from walking the recursion
     "recursion-moves-the-wrong-way": (recursion_moves_the_wrong_way, {
         "endo.vartheta-recursion",
     }),
@@ -145,17 +141,6 @@ def test_the_recursion_fault_fails_with_an_evaluation_witness(monkeypatch, fresh
     [line] = endo_lines()["endo.vartheta-recursion"][0]
     assert line == ("CHECK endo.vartheta-recursion FAIL closed form vs recursion (1,1):"
                     " on x1*dx1+: blade 1 at (0, 0) = -2")
-
-
-def test_the_image_join_fault_is_caught_by_the_images_against_the_tree(
-        monkeypatch, fresh_primitives):
-    """Every endo check is decided by normal form, so none reads an image;
-    the comparison of the images with the tree walk does."""
-    image_join_ignores_blade_signs(monkeypatch)
-    assert all(passed for _, passed in endo_lines().values())
-    form = Form.blade(ExactPolynomial.coordinate(2, Fraction(1), 1), single_blade(1, 1))
-    with pytest.raises(AssertionError):
-        assert_evaluators_agree(gamma(1, 2), form)
 
 
 # -- the normal-form layer ------------------------------------------------------
@@ -245,43 +230,39 @@ def test_a_product_without_its_contraction_fails_the_fermion_relations(
 def drop_the_first_kernel_vector(monkeypatch):
     solve_kernel = polynomials.solve_kernel
 
-    def dropping(ops, candidates):
-        forms, rows = solve_kernel(ops, candidates)
+    def dropping(*args):
+        forms, rows = solve_kernel(*args)
         return forms[1:], rows
 
     monkeypatch.setattr(polynomials, "solve_kernel", dropping)
 
 
 def sums_ignore_their_coefficients(monkeypatch):
-    """Every sum node adds its parts' vectors with coefficient 1.
+    """Every sum node of the tree walk adds its parts' images with
+    coefficient 1.
 
-    The matrix and the certificates both read this vector walk, so the
-    certificates still hold for every element and the rank oracle still
-    agrees with the kernel: only the checks with a known answer fail.
+    The normal forms, and so the solver's matrix, are untouched; the tree
+    walk certifies each element against the defining relations, whose
+    right-hand sides are constants, that is sums, and fails them.
     """
-    apply_vector = Operator.apply_vector
+    call = Operator.__call__
 
-    def ignoring(self, vec):
+    def ignoring(self, form):
         if self.kind != "sum":
-            return apply_vector(self, vec)
-        out = {}
-        for op in self.parts:
-            accumulate(out, op.apply_vector(vec).items())
-        return out
+            return call(self, form)
+        return Form.collect(form.n, form.h, (
+            (1, b, f) for op in self.parts for b, f in op(form).terms.items()))
 
-    monkeypatch.setattr(Operator, "apply_vector", ignoring)
+    monkeypatch.setattr(Operator, "__call__", ignoring)
 
 
 SOLVER_MUTANTS = {
     "solve-kernel-drops-a-vector": (drop_the_first_kernel_vector, {
         "monogenic.oracle-dimension-00", "monogenic.dim00-n1-is-4",
     }),
-    "sum-ignores-coefficients": (sums_ignore_their_coefficients, {
-        "monogenic.dim00-n1-is-4", "monogenic.non-homogeneity-witness",
-    }),
-    # the kernel solves four relations on the same wrong images; the
-    # certificates also check the Gamma relations, and gamma-zdag fails
-    "image-join-unsigned": (image_join_ignores_blade_signs, {"monogenic.certificates-00"}),
+    # the matrix comes from normal forms and stays right; the certificates
+    # of (0, 0) read constant(0) as the identity
+    "sum-ignores-coefficients": (sums_ignore_their_coefficients, {"monogenic.certificates-00"}),
 }
 
 
@@ -303,3 +284,18 @@ def test_each_solver_fault_fails_exactly_its_checks(monkeypatch, fresh_primitive
 def test_without_a_fault_every_monogenic_check_passes(fresh_primitives):
     lines = monogenic_lines()
     assert len(lines) == 14 and not failing(lines)
+
+
+def test_the_unsigned_action_is_caught_by_the_tree_walk_at_n2(
+        monkeypatch, capsys, fresh_primitives):
+    """At n = 1 the fault leaves every monogenic check passing; at n = 2 the
+    kernel grows, and the tree walk, which certifies the defining
+    relations, rejects it."""
+    act_drops_the_word_signs(monkeypatch)
+    assert not failing(monogenic_lines())
+    argv = ["monogenic", "--n", "2", "--p", "1", "--q", "1", "--ambient"]
+    assert main(argv) == 1
+    head = capsys.readouterr().out.splitlines()[:2]
+    assert head[0] == "DIM 1 1 12"
+    assert head[1] == ("CHECK monogenic.certificates FAIL dirac-z on element 0:"
+                       " blade dx1- at (0, 0) = -1")

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latclif import dirac, normal, operators, polynomials
-from latclif.coeffs import ExactPolynomial, diff
+from latclif.coeffs import diff
 from latclif.dirac import build_family
-from latclif.forms import Form
 from latclif.operators import (
     Operator,
     compose,
@@ -32,6 +31,7 @@ from latclif.operators import (
     verify_identity,
     xi,
 )
+from latclif.polynomials import form_coordinates
 from latclif.scalars import I, ONE, Scalar
 
 MESHES = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
@@ -48,37 +48,13 @@ def primitives(n):
     return out
 
 
-def act(nf, form):
-    """The closed-form action: c x^a T^b a+_S a_T sends p * B to
-    c x^a p(x + b h) a+_S a_T |B>."""
-    n, h = form.n, form.h
-    masks = normal.blade_masks(n)
-    blades = {mask: blade for blade, mask in masks.items()}
-    den, words = nf
-    out = Form.zero(n, h)
-    for blade, p in form.terms.items():
-        for (a, b, s, t), (re, im) in words.items():
-            hit = normal.word_action(s, t, masks[blade])
-            if hit is None:
-                continue
-            sign, image = hit
-            q = p
-            for axis, (k, step) in enumerate(zip(a, b), start=1):
-                for _ in range(abs(step)):
-                    q = q.shift(axis, 1 if step > 0 else -1)
-                for _ in range(k):
-                    q = q.coord_mul(axis)
-            v = Scalar(Fraction(sign * re, den), Fraction(sign * im, den))
-            out = out.add(Form.blade(q.scale(v), blades[image]))
-    return out
-
-
 def link_failure(op, n, h):
     """The first spanning or degree-3 form on which op's word and op's fn
     disagree, or None."""
     nf = op.normal_form(n, h)
     forms = [*spanning_forms(n, h), *monomial_forms(n, h, 3)]
-    return next((label for label, form in forms if act(nf, form) != op.fn(form)), None)
+    return next((label for label, form in forms if normal.act(nf, h, [form_coordinates(form)])
+                 != [form_coordinates(op.fn(form))]), None)
 
 
 # -- each primitive's word is its fn --------------------------------------------
@@ -292,13 +268,23 @@ def test_intertwining_reports_match_evaluation(monkeypatch):
     assert [r.passed for r in routed] == [True] * 8
 
 
-def test_monogenic_certificates_are_evaluated_per_element(monkeypatch):
-    def no_normal_forms(self, n, h):
-        raise AssertionError("certificates are not operator identities")
+def test_monogenic_defining_relations_are_certified_by_the_tree_walk(monkeypatch):
+    """The four defining relations build the kernel from normal forms, so
+    the tree walk certifies them; the Gamma relations build nothing and are
+    decided on each element by the closed-form action."""
+    walked = set()
+    call = Operator.__call__
 
-    monkeypatch.setattr(Operator, "normal_form", no_normal_forms)
+    def walking(self, form):
+        walked.add(self)
+        return call(self, form)
+
+    monkeypatch.setattr(Operator, "__call__", walking)
     basis = polynomials.hermitian_monogenic_basis(1, Fraction(1), 0, 0)
     assert basis.dimension == 4 and basis.certified
+    fam = build_family(1)
+    assert {fam.E_z, fam.E_zdag, fam.dz, fam.dzdag} <= walked
+    assert not {fam.Gamma_z, fam.Gamma_zdag} & walked
 
 
 # -- normal-form equality is operator equality ----------------------------------

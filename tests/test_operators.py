@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from latclif.coeffs import ExactPolynomial, cube
 from latclif.dirac import build_family
 from latclif.forms import Blade, Form, all_blades, single_blade
+from latclif.normal import act
 from latclif.operators import (
     Operator,
     anticommutator,
@@ -27,13 +28,13 @@ from latclif.operators import (
     upsilon,
     vartheta,
     vartheta_recursive,
-    vector,
     verify_identities,
     verify_identity,
     witt,
     xi,
 )
 from latclif.opexpr import _FAMILY, parse_expression
+from latclif.polynomials import form_coordinates
 from latclif.scalars import Scalar
 
 N, H = 2, Fraction(1)
@@ -242,16 +243,16 @@ def test_verify_identities_matches_separate_checks(monkeypatch):
     assert verify_identities(relations, TF) == separate
 
     seen = []
-    shift, apply_vector = shift_op(1, 1), Operator.apply_vector
+    shift, call = shift_op(1, 1), Operator.__call__
 
-    def counting(self, vec):
+    def counting(self, form):
         if self is shift:
-            seen.append(vec)
-        return apply_vector(self, vec)
+            seen.append(form)
+        return call(self, form)
 
-    monkeypatch.setattr(Operator, "apply_vector", counting)
+    monkeypatch.setattr(Operator, "__call__", counting)
     verify_identities([("fails-first", shift, ZERO_OP)], TF)
-    assert len(seen) == 1  # a failed relation is not applied to later forms
+    assert len(seen) == 1  # a failed relation is not walked on later forms
 
 
 # -- the three node kinds ------------------------------------------------------
@@ -288,7 +289,7 @@ def test_differences_on_coefficients_are_primitives():
     assert holds(nabla_tilde(1), (backward - forward).scaled(Scalar(0, Fraction(-1, 2))))
 
 
-# -- the tree walk and the vector walk -------------------------------------------
+# -- the tree walk and the closed-form action of the normal forms ---------------
 
 PRIMITIVE_BUILDS = [
     (gamma, (1, 1)), (vartheta, (-1, 2)), (vartheta_recursive, (1, 1)),
@@ -304,29 +305,19 @@ def test_primitive_builders_return_one_shared_object(build, args):
     assert build(*args).kind == "prim"
 
 
-def nodes(op):
-    """Every node of an operator tree, once each."""
-    seen = {}
-    stack = [op]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen[id(node)] = node
-            stack += node.parts
-    return list(seen.values())
+def acted(op, form):
+    """The coordinates of op's normal form applied to a polynomial-coefficient form."""
+    [image] = act(op.normal_form(form.n, form.h), form.h, [form_coordinates(form)])
+    return image
 
 
-def test_only_primitives_keep_images():
+def test_a_dropped_tree_is_collected():
     fam = build_family(2)
     node = fam.Gamma_X
     for _, form in TF:
-        node.apply_vector(vector(form))
-    tree = nodes(node)
-    composites = [op for op in tree if op.kind != "prim"]
-    assert composites and all(op._images is None for op in composites)
-    assert all(op._images for op in tree if op.kind == "prim")
+        assert acted(node, form) == form_coordinates(node(form))
     ref = weakref.ref(node)
-    del fam, node, tree, composites
+    del fam, node
     gc.collect()
     assert ref() is None
 
@@ -338,13 +329,13 @@ def test_primitive_images_stay_correct_at_alternating_h():
             x1, x2 = coord(1, h=h), coord(2, h=h)
             w = Form.blade(x1.mul(x2).add(const(3, h=h)), Blade((1,), (2,))).add(
                 Form.scalar(x1.mul(x1)))
-            assert prim.apply_vector(vector(w)) == vector(prim(w)), (prim.name, h)
-    for h in (Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1, 3)):
+            assert acted(prim, w) == form_coordinates(prim(w)), (prim.name, h)
+    for h in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
         basis = [w for degree in range(3) for _, w in monomial_forms(3, h, degree)]
         assert len(basis) == 64 * 10
         for prim in primitives(3):
             for w in basis:
-                assert prim.apply_vector(vector(w)) == vector(prim(w)), (prim.name, h, w)
+                assert acted(prim, w) == form_coordinates(prim(w)), (prim.name, h, w)
 
 
 MESHES = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
@@ -381,11 +372,11 @@ def sampled(form, box):
 
 
 def assert_evaluators_agree(op, form):
-    """The vector walk of op on form equals the tree walk, and the tree walk
-    on the polynomial form, sampled, equals the tree walk on the sampled form,
-    on the validity box it reports."""
+    """The closed-form action of op's normal form on form equals the tree
+    walk, and the tree walk on the polynomial form, sampled, equals the tree
+    walk on the sampled form, on the validity box it reports."""
     walked = op(form)
-    assert op.apply_vector(vector(form)) == vector(walked), (op.to_text(), form)
+    assert acted(op, form) == form_coordinates(walked), (op.to_text(), form)
     box = cube(form.n, -HALFWIDTH, HALFWIDTH)
     tree = op(sampled(form, box))
     assert tree.coeff_kind() in (None, "box")

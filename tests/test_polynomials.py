@@ -6,7 +6,7 @@ import pytest
 from latclif.coeffs import ExactPolynomial
 from latclif.dirac import build_family
 from latclif.forms import Form, all_blades
-from latclif.operators import Operator
+from latclif.operators import Operator, verify_identities
 from latclif.polynomials import (
     assemble_matrix,
     check_basicness,
@@ -18,6 +18,7 @@ from latclif.polynomials import (
     independent_over_scalars,
     joint_euler_eigenbasis,
     multi_indices,
+    _relations,
     reduce_candidates,
     spinor_blades,
 )
@@ -128,6 +129,30 @@ def test_monogenic_grid(n, pq):
     assert independent_over_scalars(mb.elements)
 
 
+@pytest.mark.parametrize("convention", ["plus", "minus"])
+def test_certificates_agree_with_the_tree_walk_on_all_six_relations(convention):
+    """The Gamma relations are decided by the action of their normal forms;
+    the verdicts and the witness are those of walking all six relations."""
+    h = Fraction(1, 2)
+    witnesses = []
+    for n, p, q, ambient in ((1, 0, 0, False), (2, 0, 0, False), (2, 1, 1, True)):
+        mb = hermitian_monogenic_basis(n, h, p, q, convention, ambient=ambient)
+        assert mb.elements
+        relations = _relations(build_family(n, convention), p, q)
+        walked = None
+        for k, el in enumerate(mb.elements):
+            reports = verify_identities(relations, [(f"element {k}", el)])
+            assert mb.certificates[k] == {r.name: r.passed for r in reports}
+            walked = walked or next((f"{r.name} {r.witness}" for r in reports if r.witness),
+                                    None)
+        assert mb.witness == walked
+        witnesses.append(walked)
+    if convention == "plus":
+        assert all(w.startswith("gamma-z on element 0: ") for w in witnesses)
+    else:
+        assert witnesses == [None] * 3
+
+
 def test_monogenic_spinor_subset():
     mb = hermitian_monogenic_basis(1, 1, 0, 0, spinor=True)
     assert mb.dimension == 2  # constants over the two minus-only blades
@@ -147,7 +172,7 @@ def test_assembled_rows_each_have_a_nonzero_entry():
     fam = build_family(2)
     ops = [fam.E_z - Operator.constant(1), fam.E_zdag - Operator.constant(1), fam.dz, fam.dzdag]
     candidates = reduce_candidates(homogeneous_space(2, 1, 1, 1))
-    rows = assemble_matrix(ops, candidates)
+    rows = assemble_matrix(ops, candidates, 2, Fraction(1))
     assert rows
     for row in rows:
         cols = [c for c, _ in row]
