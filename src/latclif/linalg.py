@@ -11,9 +11,14 @@ value)`` pairs with strictly ascending columns and no zero value; an
 empty tuple is an all-zero row.  An operator moves each basis monomial to
 a few lattice neighbours, so the solver's stacked matrices hold one or two
 nonzeros per row.  Each elimination copies a row into a ``{column:
-value}`` dict when it starts to change it, and subtracts a multiple of
+value}`` dict when it starts to change it, and keeps its own index of the
+rows that hold each column, so that a step touches only the rows that
+hold its pivot column and never rescans the others.  The reduced row
+echelon form maps each non-pivot column to the basis rows that hold it,
+updated on fill-in and on cancellation, and subtracts a multiple of
 another row by :func:`latclif.scalars.accumulate`, which drops an entry
-that cancels.
+that cancels.  The rank oracle keeps its rows in buckets by leading
+column.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ def _gauss_jordan(rows):
     order of the rows does not change the result.
     """
     basis = {}
+    # non-pivot column -> the pivots whose reduced rows hold it
+    holders = {}
     for row in map(dict, rows):
         # Reduced basis rows have no entry in other pivot columns, so one
         # pass over the row's pivot columns clears them all.
@@ -48,10 +55,17 @@ def _gauss_jordan(rows):
         lead = min(row)
         inv = ONE / row[lead]
         row = {k: v * inv for k, v in row.items()}
-        for other in basis.values():
-            f = other.get(lead)
-            if f is not None:
-                _subtract_multiple(other, f, row)
+        for p in holders.pop(lead, ()):
+            other = basis[p]
+            _subtract_multiple(other, other[lead], row)
+            for k in row:
+                if k in other:
+                    holders.setdefault(k, set()).add(p)
+                elif k != lead:
+                    holders[k].discard(p)
+        for k in row:
+            if k != lead:
+                holders.setdefault(k, set()).add(lead)
         basis[lead] = row
     return basis
 
@@ -116,51 +130,77 @@ def scalars_to_gaussian(rows):
     return out
 
 
+def _caught_up(row, prev, stamp):
+    """``row * prev / stamp`` entry by entry: the row as the eager
+    elimination holds it (see :func:`bareiss_rank`)."""
+    if stamp == prev:
+        return row
+    nr, ni = prev
+    return {k: _gauss_divexact((nr * a - ni * b, nr * b + ni * a), stamp)
+            for k, (a, b) in row.items()}
+
+
 def bareiss_rank(int_rows):
     """Rank by fraction-free forward elimination over Gaussian integers.
 
-    Entries are (re, im) integer pairs.  The one-step division by the
-    previous pivot is exact provided every remaining row is updated at
-    every step, including rows with no entry in the pivot column: those are
-    scaled by pivot / previous pivot.
+    Entries are (re, im) integer pairs.  Each step takes the smallest
+    column present as the pivot column, and the first row in input order
+    that holds it as the pivot row.  The one-step division by the previous
+    pivot is exact provided every remaining row is updated at every step,
+    including rows with no entry in the pivot column: those are scaled by
+    pivot / previous pivot.
+
+    A row holds the pivot column exactly when it leads there, since no
+    remaining row has an entry left of it.  So rows are kept in buckets by
+    their leading column, a step touches only the rows of its bucket, and
+    an updated row moves to the bucket of its new leading column.  A row
+    that sits out steps keeps its values and the pivot of its last update,
+    its stamp.  The scalings it skipped telescope to prev / stamp, with
+    prev the pivot before the step that next touches it, so it is first
+    rescaled by that one factor.  Each skipped scaling is an exact
+    division, so the eagerly updated row is a row of Gaussian integers,
+    equal to row * prev / stamp: the catch-up division is exact, and every
+    entry equals the one the eager elimination computes.
     """
     rows = [dict(row) for row in int_rows if row]
+    stamps = [(1, 0)] * len(rows)
+    leading = {}
+    for i, row in enumerate(rows):
+        leading.setdefault(min(row), []).append(i)
     prev = (1, 0)
     r = 0
-    while rows:
+    # An update only reaches columns that some row already holds.
+    for c in sorted({k for row in rows for k in row}):
+        held = leading.pop(c, None)
+        if held is None:
+            continue
         # Taking columns in order keeps the solver's pivots at one; an
         # arbitrary pivot choice is also exact but lets the entries grow.
-        c = min(min(row) for row in rows)
-        prow = rows.pop(next(i for i, row in enumerate(rows) if c in row))
+        p = min(held)
+        prow = _caught_up(rows[p], prev, stamps[p])
+        rows[p] = None
         pv = prow.pop(c)
         pr, pi = pv
-        remaining = []
-        for row in rows:
-            fi = row.pop(c, None)
-            if fi is None:
-                # Scaling by pv / prev is a no-op when the pivots agree.
-                if pv != prev:
-                    row = {
-                        k: _gauss_divexact((pr * a - pi * b, pr * b + pi * a), prev)
-                        for k, (a, b) in row.items()
-                    }
-            else:
-                fr, fim = fi
-                new = {}
-                for k in row.keys() | prow.keys():
-                    a, b = row.get(k, _GZERO)
-                    x, y = prow.get(k, _GZERO)
-                    v = _gauss_divexact(
-                        (pr * a - pi * b - fr * x + fim * y,
-                         pr * b + pi * a - fr * y - fim * x),
-                        prev,
-                    )
-                    if v != _GZERO:
-                        new[k] = v
-                row = new
-            if row:
-                remaining.append(row)
-        rows = remaining
+        for i in held:
+            if i == p:
+                continue
+            row = _caught_up(rows[i], prev, stamps[i])
+            fr, fim = row.pop(c)
+            new = {}
+            for k in row.keys() | prow.keys():
+                a, b = row.get(k, _GZERO)
+                x, y = prow.get(k, _GZERO)
+                v = _gauss_divexact(
+                    (pr * a - pi * b - fr * x + fim * y,
+                     pr * b + pi * a - fr * y - fim * x),
+                    prev,
+                )
+                if v != _GZERO:
+                    new[k] = v
+            rows[i] = new
+            stamps[i] = pv
+            if new:
+                leading.setdefault(min(new), []).append(i)
         prev = pv
         r += 1
     return r

@@ -35,6 +35,8 @@ PINNED = [
      "tier1"),
     ("verify-monogenic-n3", "verify --suite monogenic --n 3", 0, "tier1"),
     ("monogenic-n4-p0q0", "monogenic --n 4 --p 0 --q 0", 0, "tier1"),
+    ("monogenic-n4-p1q1", "monogenic --n 4 --p 1 --q 1", 0, "tier1"),
+    ("verify-monogenic-n4", "verify --suite monogenic --n 4", 0, "tier1"),
     ("verify-core-n3", "verify --suite core --n 3", 0, "tier1"),
     # exits 1: the two dirac value checks and five plus-convention
     # relations fail by design
@@ -58,8 +60,8 @@ PINNED = [
     ("verify-poly-n3", "verify --suite poly --n 3", 0, "tier1"),
     ("verify-poly-n4", "verify --suite poly --n 4", 0, "tier1"),
     ("verify-core-n4", "verify --suite core --n 4", 0, "ci"),
-    ("monogenic-n4-p1q1", "monogenic --n 4 --p 1 --q 1", 0, "ci"),
-    ("verify-monogenic-n4", "verify --suite monogenic --n 4", 0, "ci"),
+    ("monogenic-n4-p2q0", "monogenic --n 4 --p 2 --q 0", 0, "ci"),
+    ("monogenic-n4-p0q2", "monogenic --n 4 --p 0 --q 2", 0, "ci"),
     ("verify-universal-n4-N3", "verify --suite universal --n 4 --N 3", 0, "ci"),
     ("verify-reduction-n4-N3", "verify --suite reduction --n 4 --N 3", 0, "ci"),
     ("verify-endo-n4", "verify --suite endo --n 4", 0, "ci"),
@@ -75,6 +77,7 @@ PINNED = [
     # exits 1, as at n=3
     ("verify-dirac-n5", "verify --suite dirac --n 5", 1, "ci"),
     ("verify-intertwine-n5", "verify --suite intertwine --n 5", 0, "ci"),
+    ("verify-monogenic-n5", "verify --suite monogenic --n 5", 0, "ci"),
 ]
 
 

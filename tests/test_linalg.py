@@ -1,8 +1,9 @@
 from fractions import Fraction
 from math import lcm
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from latclif import linalg
 from latclif.linalg import (
     bareiss_rank,
     kernel_basis,
@@ -241,7 +242,18 @@ def test_gaussian_conversion_scales_rows():
     assert g == [((0, (3, 0)), (1, (2, 1)))]
 
 
+# Bareiss pivots 2, then 3 + i: the last row sits out the first step, so
+# both it and the second pivot row are rescaled when the second step
+# touches them.
+CATCH_UP = [
+    [Scalar(2), ZERO, ZERO],
+    [ZERO, Scalar(3, 1), Scalar(1)],
+    [ZERO, Scalar(1, 1), Scalar(1)],
+]
+
+
 @given(st.one_of(sparse_matrices(), matrices()))
+@example(CATCH_UP)
 @settings(max_examples=120, deadline=None)
 def test_sparse_routes_match_dense_reference(m):
     ncols = len(m[0])
@@ -260,3 +272,41 @@ def test_sparse_routes_match_dense_reference(m):
     assert_pair_rows(g, ncols, (0, 0))
     assert [tuple(row) for row in densify(g, ncols, (0, 0))] == dense_g
     assert bareiss_rank(g) == dense_bareiss_rank(dense_g) == rank(rows)
+
+
+def divisors(monkeypatch):
+    """The divisor of every ``_gauss_divexact`` call, in call order."""
+    calls = []
+    divexact = linalg._gauss_divexact
+
+    def counted(a, b):
+        calls.append(b)
+        return divexact(a, b)
+
+    monkeypatch.setattr(linalg, "_gauss_divexact", counted)
+    return calls
+
+
+def test_bareiss_rescales_only_the_rows_a_step_touches(monkeypatch):
+    """On a diagonal matrix with k distinct non-unit pivots no step touches
+    another row, so each row is rescaled once, as the pivot row; rescaling
+    every remaining row at every step takes about k^2 / 2 divisions."""
+    k = 40
+    calls = divisors(monkeypatch)
+    assert bareiss_rank([((i, (i + 2, 1)),) for i in range(k)]) == k
+    assert len(calls) <= 2 * k
+
+
+def test_bareiss_divides_by_the_leading_minors(monkeypatch):
+    """Fraction-free elimination divides at step k + 1 by the k x k leading
+    minor, so a row carried at the wrong scale shows in the divisors even
+    where the rank comes out right."""
+    m = [[(2, 1), (1, 0), (0, 1), (1, 0)],
+         [(1, 1), (3, 0), (1, 0), (0, 1)],
+         [(1, 0), (1, -1), (2, 0), (1, 1)],
+         [(0, 1), (1, 0), (1, 1), (2, 0)]]
+    minor2 = tuple(x - y for x, y in zip(_gauss_mul(m[0][0], m[1][1]),
+                                         _gauss_mul(m[0][1], m[1][0])))
+    calls = divisors(monkeypatch)
+    assert bareiss_rank([tuple(enumerate(row)) for row in m]) == 4
+    assert set(calls) == {(1, 0), m[0][0], minor2}

@@ -1,9 +1,10 @@
 """Single-point faults, each with the checks it must turn into FAIL lines:
 faults in the operator layer against the endo suite at n = 2, faults in
 the normal-form layer against the endo and dirac suites at n = 2, faults
-on the monogenic solver's path against the monogenic suite at n = 1, and
-a fault in the closed-form action that builds the solver's matrix against
-the tree walk that certifies it, at n = 2.
+on the monogenic solver's path against the monogenic suite at n = 1, a
+fault in the closed-form action that builds the solver's matrix against
+the tree walk that certifies it, at n = 2, and a fault in the column index
+of the reduced row echelon form against an ambient solve at n = 2.
 
 The builders of primitives and of the named operators ``xi``, ``upsilon``
 and ``witt`` are ``functools.cache``d, and each node keeps its normal forms
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from latclif import normal, operators, polynomials, suites
+from latclif import linalg, normal, operators, polynomials, suites
 from latclif.cli import main
 from latclif.forms import Form, single_blade
 from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
@@ -299,3 +300,30 @@ def test_the_unsigned_action_is_caught_by_the_tree_walk_at_n2(
     assert head[0] == "DIM 1 1 12"
     assert head[1] == ("CHECK monogenic.certificates FAIL dirac-z on element 0:"
                        " blade dx1- at (0, 0) = -1")
+
+
+def gauss_jordan_forgets_fill_in(monkeypatch):
+    """The column index of the reduced row echelon form never records a
+    column that a basis row gains by fill-in.
+
+    A later row that leads in that column then leaves the entry in place,
+    so the basis row is not reduced.
+    """
+    source = inspect.getsource(linalg._gauss_jordan)
+    mutated = source.replace("holders.setdefault(k, set()).add(p)", "pass")
+    assert mutated != source
+    namespace = dict(vars(linalg))
+    exec(mutated, namespace)
+    monkeypatch.setattr(linalg, "_gauss_jordan", namespace["_gauss_jordan"])
+
+
+def test_a_forgotten_fill_in_stops_the_ambient_solve_at_n2(monkeypatch, fresh_primitives):
+    """No elimination of the monogenic suite fills in a basis row (none at
+    n = 1 to 5), so at n = 1 every check passes.  The ambient space at
+    n = 2 fills in seven entries, one of them in a later pivot column, and
+    ``kernel_basis`` finds no free column for it; the tier-1 pin of that
+    run fails with it."""
+    gauss_jordan_forgets_fill_in(monkeypatch)
+    assert not failing(monogenic_lines())
+    with pytest.raises(KeyError):
+        main(["monogenic", "--n", "2", "--p", "1", "--q", "1", "--ambient"])
