@@ -10,7 +10,7 @@ from .coeffs import (
     star_laplacian,
     sym_diff,
 )
-from .forms import Blade, Form, blade_mul, d, d_minus, d_plus, dagger, involution, reversion
+from .forms import Form, blade_mul, d, d_minus, d_plus, dagger, involution, reversion
 from .operators import Operator, anticommutator, commutator, gamma, upsilon, vartheta, xi
 from .scalars import Scalar
 from .universal import Reduction, Torus, UForm, adjacency, theta
@@ -18,7 +18,6 @@ from .universal import Reduction, Torus, UForm, adjacency, theta
 __version__ = "0.1.0"
 
 __all__ = [
-    "Blade",
     "BoxFunction",
     "EmptyValidityError",
     "ExactPolynomial",

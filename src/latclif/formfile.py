@@ -28,7 +28,7 @@ from .coeffs import (
     box_contains,
     box_points,
 )
-from .forms import Blade, Form
+from .forms import Form, blade_info, single_blade
 from .scalars import Scalar
 
 FORMAT_NAME = "latclif-form"
@@ -93,7 +93,8 @@ def dump_form(form):
         f"coeff {kind}",
     ]
     for blade, coeff in form.sorted_terms():
-        lines.append(f"term {_axes_text(blade.minus)} {_axes_text(blade.plus)}")
+        info = blade_info(blade, form.n)
+        lines.append(f"term {_axes_text(info.minus)} {_axes_text(info.plus)}")
         if kind == "poly":
             for exps in sorted(coeff.terms):
                 value = coeff.terms[exps]
@@ -141,9 +142,8 @@ def parse_form(text):
         head = lines[i].split()
         if head[0] != "term" or len(head) != 3:
             raise FormFileError(f"expected term header, got {lines[i]!r}")
-        blade = Blade(
-            _parse_axes(head[1], n, lines[i]), _parse_axes(head[2], n, lines[i])
-        )
+        blade = (sum(single_blade(-1, a, n) for a in _parse_axes(head[1], n, lines[i]))
+                 + sum(single_blade(1, a, n) for a in _parse_axes(head[2], n, lines[i])))
         if blade in terms:
             raise FormFileError(f"duplicate term block {lines[i]!r}")
         i += 1

@@ -1,10 +1,15 @@
 """The bigraded exterior algebra of lattice differential forms.
 
 A blade is a product of the 2n anticommuting coordinate differentials
-dx_j^- and dx_j^+, kept in the canonical order: all minus factors by
-ascending axis, then all plus factors by ascending axis.  A form is a
-sparse association from blades to coefficients (stored on the left of the
-blade), over either coefficient algebra of :mod:`latclif.coeffs`.
+dx_j^- and dx_j^+, stored as an int: the bitmask of its factors, with
+dx_j^- at bit j - 1 and dx_j^+ at bit n + j - 1.  The canonical factor
+order is the order of the bits: all minus factors by ascending axis, then
+all plus factors by ascending axis.  :mod:`latclif.normal` reads the same
+masks as sets of fermionic modes.  A form is a sparse association from
+blades to coefficients (stored on the left of the blade), over either
+coefficient algebra of :mod:`latclif.coeffs`.  Reading a blade needs its
+dimension: :func:`blade_info` gives its axes, factors and label, and forms
+list their terms in the order of (minus axes, plus axes).
 
 A blade factor dx_j^s is the pair (s, j), s = -1 or +1: the unit step
 s*e_j of the lattice graph that the generator stands for.  The canonical
@@ -14,20 +19,25 @@ reproduces the non-commutativity of functions and 1-forms in the reduced
 universal calculus, and :func:`to_universal` / :func:`from_universal`
 provide the exact bridge used by the oracle suite.
 
-Blade products take their sign from :func:`latclif.universal.grassmann_sort`,
-the same rule that orders the steps of reduced paths.  Every form built
-term by term (sums of two forms, products, derivatives, automorphisms and
-the primitive operators of :mod:`latclif.operators`) goes through
-:meth:`Form.collect`, which drops a polynomial sum that cancels and keeps
-every box sum.
+Two sign rules meet here.  A product of two masks takes its sign from
+:func:`inversion_parity`, the parity of the pairs of factors it puts in
+order; the normal-ordered words of :mod:`latclif.normal` use the same rule.
+A factor sequence is put in order by
+:func:`latclif.universal.grassmann_sort`, the rule that orders the steps
+of reduced paths, through :func:`blade_from_factors`: the involutions, the
+bridge and the contraction recursion of :mod:`latclif.operators` use it, so
+the oracle suites compare the two rules.  Every form built term by term
+(sums of two forms, products, derivatives, automorphisms and the primitive
+operators of :mod:`latclif.operators`) goes through :meth:`Form.collect`,
+which drops a polynomial sum that cancels and keeps every box sum.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coeffs import (
     BoxFunction,
@@ -45,81 +55,67 @@ class BridgeError(Exception):
     """A form cannot be carried to the universal calculus."""
 
 
-@dataclass(frozen=True)
-class Blade:
-    """Canonical exterior monomial: minus axes, then plus axes, ascending."""
-
-    minus: tuple
-    plus: tuple
-
-    def __post_init__(self):
-        if tuple(sorted(set(self.minus))) != self.minus:
-            raise ValueError("minus axes must be strictly ascending")
-        if tuple(sorted(set(self.plus))) != self.plus:
-            raise ValueError("plus axes must be strictly ascending")
-
-    @property
-    def degree(self):
-        return len(self.minus) + len(self.plus)
-
-    @property
-    def bidegree(self):
-        return len(self.minus), len(self.plus)
-
-    def factors(self):
-        """The factors dx_a^s as (s, a) steps, s = -1 or +1, in canonical order."""
-        return tuple((-1, a) for a in self.minus) + tuple((1, a) for a in self.plus)
-
-    def sort_key(self):
-        return (self.minus, self.plus)
-
-    def label(self):
-        if not self.minus and not self.plus:
-            return "1"
-        bits = [f"dx{a}-" for a in self.minus] + [f"dx{a}+" for a in self.plus]
-        return "^".join(bits)
-
-    def __repr__(self):
-        return f"Blade({self.label()})"
+EMPTY_BLADE = 0
 
 
-EMPTY_BLADE = Blade((), ())
+class BladeInfo(NamedTuple):
+    """What a blade mask reads as in dimension n."""
+
+    minus: tuple  # the axes of its minus factors, ascending
+    plus: tuple  # the axes of its plus factors, ascending
+    factors: tuple  # the (s, j) of its factors dx_j^s, in canonical order
+    label: str
 
 
-def blade_from_factors(factors):
-    """Canonicalize a factor sequence; returns (sign, Blade) or None if zero."""
-    canon = grassmann_sort(factors)
-    if canon is None:
-        return None
-    sgn, keys = canon
-    minus = tuple(a for s, a in keys if s < 0)
-    plus = tuple(a for s, a in keys if s > 0)
-    return sgn, Blade(minus, plus)
+@functools.cache
+def blade_info(blade, n):
+    """The axes, factors and label of the blade mask ``blade`` in dimension n;
+    sorting blades by ``blade_info(b, n)[:2]`` puts them in canonical order."""
+    axes = range(1, n + 1)
+    minus = tuple(a for a in axes if blade >> (a - 1) & 1)
+    plus = tuple(a for a in axes if blade >> (n + a - 1) & 1)
+    factors = tuple((-1, a) for a in minus) + tuple((1, a) for a in plus)
+    label = "^".join(f"dx{a}{'+' if s > 0 else '-'}" for s, a in factors) or "1"
+    return BladeInfo(minus, plus, factors, label)
+
+
+def single_blade(sign, axis, n):
+    """The one-factor blade dx_axis^sign in dimension n."""
+    return 1 << (axis - 1 + n if sign > 0 else axis - 1)
+
+
+def inversion_parity(x, y):
+    """Whether inv(x, y), the pairs of a bit of x above a bit of y, is odd:
+    the sign of putting the factors of x, then those of y, in bit order."""
+    count = 0
+    while x:
+        low = x & -x
+        count += (y & (low - 1)).bit_count()
+        x ^= low
+    return count & 1
 
 
 def blade_mul(b1, b2):
     """Product of two blades: (sign, blade), or None when a factor repeats."""
-    return blade_from_factors(b1.factors() + b2.factors())
+    if b1 & b2:
+        return None
+    return -1 if inversion_parity(b1, b2) else 1, b1 | b2
 
 
-def single_blade(sign, axis):
-    """The one-factor blade dx_axis^sign."""
-    if sign > 0:
-        return Blade((), (axis,))
-    return Blade((axis,), ())
+def blade_from_factors(factors, n):
+    """Canonicalize a sequence of (s, j) factors by :func:`grassmann_sort`;
+    returns (sign, blade) or None if a factor repeats."""
+    canon = grassmann_sort(factors)
+    if canon is None:
+        return None
+    sgn, keys = canon
+    return sgn, sum(single_blade(s, a, n) for s, a in keys)
 
 
 @functools.cache
 def all_blades(n):
     """All 4^n blades, in canonical sort order, as a tuple built once per n."""
-    axes = range(1, n + 1)
-    out = []
-    for mmask in range(1 << n):
-        for pmask in range(1 << n):
-            minus = tuple(a for a in axes if mmask >> (a - 1) & 1)
-            plus = tuple(a for a in axes if pmask >> (a - 1) & 1)
-            out.append(Blade(minus, plus))
-    return tuple(sorted(out, key=lambda b: b.sort_key()))
+    return tuple(sorted(range(1 << 2 * n), key=lambda b: blade_info(b, n)[:2]))
 
 
 def _cancelled(coeff):
@@ -236,7 +232,7 @@ class Form:
 
         def triples():
             for b1, f in self.terms.items():
-                steps = b1.factors()
+                steps = blade_info(b1, self.n).factors
                 for b2, g in other.terms.items():
                     prod = blade_mul(b1, b2)
                     if prod is None:
@@ -250,9 +246,9 @@ class Form:
 
     def component(self, p, q):
         """The bihomogeneous part with p minus factors and q plus factors."""
-        return self._raw(
-            {b: c for b, c in self.terms.items() if b.bidegree == (p, q)}
-        )
+        low = (1 << self.n) - 1
+        return self._raw({b: c for b, c in self.terms.items()
+                          if (b & low).bit_count() == p and (b >> self.n).bit_count() == q})
 
     def is_zero(self):
         return all(c.is_zero() for c in self.terms.values())
@@ -265,7 +261,7 @@ class Form:
     __hash__ = None
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
+        return sorted(self.terms.items(), key=lambda kv: blade_info(kv[0], self.n)[:2])
 
     def first_difference(self, other):
         """Where two forms first disagree: (blade, location, value) or None."""
@@ -279,7 +275,7 @@ class Form:
     def __repr__(self):
         if not self.terms:
             return "Form(0)"
-        bits = [f"[{c!r}]*{b.label()}" for b, c in self.sorted_terms()[:3]]
+        bits = [f"[{c!r}]*{blade_info(b, self.n).label}" for b, c in self.sorted_terms()[:3]]
         more = "" if len(self.terms) <= 3 else f" ... ({len(self.terms)} terms)"
         return "Form(" + " + ".join(bits) + more + ")"
 
@@ -301,7 +297,7 @@ def _d_signed(form, sign):
     def triples():
         for blade, coeff in form.terms.items():
             for axis in range(1, form.n + 1):
-                prod = blade_mul(single_blade(sign, axis), blade)
+                prod = blade_mul(single_blade(sign, axis, form.n), blade)
                 if prod is not None:
                     yield prod[0], prod[1], diff(coeff, axis, sign)
 
@@ -320,7 +316,8 @@ def involution(form):
     """Swap dx_j^+ <-> dx_j^- factorwise, keeping order and coefficients."""
     def triples():
         for blade, coeff in form.terms.items():
-            sgn, nb = blade_from_factors((-s, a) for s, a in blade.factors())
+            factors = blade_info(blade, form.n).factors
+            sgn, nb = blade_from_factors(((-s, a) for s, a in factors), form.n)
             yield sgn, nb, coeff
 
     return Form.collect(form.n, form.h, triples())
@@ -329,12 +326,13 @@ def involution(form):
 def _reversal(form, conjugate):
     def triples():
         for blade, coeff in form.terms.items():
-            sgn, nb = blade_from_factors((-s, a) for s, a in reversed(blade.factors()))
+            factors = blade_info(blade, form.n).factors
+            sgn, nb = blade_from_factors(((-s, a) for s, a in reversed(factors)), form.n)
             c = coeff.conj() if conjugate else coeff
             # the coefficient re-enters from the right of the reversed blade
-            for sign, axis in nb.factors():
+            for sign, axis in blade_info(nb, form.n).factors:
                 c = c.shift(axis, sign)
-            yield (-sgn if blade.degree % 2 else sgn), nb, c
+            yield (-sgn if len(factors) % 2 else sgn), nb, c
 
     return Form.collect(form.n, form.h, triples())
 
@@ -371,8 +369,9 @@ def to_universal(form, N):
                 raise BridgeError("non-periodic coefficient rejected")
         elif box_intersect(coeff.validity, domain) != domain:
             raise BridgeError("box does not cover the fundamental domain")
-        weight = Scalar(form.h ** blade.degree)
-        steps = [torus.unit_step(axis, sign) for sign, axis in blade.factors()]
+        weight = Scalar(form.h ** blade.bit_count())
+        steps = [torus.unit_step(axis, sign)
+                 for sign, axis in blade_info(blade, form.n).factors]
         for m in torus.nodes():
             path = tuple(itertools.accumulate(steps, torus.add, initial=m))
             terms[path] = coeff.value_at(m) * weight
@@ -401,9 +400,9 @@ def from_universal(uform, h):
     per_blade = {}
     for path, coeff in uform.coordinate_terms():
         steps = map(torus.step_of, path, path[1:])
-        sgn, blade = blade_from_factors((sign, axis) for axis, sign in steps)
+        sgn, blade = blade_from_factors(((sign, axis) for axis, sign in steps), n)
         value = coeff if sgn > 0 else -coeff
-        value = value / Scalar(Fraction(h) ** blade.degree)
+        value = value / Scalar(Fraction(h) ** blade.bit_count())
         per_blade.setdefault(blade, []).append((path[0], value))
     terms = {}
     for blade, pairs in per_blade.items():

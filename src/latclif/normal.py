@@ -6,20 +6,21 @@ algebra on the 2n differentials, tensored with the shift-Weyl algebra in
 the coordinates x_j and the translations T_j, where T_j x_j = (x_j + h) T_j.
 
 The differentials are fermionic modes in canonical factor order: dx_j^- is
-mode j - 1 and dx_j^+ is mode n + j - 1, and a set of modes is a bitmask.
-A blade B is |B> = a+_m1 ... a+_mk |0> with m1 < ... < mk, so
-``gamma(s, j)`` is T^(s e_j) a+_m and ``vartheta(s, j)`` is T^(-s e_j) a_m,
-with the Jordan-Wigner signs (Z. Phys. 47, 1928).  With a+_S the ascending
-product and a_T = (a+_T)^dagger, a+_S a_T |B> is nonzero exactly when T
-lies in B and S misses R = B \\ T; it is then
-(-1)^(inv(T, R) + inv(S, R)) |S u R>, where inv(X, Y) counts the pairs
-x in X, y in Y with y < x.  These normal-ordered words (Wick, Phys. Rev.
-80, 1950) are a basis of the blade endomorphisms, and the words x^a T^b
-are independent on polynomials (applied to e^{t.x}, distinct shifts b give
-distinct exponentials).  So each operator has exactly one normal form, a
-sum of c x^a T^b a+_S a_T, and two operators are equal exactly when their
-normal forms are (Ore, Ann. Math. 34, 1933; Chyzak and Salvy, J. Symbolic
-Comput. 26, 1998).
+mode j - 1 and dx_j^+ is mode n + j - 1.  A set of modes is a bitmask, the
+very int that :mod:`latclif.forms` stores as a blade.  A blade B is
+|B> = a+_m1 ... a+_mk |0> with m1 < ... < mk, so ``gamma(s, j)`` is
+T^(s e_j) a+_m and ``vartheta(s, j)`` is T^(-s e_j) a_m, with the
+Jordan-Wigner signs (Z. Phys. 47, 1928).  With a+_S the ascending product
+and a_T = (a+_T)^dagger, a+_S a_T |B> is nonzero exactly when T lies in B
+and S misses R = B \\ T; it is then (-1)^(inv(T, R) + inv(S, R)) |S u R>,
+where inv(X, Y) counts the pairs x in X, y in Y with y < x.  Its parity is
+:func:`latclif.forms.inversion_parity`, the sign rule of ``blade_mul``.
+These normal-ordered words (Wick, Phys. Rev. 80, 1950) are a basis of the
+blade endomorphisms, and the words x^a T^b are independent on polynomials
+(applied to e^{t.x}, distinct shifts b give distinct exponentials).  So
+each operator has exactly one normal form, a sum of c x^a T^b a+_S a_T, and
+two operators are equal exactly when their normal forms are (Ore, Ann.
+Math. 34, 1933; Chyzak and Salvy, J. Symbolic Comput. 26, 1998).
 
 Products normal-order by one rule, a_m a+_m = 1 - a+_m a_m, with distinct
 modes anticommuting.  ``blade_word`` reads a blade map's words off by a
@@ -47,29 +48,10 @@ from functools import cache
 from math import comb, gcd, lcm
 from operator import add
 
-from .forms import all_blades
+from .forms import inversion_parity
 from .scalars import from_triple
 
 ZERO = (1, {})
-
-
-@cache
-def blade_masks(n):
-    """Every blade of dimension n, in order of degree -> its modes as a
-    bitmask: dx_j^- is bit j - 1 and dx_j^+ bit n + j - 1."""
-    return {blade: sum(1 << (a - 1) for a in blade.minus)
-            + sum(1 << (n + a - 1) for a in blade.plus)
-            for blade in sorted(all_blades(n), key=lambda b: b.degree)}
-
-
-def _odd(x, y):
-    """Whether inv(x, y), the pairs of a mode of x above a mode of y, is odd."""
-    count = 0
-    while x:
-        low = x & -x
-        count += (y & (low - 1)).bit_count()
-        x ^= low
-    return count & 1
 
 
 def word_action(s, t, blade):
@@ -80,7 +62,7 @@ def word_action(s, t, blade):
     rest = blade ^ t
     if s & rest:
         return None
-    return -1 if _odd(t, rest) ^ _odd(s, rest) else 1, s | rest
+    return -1 if inversion_parity(t, rest) ^ inversion_parity(s, rest) else 1, s | rest
 
 
 def act(form, h, vectors):
@@ -147,7 +129,7 @@ def coefficient_word(n, axis, terms):
 
 def blade_word(blades, n):
     """The normal form of the map that sends each blade B to the sum of
-    sign * T^b B' over the (sign, B', b) of ``blades(B)``; b is given as
+    sign * T^b B' over the (sign, B', b) of ``blades(B, n)``; b is given as
     sorted (axis, k) pairs.
 
     A triangular solve over the blades in order of degree: the coefficient
@@ -156,23 +138,23 @@ def blade_word(blades, n):
     acted on B.
     """
     zero = (0,) * n
-    masks, shifts = blade_masks(n), {}
+    shifts = {}
     found = []  # (b, S, T, c)
-    for blade, mask in masks.items():
+    for blade in sorted(range(1 << 2 * n), key=int.bit_count):
         rest = {}
-        for sign, image, steps in blades(blade):
+        for sign, image, steps in blades(blade, n):
             shift = shifts.get(steps)
             if shift is None:
                 moves = dict(steps)
                 shift = shifts[steps] = tuple(moves.get(axis, 0) for axis in range(1, n + 1))
-            key = shift, masks[image]
+            key = shift, image
             rest[key] = rest.get(key, 0) + sign
         for shift, s, t, c in found:
-            hit = word_action(s, t, mask)
+            hit = word_action(s, t, blade)
             if hit is not None:
                 key = shift, hit[1]
                 rest[key] = rest.get(key, 0) - hit[0] * c
-        found += [(shift, s, mask, c) for (shift, s), c in rest.items() if c]
+        found += [(shift, s, blade, c) for (shift, s), c in rest.items() if c]
     return _reduced(1, {(zero, shift, s, t): (c, 0) for shift, s, t, c in found})
 
 
@@ -246,7 +228,7 @@ def _word_product(s, t, u, v):
     a_m a+_m = 1 - a+_m a_m.  Then a_m joins a_V, past its modes above m.
     """
     if not t:
-        return () if s & u else ((-1 if _odd(s, u) else 1, s | u, v),)
+        return () if s & u else ((-1 if inversion_parity(s, u) else 1, s | u, v),)
     low = t & -t
     below = low - 1
     out = []

@@ -69,7 +69,7 @@ from .coeffs import (
     skew_diff,
     sym_diff,
 )
-from .forms import Form, all_blades, blade_from_factors, blade_mul, single_blade
+from .forms import Form, all_blades, blade_from_factors, blade_info, blade_mul, single_blade
 from .scalars import MINUS_ONE, ONE, Scalar, as_scalar, interned
 
 
@@ -230,17 +230,18 @@ def _translate(coeff, b):
 
 def _blade_map(name, blades):
     """The primitive that sends c * B to the sum of sign * T^b(c) * B' over
-    the (sign, B', b) of ``blades(B)``; the translation b is given as
-    sorted (axis, k) pairs.
+    the (sign, B', b) of ``blades(B, n)``, on forms of dimension n; the
+    translation b is given as sorted (axis, k) pairs.
 
     ``blades`` is memoized per blade.  The function and the word both read it.
     """
     blades = cache(blades)
 
     def apply(form):
-        return Form.collect(form.n, form.h, (
+        n = form.n
+        return Form.collect(n, form.h, (
             (sign, image, _translate(coeff, b))
-            for blade, coeff in form.terms.items() for sign, image, b in blades(blade)
+            for blade, coeff in form.terms.items() for sign, image, b in blades(blade, n)
         ))
 
     return Operator("prim", name=name, fn=apply,
@@ -251,11 +252,10 @@ def _blade_map(name, blades):
 def gamma(sign, axis):
     """Exterior product with dx_axis^sign (left multiplication)."""
     sign = _sgn(sign)
-    factor = single_blade(sign, axis)
     step = ((axis, sign),)
 
-    def blades(blade):
-        prod = blade_mul(factor, blade)
+    def blades(blade, n):
+        prod = blade_mul(single_blade(sign, axis, n), blade)
         return () if prod is None else (prod + (step,),)
 
     return _blade_map(f"gamma({_sign_char(sign)},{axis})", blades)
@@ -266,21 +266,19 @@ def vartheta(sign, axis):
     """Interior product dual to gamma, with the opposite shifting role.
 
     Closed action on a one-term form F*B: when dx_axis^sign occurs in B it
-    is removed with the parity of its canonical position and F picks up the
-    translation opposite to the removed factor; otherwise the term dies.
-    Cross-checked against the defining contraction recursion in the tests.
+    is removed with the parity of its canonical position, the number of
+    factors below its bit, and F picks up the translation opposite to the
+    removed factor; otherwise the term dies.  Cross-checked against the
+    defining contraction recursion.
     """
     sign = _sgn(sign)
-    target = (sign, axis)
     step = ((axis, -sign),)
 
-    def blades(blade):
-        factors = blade.factors()
-        if target not in factors:
+    def blades(blade, n):
+        bit = single_blade(sign, axis, n)
+        if not blade & bit:
             return ()
-        idx = factors.index(target)
-        _, rest = blade_from_factors(factors[:idx] + factors[idx + 1:])
-        return ((-1 if idx % 2 else 1, rest, step),)
+        return ((-1 if (blade & (bit - 1)).bit_count() & 1 else 1, blade ^ bit, step),)
 
     return _blade_map(f"vartheta({_sign_char(sign)},{axis})", blades)
 
@@ -294,7 +292,7 @@ def vartheta_recursive(sign, axis):
     """
     sign = _sgn(sign)
 
-    def contract(b, factors):
+    def contract(b, factors, n):
         # a coefficient translated by b sits left of the factor list;
         # returns [(sign, translation, factors)]
         if not factors:
@@ -304,18 +302,18 @@ def vartheta_recursive(sign, axis):
         out = []
         if a == axis and s == sign:
             out.append((1, _moved(inner, axis, sign), rest))
-        for sgn2, b2, f2 in contract(inner, rest):
-            prod = blade_from_factors(((s, a),) + f2)
+        for sgn2, b2, f2 in contract(inner, rest, n):
+            prod = blade_from_factors(((s, a),) + f2, n)
             if prod is None:
                 continue
             sgn, nb = prod
-            out.append((-sgn2 if sgn > 0 else sgn2, _moved(b2, a, s), nb.factors()))
+            out.append((-sgn2 if sgn > 0 else sgn2, _moved(b2, a, s), blade_info(nb, n).factors))
         return out
 
-    def blades(blade):
+    def blades(blade, n):
         # the factors come out sorted, so each blade_from_factors has sign +1
-        return tuple((sgn, blade_from_factors(factors)[1], b)
-                     for sgn, b, factors in contract(((axis, -sign),), blade.factors()))
+        return tuple((sgn, blade_from_factors(factors, n)[1], b) for sgn, b, factors
+                     in contract(((axis, -sign),), blade_info(blade, n).factors, n))
 
     return _blade_map(f"varthetaRec({_sign_char(sign)},{axis})", blades)
 
@@ -447,7 +445,7 @@ def spanning_forms(n, h):
     coeffs = spanning_coeffs(n, h)
     for blade in all_blades(n):
         for label, coeff in coeffs:
-            yield f"{label}*{blade.label()}", Form.blade(coeff, blade)
+            yield f"{label}*{blade_info(blade, n).label}", Form.blade(coeff, blade)
 
 
 def verify_identity(name, lhs, rhs, n, h):
@@ -510,7 +508,7 @@ def monomial_forms(n, h, degree):
         for e in multi_indices(n, degree):
             label = "".join(f"x{j}^{k}" if k > 1 else f"x{j}"
                             for j, k in enumerate(e, start=1) if k) or "1"
-            out.append((f"{label}*{blade.label()}",
+            out.append((f"{label}*{blade_info(blade, n).label}",
                         Form.blade(ExactPolynomial(n, h, {e: ONE}), blade)))
     return out
 
@@ -533,7 +531,8 @@ def verify_identities(relations, test_forms):
                 spot = lhs(form).first_difference(rhs(form))
                 if spot is not None:
                     blade, exps, value = spot
-                    witnesses[k] = f"on {label}: blade {blade.label()} at {exps} = {value}"
+                    witnesses[k] = (f"on {label}: blade {blade_info(blade, form.n).label}"
+                                    f" at {exps} = {value}")
                     live -= 1
         if not live:
             break

@@ -17,7 +17,7 @@ from functools import reduce
 from . import normal
 from .coeffs import ExactPolynomial, coord_shift_mul, diff, multi_indices
 from .dirac import DEFAULT_CONVENTION, build_family
-from .forms import Form, all_blades
+from .forms import Form, all_blades, blade_info
 from .linalg import bareiss_rank, kernel_basis, rank, rref, scalars_to_gaussian
 from .operators import Operator, OperatorReport, verify_identities
 from .scalars import ONE, ZERO, Scalar
@@ -104,7 +104,7 @@ def check_basicness(fp):
 
 def spinor_blades(n):
     """Minimal left-ideal-like subset: blades with minus factors only."""
-    return [b for b in all_blades(n) if not b.plus]
+    return [b for b in all_blades(n) if not blade_info(b, n).plus]
 
 
 def homogeneous_space(n, h, p, q, blades=None):
@@ -116,7 +116,7 @@ def homogeneous_space(n, h, p, q, blades=None):
         for am in multi_indices(n, q):
             poly = fp_plus.mul(factorial_power(n, h, -1, am).poly)
             for blade in blades:
-                label = f"(x)+^{ap}(x)-^{am}*{blade.label()}"
+                label = f"(x)+^{ap}(x)-^{am}*{blade_info(blade, n).label}"
                 out.append((label, Form.blade(poly, blade)))
     return out
 
@@ -129,7 +129,7 @@ def ambient_space(n, h, degree, blades=None):
         for e in multi_indices(n, total):
             poly = ExactPolynomial(n, h, {e: ONE})
             for blade in blades:
-                out.append((f"x^{e}*{blade.label()}", Form.blade(poly, blade)))
+                out.append((f"x^{e}*{blade_info(blade, n).label}", Form.blade(poly, blade)))
     return out
 
 
@@ -137,10 +137,9 @@ def ambient_space(n, h, degree, blades=None):
 # Exact kernel solving on a candidate span.
 
 def form_coordinates(form):
-    """A polynomial-coefficient form as a sparse vector {(blade mask, exps):
-    coefficient}, over the blade masks of :func:`latclif.normal.blade_masks`."""
-    masks = normal.blade_masks(form.n)
-    return {(masks[blade], exps): value
+    """A polynomial-coefficient form as a sparse vector {(blade, exps):
+    coefficient}, the basis that :func:`latclif.normal.act` acts on."""
+    return {(blade, exps): value
             for blade, coeff in form.terms.items() for exps, value in coeff.terms.items()}
 
 
@@ -290,9 +289,8 @@ def hermitian_monogenic_basis(
 def _first_term(vec, n):
     """The first term of a nonzero sparse vector in blade order, then
     monomial order, as the tree walk's witness reads it."""
-    blades = {mask: blade for blade, mask in normal.blade_masks(n).items()}
-    key = min(vec, key=lambda k: (blades[k[0]].sort_key(), k[1]))
-    return f"blade {blades[key[0]].label()} at {key[1]} = {vec[key]}"
+    key = min(vec, key=lambda k: (blade_info(k[0], n)[:2], k[1]))
+    return f"blade {blade_info(key[0], n).label} at {key[1]} = {vec[key]}"
 
 
 def coordinate_rank(forms):

@@ -42,6 +42,7 @@ from .coeffs import (
 from .forms import (
     Form,
     all_blades,
+    blade_info,
     d,
     d_minus,
     d_plus,
@@ -168,7 +169,9 @@ def _difference(lhs, rhs):
         return None if lhs == rhs else f"{lhs} != {rhs}"
     if isinstance(lhs, Form):
         spot = lhs.first_difference(Form.zero(lhs.n, lhs.h) if rhs is ZERO else rhs)
-        return None if spot is None else f"blade {spot[0].label()} at {spot[1]} = {spot[2]}"
+        if spot is None:
+            return None
+        return f"blade {blade_info(spot[0], lhs.n).label} at {spot[1]} = {spot[2]}"
     residual = lhs if rhs is ZERO else lhs.sub(rhs)
     spot = residual.first_term() if isinstance(residual, UForm) else residual.first_nonzero()
     return None if spot is None else f"at {spot[0]} = {spot[1]}"
@@ -431,8 +434,8 @@ def forms_suite(n, h):
     def anticommute(s1, j1, s2, j2):
         def cases(rng):
             one = ExactPolynomial.constant(n, h)
-            a = Form.blade(one, single_blade(s1, j1))
-            b = Form.blade(one, single_blade(s2, j2))
+            a = Form.blade(one, single_blade(s1, j1, n))
+            b = Form.blade(one, single_blade(s2, j2, n))
             yield "a b + b a", a.mul(b).add(b.mul(a)), ZERO
 
         return cases
@@ -452,7 +455,8 @@ def forms_suite(n, h):
         for _ in range(3):
             blade = rng.choice(all_blades(n))
             w = Form.blade(_rand_poly(n, h, 2, rng), blade)
-            p, q = blade.bidegree
+            info = blade_info(blade, n)
+            p, q = len(info.minus), len(info.plus)
             dp = d_plus(w)
             yield "d_plus grading", dp, dp.component(p, q + 1)
             dm = d_minus(w)
@@ -480,8 +484,9 @@ def forms_suite(n, h):
     def sign_table(rng):
         one = ExactPolynomial.constant(n, h)
         for j in range(1, n + 1):
-            dx = Form.blade(one, single_blade(1, j)).sub(Form.blade(one, single_blade(-1, j)))
-            dtau = Form.blade(one, single_blade(1, j)).add(Form.blade(one, single_blade(-1, j)))
+            plus = Form.blade(one, single_blade(1, j, n))
+            minus = Form.blade(one, single_blade(-1, j, n))
+            dx, dtau = plus.sub(minus), plus.add(minus)
             yield f"(dx{j})' = -dx{j}", involution(dx), dx.neg()
             yield f"(dtau{j})' = dtau{j}", involution(dtau), dtau
             yield f"(dx{j})~ = dx{j}", reversion(dx), dx

@@ -34,11 +34,11 @@ anticommutation of the invariant 1-forms) assert.  A reduction reads each
 step from one neighbour table, built when it is created: node number and
 generator index to node number, and back.
 
-The sign rule is :func:`grassmann_sort`, shared with the blades of
-:mod:`latclif.forms`.  A reduction keys each step by its position in
-:func:`allowed_steps` (-e_1, ..., -e_n, then +e_1, ..., +e_n), which orders
-the steps as the blade keys (-1, j) of dx_j^- and (1, j) of dx_j^+ order the
-differentials they map to.
+The sign rule is :func:`grassmann_sort`, which
+:func:`latclif.forms.blade_from_factors` shares.  A reduction keys each
+step by its position in :func:`allowed_steps` (-e_1, ..., -e_n, then
++e_1, ..., +e_n), which orders the steps as the blade factors (-1, j) of
+dx_j^- and (1, j) of dx_j^+ order the differentials they map to.
 Every form built from paths (the constructor, the product and the
 derivative) puts each path in canonical shape, absorbing its sign, and
 then sums the numerators, dropping a sum that cancels.

@@ -206,13 +206,58 @@ def test_apply_disjoint_validity_boxes_print_empty(capsys, tmp_path):
 
     form = Form(1, 1, {
         EMPTY_BLADE: box_term(((0, 0),)),
-        single_blade(1, 1): box_term(((5, 6),)),
+        single_blade(1, 1, 1): box_term(((5, 6),)),
     })
     path = tmp_path / "disjoint.form"
     write_form(form, path)
     code, out, _ = run(capsys, "apply", "X(1)", str(path))
     assert code == 0
     assert out.splitlines()[0] == "VALIDITY (empty) -> (empty)"
+
+
+N12_FORM = """latclif-form 1
+n 12
+h 1/2
+coeff poly
+term 1,5 2,12
+  0,0,0,0,0,0,0,0,0,0,0,0 3/4
+  0,0,2,0,0,0,0,0,0,0,0,1 -2
+  1,0,0,0,0,0,0,0,0,0,0,0 0+1i
+end
+"""
+
+
+def test_one_term_form_at_n12_answers_at_once(tmp_path):
+    # a form file may name any n; nothing on the path of one form may build
+    # a table of all 4^n blades, so each command gets a 10 s timeout
+    path = tmp_path / "n12.form"
+    path.write_text(N12_FORM)
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "latclif", *args], capture_output=True,
+                              text=True, env=env, timeout=10)
+
+    applied = cli("apply", "compose(gamma(+,3),vartheta(-,1))", str(path))
+    assert applied.returncode == 0, applied.stderr
+    assert applied.stdout == """VALIDITY unchanged (polynomial coefficients)
+latclif-form 1
+n 12
+h 1/2
+coeff poly
+term 5 2,3,12
+  0,0,0,0,0,0,0,0,0,0,0,0 3/4+1/2i
+  0,0,0,0,0,0,0,0,0,0,0,1 -1/2
+  0,0,1,0,0,0,0,0,0,0,0,1 -2
+  0,0,2,0,0,0,0,0,0,0,0,1 -2
+  1,0,0,0,0,0,0,0,0,0,0,0 0+1i
+end
+"""
+    trip = cli("roundtrip", str(path))
+    assert trip.returncode == 0, trip.stderr
+    assert trip.stdout == "CHECK roundtrip.idempotent PASS\nCHECK roundtrip.canonical-input PASS\n"
 
 
 def test_python_dash_m_runs_the_cli():

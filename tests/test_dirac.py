@@ -11,7 +11,7 @@ from latclif.dirac import (
     dirac_pm,
     verify_intertwining,
 )
-from latclif.forms import Blade, Form, single_blade
+from latclif.forms import EMPTY_BLADE, Form, single_blade
 from latclif.operators import (
     Operator,
     anticommutator,
@@ -38,7 +38,7 @@ def test_dirac_pm_on_coordinate():
     fam = build_family(1)
     w = Form.scalar(ExactPolynomial.coordinate(1, 1, 1))
     one = ExactPolynomial.constant(1, 1)
-    assert dirac_pm(1, 1)(w) == Form.blade(one, single_blade(1, 1))
+    assert dirac_pm(1, 1)(w) == Form.blade(one, single_blade(1, 1, 1))
 
 
 def test_dirac_pm_isotropy():
@@ -176,8 +176,8 @@ def test_beta_on_unit_form():
     fam = build_family(1)
     one = ExactPolynomial.constant(1, 1)
     result = fam.beta(Form.scalar(one))
-    expect = Form.blade(one.scale(Scalar(Fraction(1, 2))), Blade((), ())).add(
-        Form.blade(one, Blade((1,), (1,)))
+    expect = Form.blade(one.scale(Scalar(Fraction(1, 2))), EMPTY_BLADE).add(
+        Form.blade(one, single_blade(-1, 1, 1) | single_blade(1, 1, 1))
     )
     assert result == expect
 
@@ -185,10 +185,8 @@ def test_beta_on_unit_form():
 def test_gamma_operators_on_monogenic_constants():
     # on a constant form the hermitian Gamma operators have eigenvalue 0
     fam = build_family(1)
-    for blade_axes in ((), (1,)):
-        w = Form.blade(
-            ExactPolynomial.constant(1, 1), Blade(blade_axes, ())
-        )
+    for blade in (EMPTY_BLADE, single_blade(-1, 1, 1)):
+        w = Form.blade(ExactPolynomial.constant(1, 1), blade)
         assert fam.Gamma_z(w).is_zero()
         assert fam.Gamma_zdag(w).is_zero()
 

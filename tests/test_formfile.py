@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from latclif.coeffs import BoxFunction, ExactPolynomial, cube
 from latclif.formfile import FormFileError, dump_form, parse_form
-from latclif.forms import Blade, Form, single_blade
+from latclif.forms import Form, single_blade
 from latclif.scalars import Scalar
 
 
@@ -14,7 +14,7 @@ def poly_form():
     x1 = ExactPolynomial.coordinate(n, h, 1)
     x2 = ExactPolynomial.coordinate(n, h, 2)
     c = x1.mul(x2).add(ExactPolynomial.constant(n, h, Scalar(Fraction(1, 3), -2)))
-    out = Form.blade(c, Blade((2,), (1,)))
+    out = Form.blade(c, single_blade(-1, 2, 2) | single_blade(1, 1, 2))
     return out.add(Form.scalar(x1))
 
 
@@ -22,7 +22,7 @@ def box_form():
     n, h = 1, Fraction(1)
     box = cube(n, -2, 2)
     vals = {p: Scalar(p[0], Fraction(1, 2)) for p in ((-2,), (-1,), (0,), (1,), (2,))}
-    return Form.blade(BoxFunction(n, h, box, ((-1, 1),), vals), single_blade(1, 1))
+    return Form.blade(BoxFunction(n, h, box, ((-1, 1),), vals), single_blade(1, 1, 1))
 
 
 def test_poly_round_trip_bytes():
@@ -67,7 +67,7 @@ def test_unknown_kind_rejected():
 def test_exact_scalars_survive():
     f = poly_form()
     parsed = parse_form(dump_form(f))
-    blade = Blade((2,), (1,))
+    blade = single_blade(-1, 2, 2) | single_blade(1, 1, 2)
     assert parsed.terms[blade].terms[(0, 0)] == Scalar(Fraction(1, 3), -2)
 
 

@@ -3,15 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latclif.coeffs import ExactPolynomial, cube
 from latclif.formfile import dump_form, parse_form
 from latclif.forms import (
-    Blade,
     BridgeError,
     EMPTY_BLADE,
     Form,
     all_blades,
+    blade_from_factors,
+    blade_info,
     blade_mul,
     d,
     d_minus,
@@ -56,18 +58,20 @@ def rand_form(n, h, rng, deg=3, nterms=3):
 # -- blades -------------------------------------------------------------------
 
 def test_blade_square_vanishes():
-    assert blade_mul(single_blade(-1, 1), single_blade(-1, 1)) is None
-    assert blade_mul(single_blade(1, 2), single_blade(1, 2)) is None
+    assert blade_mul(single_blade(-1, 1, 2), single_blade(-1, 1, 2)) is None
+    assert blade_mul(single_blade(1, 2, 2), single_blade(1, 2, 2)) is None
 
 
 def test_blade_anticommutation_sign():
-    sign, blade = blade_mul(single_blade(1, 2), single_blade(1, 1))
-    assert sign == -1 and blade == Blade((), (1, 2))
+    sign, blade = blade_mul(single_blade(1, 2, 2), single_blade(1, 1, 2))
+    assert sign == -1 and blade == single_blade(1, 1, 2) | single_blade(1, 2, 2)
+    assert blade_info(blade, 2)[:2] == ((), (1, 2))
 
 
 def test_blade_mixed_generators_distinct():
-    sign, blade = blade_mul(single_blade(1, 1), single_blade(-1, 1))
-    assert sign == -1 and blade == Blade((1,), (1,))
+    sign, blade = blade_mul(single_blade(1, 1, 1), single_blade(-1, 1, 1))
+    assert sign == -1 and blade == single_blade(-1, 1, 1) | single_blade(1, 1, 1)
+    assert blade_info(blade, 1)[:2] == ((1,), (1,))
 
 
 def test_blade_count():
@@ -75,18 +79,86 @@ def test_blade_count():
     assert len(all_blades(3)) == 64
 
 
+def test_blade_masks_put_minus_factors_below_plus_factors():
+    assert single_blade(-1, 1, 3) == 1 and single_blade(-1, 3, 3) == 4
+    assert single_blade(1, 1, 3) == 8 and single_blade(1, 3, 3) == 32
+    assert blade_info(EMPTY_BLADE, 3) == ((), (), (), "1")
+    assert blade_info(0b100101, 3) == ((1, 3), (3,), ((-1, 1), (-1, 3), (1, 3)),
+                                      "dx1-^dx3-^dx3+")
+
+
+# The mask product against the sequence rule of grassmann_sort, the
+# canonical order against the (minus, plus) axis tuples, and blade_info
+# against the term headers of the form file, at n <= 4.
+
+@st.composite
+def factor_sequences(draw):
+    n = draw(st.integers(1, 4))
+    factor = st.tuples(st.sampled_from((-1, 1)), st.integers(1, n))
+    return n, draw(st.lists(factor, max_size=5)), draw(st.lists(factor, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_sequences())
+def test_mask_product_agrees_with_grassmann_sort(case):
+    n, left, right = case
+    whole = blade_from_factors(left + right, n)
+    parts = blade_from_factors(left, n), blade_from_factors(right, n)
+    if None in parts:
+        assert whole is None
+        return
+    (s1, b1), (s2, b2) = parts
+    prod = blade_mul(b1, b2)
+    if prod is None:
+        assert whole is None
+    else:
+        assert whole == (s1 * s2 * prod[0], prod[1])
+    # a canonical sequence is its own blade, with sign +1
+    for sign, blade in parts:
+        assert blade_from_factors(blade_info(blade, n).factors, n) == (1, blade)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_all_blades_come_in_axis_tuple_order(n):
+    subsets = [axes for k in range(n + 1) for axes in itertools.combinations(range(1, n + 1), k)]
+    expected = sorted((minus, plus) for minus in subsets for plus in subsets)
+    assert [blade_info(b, n)[:2] for b in all_blades(n)] == expected
+    assert sorted(all_blades(n)) == list(range(4 ** n))
+
+
+@st.composite
+def blades(draw):
+    n = draw(st.integers(1, 4))
+    return n, draw(st.integers(0, 4 ** n - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(blades())
+def test_blade_info_round_trips_through_a_term_header(case):
+    n, blade = case
+    minus, plus, factors, label = blade_info(blade, n)
+    assert factors == tuple((-1, a) for a in minus) + tuple((1, a) for a in plus)
+    assert blade == sum(single_blade(s, a, n) for s, a in factors)
+    assert label == ("^".join(f"dx{a}{'+' if s > 0 else '-'}" for s, a in factors) or "1")
+    text = dump_form(Form.blade(const(n), blade))
+    header = next(line for line in text.splitlines() if line.startswith("term "))
+    assert header == "term " + " ".join(",".join(map(str, axes)) or "-" for axes in (minus, plus))
+    assert list(parse_form(text).terms) == [blade]
+
+
 # -- products -----------------------------------------------------------------
 
 def test_one_form_shifts_coefficient():
     n, h = 1, 1
     f = coord(n, h, 1)
-    lhs = Form.blade(const(n, h), single_blade(1, 1)).mul(Form.scalar(f))
-    expect = Form.blade(f.shift(1, 1), single_blade(1, 1))
+    lhs = Form.blade(const(n, h), single_blade(1, 1, n)).mul(Form.scalar(f))
+    expect = Form.blade(f.shift(1, 1), single_blade(1, 1, n))
     assert lhs == expect
 
 
 def test_blade_factors_are_signed_steps():
-    assert Blade((1,), (2,)).factors() == ((-1, 1), (1, 2))
+    blade = single_blade(-1, 1, 2) | single_blade(1, 2, 2)
+    assert blade_info(blade, 2).factors == ((-1, 1), (1, 2))
 
 
 @pytest.mark.parametrize("sampled", [False, True], ids=["poly", "box"])
@@ -101,9 +173,9 @@ def test_blade_shifts_coefficient_by_its_steps(sampled):
         f, one = f.sample(cube(n, -3, 3)), one.sample(cube(n, -3, 3))
     for b in all_blades(n):
         expect = f
-        for axis in b.plus:
+        for axis in blade_info(b, n).plus:
             expect = expect.shift(axis, 1)
-        for axis in b.minus:
+        for axis in blade_info(b, n).minus:
             expect = expect.shift(axis, -1)
         assert Form.blade(one, b).mul(Form.scalar(f)) == Form.blade(expect, b), b
 
@@ -111,14 +183,14 @@ def test_blade_shifts_coefficient_by_its_steps(sampled):
 def test_empty_blade_displaces_nothing():
     n, h = 1, 1
     f = coord(n, h, 1)
-    lhs = Form.scalar(f).mul(Form.blade(const(n, h), single_blade(1, 1)))
-    assert lhs == Form.blade(f, single_blade(1, 1))
+    lhs = Form.scalar(f).mul(Form.blade(const(n, h), single_blade(1, 1, n)))
+    assert lhs == Form.blade(f, single_blade(1, 1, n))
 
 
 def test_anticommutation_all_generator_pairs():
     n, h = 3, Fraction(1, 2)
     one = const(n, h)
-    gens = [single_blade(s, j) for s in (1, -1) for j in range(1, n + 1)]
+    gens = [single_blade(s, j, n) for s in (1, -1) for j in range(1, n + 1)]
     for b1 in gens:
         for b2 in gens:
             f1, f2 = Form.blade(one, b1), Form.blade(one, b2)
@@ -140,8 +212,8 @@ def test_associativity_random():
 def test_d_of_coordinate():
     n, h = 2, 1
     res = d(Form.scalar(coord(n, h, 1)))
-    expect = Form.blade(const(n, h), single_blade(1, 1)).sub(
-        Form.blade(const(n, h), single_blade(-1, 1))
+    expect = Form.blade(const(n, h), single_blade(1, 1, n)).sub(
+        Form.blade(const(n, h), single_blade(-1, 1, n))
     )
     assert res == expect
 
@@ -159,7 +231,7 @@ def test_d_nilpotent_and_mixed():
 
 def test_bigrading():
     n, h = 2, 1
-    w = Form.blade(coord(n, h, 2), Blade((1,), (2,)))
+    w = Form.blade(coord(n, h, 2), single_blade(-1, 1, n) | single_blade(1, 2, n))
     dp, dm = d_plus(w), d_minus(w)
     assert dp == dp.component(1, 2)
     assert dm == dm.component(2, 1)
@@ -169,20 +241,20 @@ def test_bigrading():
 
 def test_involution_single_factor():
     n, h = 1, 1
-    w = Form.blade(const(n, h), single_blade(1, 1))
-    assert involution(w) == Form.blade(const(n, h), single_blade(-1, 1))
+    w = Form.blade(const(n, h), single_blade(1, 1, n))
+    assert involution(w) == Form.blade(const(n, h), single_blade(-1, 1, n))
 
 
 def test_reversion_single_factor():
     n, h = 1, 1
-    w = Form.blade(const(n, h), single_blade(1, 1))
-    assert reversion(w) == Form.blade(const(n, h), single_blade(-1, 1)).neg()
+    w = Form.blade(const(n, h), single_blade(1, 1, n))
+    assert reversion(w) == Form.blade(const(n, h), single_blade(-1, 1, n)).neg()
 
 
 def test_reversion_two_factor_sign():
     n, h = 2, 1
-    w = Form.blade(const(n, h), Blade((), (1, 2)))
-    expect = Form.blade(const(n, h), Blade((1, 2), ())).neg()
+    w = Form.blade(const(n, h), single_blade(1, 1, n) | single_blade(1, 2, n))
+    expect = Form.blade(const(n, h), single_blade(-1, 1, n) | single_blade(-1, 2, n)).neg()
     assert reversion(w) == expect
 
 
@@ -212,8 +284,8 @@ def test_sign_table_rows():
     n, h = 2, 1
     one = const(n, h)
     for j in (1, 2):
-        dx = Form.blade(one, single_blade(1, j)).sub(Form.blade(one, single_blade(-1, j)))
-        dtau = Form.blade(one, single_blade(1, j)).add(Form.blade(one, single_blade(-1, j)))
+        dx = Form.blade(one, single_blade(1, j, n)).sub(Form.blade(one, single_blade(-1, j, n)))
+        dtau = Form.blade(one, single_blade(1, j, n)).add(Form.blade(one, single_blade(-1, j, n)))
         assert involution(dx) == dx.neg()
         assert involution(dtau) == dtau
         assert reversion(dx) == dx
@@ -225,8 +297,8 @@ def test_dagger_row_follows_the_reversal_rule():
     # opposite of the summary table row; the rule is what we implement.
     n, h = 1, 1
     one = const(n, h)
-    dx = Form.blade(one, single_blade(1, 1)).sub(Form.blade(one, single_blade(-1, 1)))
-    dtau = Form.blade(one, single_blade(1, 1)).add(Form.blade(one, single_blade(-1, 1)))
+    dx = Form.blade(one, single_blade(1, 1, n)).sub(Form.blade(one, single_blade(-1, 1, n)))
+    dtau = Form.blade(one, single_blade(1, 1, n)).add(Form.blade(one, single_blade(-1, 1, n)))
     assert dagger(dx) == dx
     assert dagger(dtau) == dtau.neg()
 
@@ -235,7 +307,7 @@ def test_dagger_row_follows_the_reversal_rule():
 
 def test_to_universal_single_generator():
     t = Torus(1, 3)
-    w = Form.blade(const(1, 1), single_blade(1, 1))
+    w = Form.blade(const(1, 1), single_blade(1, 1, 1))
     u = to_universal(w, 3)
     from latclif.universal import Reduction
 

@@ -22,7 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # Every pinned run: name, argv, exit code and tier; its stdout is in
 # golden/<name>.out.  Tier-1 runs the "tier1" rows in process.  The "ci"
-# rows, at n=4 and 5, take seconds each; one CI step runs them through
+# rows, at n=4 to 6, take seconds each; one CI step runs them through
 # `PYTHONPATH=src python tests/test_golden.py`, each in a fresh interpreter.
 PINNED = [
     ("monogenic-n2-p0q0", "monogenic --n 2 --p 0 --q 0", 0, "tier1"),
@@ -78,6 +78,11 @@ PINNED = [
     ("verify-dirac-n5", "verify --suite dirac --n 5", 1, "ci"),
     ("verify-intertwine-n5", "verify --suite intertwine --n 5", 0, "ci"),
     ("verify-monogenic-n5", "verify --suite monogenic --n 5", 0, "ci"),
+    # the identity suites at n=6, over 4096 blades
+    ("verify-endo-n6", "verify --suite endo --n 6", 0, "ci"),
+    # exits 1, as at n=3
+    ("verify-dirac-n6", "verify --suite dirac --n 6", 1, "ci"),
+    ("verify-intertwine-n6", "verify --suite intertwine --n 6", 0, "ci"),
 ]
 
 
@@ -145,7 +150,7 @@ def test_driver_passes_when_every_case_holds():
 
 
 @pytest.mark.parametrize("lhs, rhs, witness", [
-    (Form.blade(X, single_blade(1, 1)), ZERO, "blade dx1+ at (1,) = 1"),
+    (Form.blade(X, single_blade(1, 1, 1)), ZERO, "blade dx1+ at (1,) = 1"),
     (X.scale(Scalar(3)), X, "at (1,) = 2"),
     (X.sample(cube(1, -2, 2)), ZERO, "at (-2,) = -2"),
     (delta_form(Torus(1, 3), (1,)), ZERO, "at ((1,),) = 1"),
@@ -174,7 +179,7 @@ BROKEN = {
         lambda: suites.forms_suite(1, Fraction(1)), "d", lambda w: w, "random form 0: blade "),
     "forms.anticommute.dx1-.dx1+": (
         lambda: suites.forms_suite(1, Fraction(1)), "single_blade",
-        lambda s, j: EMPTY_BLADE, "a b + b a: blade 1 at "),
+        lambda s, j, n: EMPTY_BLADE, "a b + b a: blade 1 at "),
     "universal.sum-db-zero": (
         lambda: suites.universal_suite(1, 3), "delta_form", first_node_delta,
         "sum of d b_m: at "),

@@ -49,7 +49,7 @@ def xi_without_its_half(sign, axis):
 
 def blade_mul_with_one_sign_flipped(monkeypatch):
     blade_mul = operators.blade_mul
-    dx1_plus, dx2_minus = single_blade(1, 1), single_blade(-1, 2)
+    dx1_plus, dx2_minus = single_blade(1, 1, 2), single_blade(-1, 2, 2)
 
     def flipped(b1, b2):
         out = blade_mul(b1, b2)

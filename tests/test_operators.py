@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from latclif.coeffs import ExactPolynomial, cube
 from latclif.dirac import build_family
-from latclif.forms import Blade, Form, all_blades, single_blade
+from latclif.forms import Form, all_blades, single_blade
 from latclif.normal import act
 from latclif.operators import (
     Operator,
@@ -59,41 +59,41 @@ def holds(lhs, rhs):
 
 def test_gamma_on_unit():
     w = gamma(1, 1)(Form.scalar(const()))
-    assert w == Form.blade(const(), single_blade(1, 1))
+    assert w == Form.blade(const(), single_blade(1, 1, N))
 
 
 def test_gamma_shifts_coefficient():
     f = coord(1)
     w = gamma(1, 1)(Form.scalar(f))
-    assert w == Form.blade(f.shift(1, 1), single_blade(1, 1))
+    assert w == Form.blade(f.shift(1, 1), single_blade(1, 1, N))
 
 
 def test_gamma_square_kills():
-    w = gamma(1, 1)(Form.blade(const(), single_blade(1, 1)))
+    w = gamma(1, 1)(Form.blade(const(), single_blade(1, 1, N)))
     assert w.is_zero()
 
 
 # -- vartheta ------------------------------------------------------------------
 
 def test_vartheta_duality_on_constants():
-    assert vartheta(1, 1)(Form.blade(const(), single_blade(1, 1))) == Form.scalar(const())
-    assert vartheta(1, 1)(Form.blade(const(), single_blade(1, 2))).is_zero()
-    assert vartheta(-1, 2)(Form.blade(const(), single_blade(-1, 2))) == Form.scalar(const())
+    assert vartheta(1, 1)(Form.blade(const(), single_blade(1, 1, N))) == Form.scalar(const())
+    assert vartheta(1, 1)(Form.blade(const(), single_blade(1, 2, N))).is_zero()
+    assert vartheta(-1, 2)(Form.blade(const(), single_blade(-1, 2, N))) == Form.scalar(const())
     assert vartheta(1, 1)(Form.scalar(const())).is_zero()
 
 
 def test_vartheta_two_factor():
-    w = Form.blade(const(), Blade((), (1, 2)))
-    assert vartheta(1, 1)(w) == Form.blade(const(), single_blade(1, 2))
+    w = Form.blade(const(), single_blade(1, 1, N) | single_blade(1, 2, N))
+    assert vartheta(1, 1)(w) == Form.blade(const(), single_blade(1, 2, N))
     # second factor: parity sign is negative
-    assert vartheta(1, 2)(w) == Form.blade(const(), single_blade(1, 1)).neg()
+    assert vartheta(1, 2)(w) == Form.blade(const(), single_blade(1, 1, N)).neg()
 
 
 def test_vartheta_carries_opposite_shift():
     # the interior product shifts a non-constant coefficient opposite to
     # its own sign; this is what makes the duality with gamma exact
     f = coord(1)
-    w = vartheta(1, 1)(Form.blade(f, single_blade(1, 1)))
+    w = vartheta(1, 1)(Form.blade(f, single_blade(1, 1, N)))
     assert w == Form.scalar(f.shift(1, -1))
     assert holds(anticommutator(gamma(1, 1), vartheta(1, 1)), ID)
 
@@ -138,7 +138,7 @@ def test_gamma_vartheta_same_sign_duality():
 # -- Witt and Clifford generators ------------------------------------------------
 
 def test_xi_on_unit():
-    assert xi(1, 1)(Form.scalar(const())) == Form.blade(const(), single_blade(1, 1))
+    assert xi(1, 1)(Form.scalar(const())) == Form.blade(const(), single_blade(1, 1, N))
 
 
 def test_xi_witt_relations():
@@ -213,8 +213,8 @@ def test_identity_and_commutator_with_self():
 
 def test_linearity():
     op = xi(1, 1)
-    w = Form.blade(coord(1), single_blade(-1, 2))
-    v = Form.blade(coord(2), Blade((1,), (1,)))
+    w = Form.blade(coord(1), single_blade(-1, 2, N))
+    v = Form.blade(coord(2), single_blade(-1, 1, N) | single_blade(1, 1, N))
     s = Scalar(2, -3)
     assert op(w.add(v.scale(s))) == op(w).add(op(v).scale(s))
 
@@ -259,7 +259,7 @@ def test_verify_identities_matches_separate_checks(monkeypatch):
 
 def test_difference_and_commutator_scale_no_image(monkeypatch):
     a, b = gamma(1, 1), vartheta(-1, 2)
-    w = Form.blade(coord(1), single_blade(-1, 2)).add(Form.scalar(const(3)))
+    w = Form.blade(coord(1), single_blade(-1, 2, N)).add(Form.scalar(const(3)))
     expect = [a(w).sub(b(w)), a(b(w)).sub(b(a(w))), Form.zero(N, H).sub(a(w))]
     scales = []
     original = Form.scale
@@ -327,8 +327,8 @@ def test_primitive_images_stay_correct_at_alternating_h():
         prim = build(*args)
         for h in (Fraction(1), Fraction(1, 2), Fraction(1), Fraction(1, 3), Fraction(1, 2)):
             x1, x2 = coord(1, h=h), coord(2, h=h)
-            w = Form.blade(x1.mul(x2).add(const(3, h=h)), Blade((1,), (2,))).add(
-                Form.scalar(x1.mul(x1)))
+            blade = single_blade(-1, 1, N) | single_blade(1, 2, N)
+            w = Form.blade(x1.mul(x2).add(const(3, h=h)), blade).add(Form.scalar(x1.mul(x1)))
             assert acted(prim, w) == form_coordinates(prim(w)), (prim.name, h)
     for h in (Fraction(1), Fraction(1, 2), Fraction(1, 3)):
         basis = [w for degree in range(3) for _, w in monomial_forms(3, h, degree)]

@@ -87,7 +87,7 @@ def test_candidate_counts():
 
 
 def test_scalar_blade_candidates_for_10():
-    blades = [b for b in all_blades(2) if b.degree == 0]
+    blades = [b for b in all_blades(2) if b.bit_count() == 0]
     cands = homogeneous_space(2, 1, 1, 0, blades)
     labels = {lbl for lbl, _ in cands}
     assert len(cands) == 2
