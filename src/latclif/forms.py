@@ -79,6 +79,12 @@ def blade_info(blade, n):
     return BladeInfo(minus, plus, factors, label)
 
 
+def spot_text(spot, n):
+    """The witness text of a ``(blade, exps, value)`` spot in dimension n."""
+    blade, exps, value = spot
+    return f"blade {blade_info(blade, n).label} at {exps} = {value}"
+
+
 def single_blade(sign, axis, n):
     """The one-factor blade dx_axis^sign in dimension n."""
     return 1 << (axis - 1 + n if sign > 0 else axis - 1)

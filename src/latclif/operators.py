@@ -69,7 +69,15 @@ from .coeffs import (
     skew_diff,
     sym_diff,
 )
-from .forms import Form, all_blades, blade_from_factors, blade_info, blade_mul, single_blade
+from .forms import (
+    Form,
+    all_blades,
+    blade_from_factors,
+    blade_info,
+    blade_mul,
+    single_blade,
+    spot_text,
+)
 from .scalars import MINUS_ONE, ONE, Scalar, as_scalar, interned
 
 
@@ -530,9 +538,7 @@ def verify_identities(relations, test_forms):
             if witnesses[k] is None:
                 spot = lhs(form).first_difference(rhs(form))
                 if spot is not None:
-                    blade, exps, value = spot
-                    witnesses[k] = (f"on {label}: blade {blade_info(blade, form.n).label}"
-                                    f" at {exps} = {value}")
+                    witnesses[k] = f"on {label}: {spot_text(spot, form.n)}"
                     live -= 1
         if not live:
             break

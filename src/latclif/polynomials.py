@@ -17,7 +17,7 @@ from functools import reduce
 from . import normal
 from .coeffs import ExactPolynomial, coord_shift_mul, diff, multi_indices
 from .dirac import DEFAULT_CONVENTION, build_family
-from .forms import Form, all_blades, blade_info
+from .forms import Form, all_blades, blade_info, spot_text
 from .linalg import bareiss_rank, kernel_basis, rank, rref, scalars_to_gaussian
 from .operators import Operator, OperatorReport, verify_identities
 from .scalars import ONE, ZERO, Scalar
@@ -278,7 +278,9 @@ def hermitian_monogenic_basis(
         label = f"element {k}"
         reports = verify_identities(relations[:4], [(label, el)])
         for name, images in residuals:
-            witness = f"on {label}: {_first_term(images[k], n)}" if images[k] else None
+            witness = None
+            if images[k]:
+                witness = f"on {label}: {spot_text(_first_spot(images[k], n), n)}"
             reports.append(OperatorReport(name, witness is None, witness))
         result.certificates.append({r.name: r.passed for r in reports})
         if result.witness is None:
@@ -286,11 +288,11 @@ def hermitian_monogenic_basis(
     return result
 
 
-def _first_term(vec, n):
-    """The first term of a nonzero sparse vector in blade order, then
-    monomial order, as the tree walk's witness reads it."""
-    key = min(vec, key=lambda k: (blade_info(k[0], n)[:2], k[1]))
-    return f"blade {blade_info(key[0], n).label} at {key[1]} = {vec[key]}"
+def _first_spot(vec, n):
+    """The (blade, exps, value) of the first term of a nonzero sparse vector
+    in blade order, then monomial order, as the tree walk's witness reads it."""
+    blade, exps = min(vec, key=lambda k: (blade_info(k[0], n)[:2], k[1]))
+    return blade, exps, vec[blade, exps]
 
 
 def coordinate_rank(forms):

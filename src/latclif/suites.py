@@ -52,6 +52,7 @@ from .forms import (
     periodic_box_function,
     reversion,
     single_blade,
+    spot_text,
     to_universal,
 )
 from .operators import (
@@ -169,9 +170,7 @@ def _difference(lhs, rhs):
         return None if lhs == rhs else f"{lhs} != {rhs}"
     if isinstance(lhs, Form):
         spot = lhs.first_difference(Form.zero(lhs.n, lhs.h) if rhs is ZERO else rhs)
-        if spot is None:
-            return None
-        return f"blade {blade_info(spot[0], lhs.n).label} at {spot[1]} = {spot[2]}"
+        return None if spot is None else spot_text(spot, lhs.n)
     residual = lhs if rhs is ZERO else lhs.sub(rhs)
     spot = residual.first_term() if isinstance(residual, UForm) else residual.first_nonzero()
     return None if spot is None else f"at {spot[0]} = {spot[1]}"

@@ -11,7 +11,10 @@ Each node is numbered once, by its position in the lexicographic
 paths by (length, path) orders them as their coordinates would.  Coordinate
 tuples appear only where a path enters (the ``UForm`` constructor and the
 named forms) or leaves (:meth:`UForm.first_term`,
-:meth:`UForm.coordinate_terms` and the repr).
+:meth:`UForm.coordinate_terms` and the repr).  Inside the full derivative
+a path is one int more: its node numbers as digits in base N^n below a
+leading digit 1, so that inserting a node is int arithmetic; the sums are
+keyed by those ints and read back into tuples once, at the end.
 
 A form maps each path to the Gaussian-integer numerator ``(re, im)`` of its
 coefficient, all over one positive denominator, as a box function stores
@@ -209,6 +212,15 @@ def _valid_path(nodes):
     return all(map(ne, nodes, nodes[1:]))
 
 
+def _decoded(key, M):
+    """The tuple of node numbers that the int ``key`` codes in base M, below its leading 1."""
+    path = []
+    while key != 1:
+        key, m = divmod(key, M)
+        path.append(m)
+    return tuple(reversed(path))
+
+
 def _summed(pairs, den, reduction=None):
     """The fields ``(num, den)`` of a form summing (path, (re, im)) pairs over ``den``.
 
@@ -363,61 +375,78 @@ class UForm:
 
         Node l inserted at slot s of a path (before its s-th node) gives
         (-1)^s times the longer path, for every l other than the nodes on
-        either side of the slot.  Under a reduction the derivative is the
-        insertion at the two ends of a path: the neighbours of its first
-        node at slot 0 and those of its last node at the end.  Any other
-        node makes a non-unit step, and an interior insertion splits a unit
-        step e into two unit steps only at N = 3, as -e twice, a repeated
-        step: the quotient kills every such path.  An end neighbour whose
-        step the path already takes also repeats it, so it is skipped
-        before its insertion is built.
+        either side of the slot.  Without a reduction each stored path of
+        r nodes is coded once as an int in base M = N^n, a leading digit 1
+        followed by its node numbers: the 1 keeps apart paths of different
+        lengths and paths that start at node 0.  With P = M^(r-s), the head
+        (the 1 and the first s nodes) and the tail are ``divmod(code, P)``,
+        and the insertion of l is the int ``head*M*P + l*P + tail``, so the
+        keys of one slot step through a range by P.  The numerators are
+        summed under those int keys, a sum dropped as soon as it cancels,
+        and the keys are read back into tuples of node numbers once, at the
+        end.  Under a reduction see :meth:`_reduced_uderiv`.
         """
-        red = self.reduction
-        canonicalize = None if red is None else red.canonicalize
-        everywhere = range(len(self.torus.nodes()))
+        if self.reduction is not None:
+            return self._reduced_uderiv()
+        M = len(self.torus.nodes())
         num = {}
         get = num.get
         for path, (a, b) in self.num.items():
+            code = 1
+            for m in path:
+                code = code * M + m
             r = len(path)
-            if red is not None:
-                keys = red._keys
-                used = {keys[m][l] for m, l in zip(path, path[1:])}
-            for s in (range(r + 1) if red is None else (0, r)):
-                head, tail = path[:s], path[s:]
-                before = path[s - 1] if s else -1
-                after = path[s] if s < r else -1
-                if red is None:
-                    inserted = everywhere
-                elif s == 0:
-                    inserted = [l for l in red.neighbours[after] if keys[l][after] not in used]
-                else:
-                    inserted = [l for k, l in enumerate(red.neighbours[before])
-                                if k not in used]
-                signed = (a, b) if s % 2 == 0 else (-a, -b)
-                for l in inserted:
-                    if l == before or l == after:
+            P = M ** r
+            for s in range(r + 1):
+                head, tail = divmod(code, P)
+                base = head * M * P + tail
+                # the keys that would repeat the node on either side of the slot
+                before = base + path[s - 1] * P if s else -1
+                after = base + path[s] * P if s < r else -1
+                c0, c1 = c = (a, b) if s % 2 == 0 else (-a, -b)
+                for key in range(base, base + M * P, P):
+                    if key == before or key == after:
                         continue
-                    new = head + (l,) + tail
-                    c = signed
-                    if canonicalize is not None:
-                        canon = canonicalize(new)
-                        if canon is None:
-                            continue
-                        sgn, new = canon
-                        if sgn < 0:
-                            c = (-c[0], -c[1])
-                    old = get(new)
+                    old = get(key)
                     if old is None:
-                        num[new] = c
+                        num[key] = c
                     else:
                         # a sum that cancels goes at once: d(d w) cancels wholesale,
                         # and dead entries would grow the dict to every path touched
-                        x, y = old[0] + c[0], old[1] + c[1]
+                        x, y = old[0] + c0, old[1] + c1
                         if x or y:
-                            num[new] = (x, y)
+                            num[key] = (x, y)
                         else:
-                            del num[new]
-        return self._raw(*_lowest(num, self.den))
+                            del num[key]
+                P //= M
+        return self._raw(*_lowest({_decoded(key, M): c for key, c in num.items()}, self.den))
+
+    def _reduced_uderiv(self):
+        """The derivative under a reduction: the insertion at the two ends of a path.
+
+        The neighbours of its first node go in at slot 0 and those of its
+        last node at the end.  Any other node makes a non-unit step, and an
+        interior insertion splits a unit step e into two unit steps only at
+        N = 3, as -e twice, a repeated step: the quotient kills every such
+        path.  An end neighbour whose step the path already takes also
+        repeats it, so it is skipped before its insertion is built.
+        """
+        red = self.reduction
+        keys, neighbours = red._keys, red.neighbours
+
+        def pairs():
+            for path, (a, b) in self.num.items():
+                used = {keys[m][l] for m, l in zip(path, path[1:])}
+                first, last = path[0], path[-1]
+                for l in neighbours[first]:
+                    if keys[l][first] not in used:
+                        yield (l,) + path, (a, b)
+                signed = (a, b) if len(path) % 2 == 0 else (-a, -b)
+                for k, l in enumerate(neighbours[last]):
+                    if k not in used:
+                        yield path + (l,), signed
+
+        return self._raw(*_summed(pairs(), self.den, red))
 
     def translate(self, p):
         """Left translation: every node of every path moves by p."""

@@ -63,6 +63,8 @@ PINNED = [
     ("monogenic-n4-p2q0", "monogenic --n 4 --p 2 --q 0", 0, "ci"),
     ("monogenic-n4-p0q2", "monogenic --n 4 --p 0 --q 2", 0, "ci"),
     ("verify-universal-n4-N3", "verify --suite universal --n 4 --N 3", 0, "ci"),
+    # 64 nodes: the widest base of the int-coded derivative
+    ("verify-universal-n3-N4", "verify --suite universal --n 3 --N 4", 0, "ci"),
     ("verify-reduction-n4-N3", "verify --suite reduction --n 4 --N 3", 0, "ci"),
     ("verify-endo-n4", "verify --suite endo --n 4", 0, "ci"),
     # the translations of the contraction recursion at h != 1

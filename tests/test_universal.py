@@ -546,6 +546,38 @@ def test_numerators_are_in_lowest_terms_over_the_denominator():
         assert_lowest(form)
 
 
+# -- the int-coded full derivative ----------------------------------------------
+#
+# UForm.uderiv codes each path as an int in base M = N^n below a leading 1.
+# Node 0 is the digit 0 and node M - 1 the largest digit, so paths that start
+# or end there are the ones a wrong head, tail or leading digit would mix up.
+
+def mixed_pairs(torus, rng):
+    """(path of node numbers, scalar) pairs of degree 0 and 2, over denominators
+    above 1, with paths that start at node 0 and paths that end at node M - 1."""
+    last = len(torus.nodes()) - 1
+    paths = [(0,), (last,), (0, last, 0), (last, 0, last)]
+    for _ in range(3):
+        path = [rng.randrange(last + 1)]
+        for _ in range(rng.choice((0, 2))):
+            path.append(rng.choice([m for m in range(last + 1) if m != path[-1]]))
+        paths.append(tuple(path))
+    return [(path, rng.choice(COEFFS[1:])) for path in paths]
+
+
+@pytest.mark.parametrize("n, N", SHAPES + [(1, 2)])
+def test_int_coded_derivative_matches_coordinate_reference(n, N):
+    torus = Torus(n, N)
+    rng = random.Random(7 * n + N)
+    for _ in range(3):
+        w = UForm.numbered(torus, mixed_pairs(torus, rng))
+        assert w.den > 1 and {len(p) for p in w.num} == {1, 3}
+        dw = w.uderiv()
+        assert coordinate_terms(dw) == reference_uderiv(torus, coordinate_terms(w), False)
+        assert_lowest(dw)
+        assert dw.uderiv().is_zero()
+
+
 # -- the oracle's PASS lines can fail ------------------------------------------
 
 def uderiv_without_slot(form, dropped):
@@ -590,3 +622,46 @@ def test_a_derivative_without_an_end_slot_fails_the_oracle(monkeypatch, dropped,
     monkeypatch.undo()
     assert UForm.uderiv is intact
     assert all(line.endswith(" PASS") for line in report().values())
+
+
+def uderiv_inserting_neighbours(form, sides):
+    """The full insertion sum of UForm.uderiv that also inserts the node on
+    the given sides ("before", "after") of each slot, keeping degenerate paths."""
+    count = len(form.torus.nodes())
+    pairs = []
+    for path, (a, b) in form.num.items():
+        r = len(path)
+        for s in range(r + 1):
+            c = (a, b) if s % 2 == 0 else (-a, -b)
+            for l in range(count):
+                if "before" not in sides and s and path[s - 1] == l:
+                    continue
+                if "after" not in sides and s < r and path[s] == l:
+                    continue
+                pairs.append((path[:s] + (l,) + path[s:], c))
+    return form._raw(*universal._summed(pairs, form.den))
+
+
+@pytest.mark.parametrize("sides", [("before",), ("after",)])
+def test_a_derivative_inserting_one_slot_neighbour_fails(monkeypatch, sides):
+    # the degenerate paths it keeps differ from the coordinate reference
+    torus = Torus(2, 3)
+    w = UForm.numbered(torus, mixed_pairs(torus, random.Random(5)))
+    got = uderiv_inserting_neighbours(w, sides)
+    assert coordinate_terms(got) != reference_uderiv(torus, coordinate_terms(w), False)
+    assert any(not universal._valid_path(p) for p in got.num)
+    # and the oracle sees them
+    monkeypatch.setattr(UForm, "uderiv", lambda form: uderiv_inserting_neighbours(form, sides))
+    failed = {check.name for check in suites.universal_suite(2, 3) if not check.run()[1]}
+    assert failed == {"universal.nilpotency", "universal.leibniz", "universal.sum-db-zero",
+                      "universal.inner-commutator"}
+
+
+@pytest.mark.parametrize("n, N", SHAPES + [(1, 2)])
+def test_inserting_both_slot_neighbours_changes_nothing(n, N):
+    # Dropping the neighbour exclusion on both sides is no fault: a node
+    # repeated at places j and j + 1 is made once at slot j and once at slot
+    # j + 1 of the one path without the repeat, with opposite signs, and cancels.
+    torus = Torus(n, N)
+    w = UForm.numbered(torus, mixed_pairs(torus, random.Random(n + N)))
+    assert uderiv_inserting_neighbours(w, ("before", "after")) == w.uderiv()
