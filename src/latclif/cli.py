@@ -38,10 +38,13 @@ def _parse_h(text):
 
 
 def _check_jobs(args):
-    """Reject a non-integer LATCLIF_THREADS unless --jobs is given.
+    """Reject a --jobs below 1, and a non-integer LATCLIF_THREADS unless
+    --jobs is given.
 
     Checks always run serially, so neither value is used beyond this.
     """
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, not {args.jobs}")
     env = os.environ.get("LATCLIF_THREADS")
     if args.jobs is None and env:
         try:

@@ -37,9 +37,13 @@ common denominator, reduced by one gcd pass.  A normal form is never
 changed after it is built.
 
 ``act`` applies a normal form to sparse vectors over (blade mask,
-monomial) in closed form, one signed blade and one binomial expansion per
-word and basis element: the monogenic solver builds its matrix this way,
-while the tree walk of :mod:`latclif.operators` certifies what it finds.
+monomial) in closed form.  A word acts on a polynomial part P times a
+blade B as (x^a T^b P) times a+_S a_T |B>, so ``act`` splits each vector
+by blade, and once per call it matches each blade against each blade
+word and expands the polynomial image of each (polynomial part, blade
+word) pair.  The monogenic solver, whose candidates carry the same
+polynomials on every blade, builds its matrix this way, while the tree
+walk of :mod:`latclif.operators` certifies what it finds.
 """
 
 from __future__ import annotations
@@ -69,45 +73,72 @@ def act(form, h, vectors):
     """The images of the sparse vectors {(blade mask, exps): Scalar} under
     the normal form ``form`` at mesh h, as sparse vectors of the same kind.
 
-    The word c x^a T^b a+_S a_T sends x^e |B> to c x^a (x + b h)^e
-    a+_S a_T |B>: one signed blade (``word_action``) times a binomial
-    expansion (``_shifted_power``).  Each image is summed as
-    Gaussian-integer numerators over one denominator, den times the lcm of
-    the vector's denominators times q^top, with h = p/q and top the largest
-    total degree in the vector.
+    A vector is a sum of P_B |B>, one polynomial part P_B per blade B, and
+    the words sharing one blade word a+_S a_T send P_B |B> to
+    (sum of c x^a T^b) P_B times a+_S a_T |B>.  So each blade is matched
+    against each blade word (``word_action``) once per call, and the
+    polynomial image (``_polynomial_image``) of each (polynomial part,
+    blade word) pair is expanded once per call, however many blades carry
+    that part, and placed at every image blade with the blade word's sign.  Each
+    image is summed as Gaussian-integer numerators over one denominator,
+    den times the lcm of the vector's denominators times q^top, with
+    h = p/q and top the largest total degree in the vector.
     """
     den, words = form
     p, q = h.numerator, h.denominator
     by_blade_word = {}
     for (a, b, s, t), c in words.items():
         by_blade_word.setdefault((s, t), []).append((a, b, c))
+    images = {}  # polynomial part -> {(S, T): its polynomial image}
+    hits = {}  # blade -> [((S, T), sign, image blade)] of the blade words that reach it
     out = []
     for vec in vectors:
         top = max((sum(e) for _, e in vec), default=0)
         common = lcm(*(v.triple[2] for v in vec.values()))
-        sums = {}
+        parts = {}
         for (blade, e), v in vec.items():
             vr, vi, vd = v.triple
             m = common // vd * q ** (top - sum(e))
-            vr, vi = vr * m, vi * m
-            for (s, t), coeffs in by_blade_word.items():
-                hit = word_action(s, t, blade)
-                if hit is None:
-                    continue
-                sign, image = hit
-                for a, b, (re, im) in coeffs:
-                    cr, ci = re * vr - im * vi, re * vi + im * vr
+            parts.setdefault(blade, []).append((e, vr * m, vi * m))
+        sums = {}
+        for blade, part in parts.items():
+            part = tuple(part)
+            known = images.setdefault(part, {})
+            reach = hits.get(blade)
+            if reach is None:
+                reach = hits[blade] = [(word, *hit) for word in by_blade_word
+                                       if (hit := word_action(*word, blade)) is not None]
+            for word, sign, target in reach:
+                image = known.get(word)
+                if image is None:
+                    image = known[word] = _polynomial_image(by_blade_word[word], part, p, q)
+                for x, (re, im) in image:
                     if sign < 0:
-                        cr, ci = -cr, -ci
-                    for k, x in _shifted_power(e, b, p, q):
-                        key = image, tuple(map(add, a, x))
-                        old = sums.get(key)
-                        sums[key] = ((cr * k, ci * k) if old is None
-                                     else (old[0] + cr * k, old[1] + ci * k))
+                        re, im = -re, -im
+                    key = target, x
+                    old = sums.get(key)
+                    sums[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
         total = den * common * q ** top
         out.append({key: from_triple(re, im, total)
                     for key, (re, im) in sums.items() if re or im})
     return out
+
+
+def _polynomial_image(coeffs, part, p, q):
+    """The image of a polynomial part under the words (a, b, c) of one
+    blade word: the sum of c v x^a q^|e| (x + b p/q)^e over the words and
+    the part's terms (e, vr, vi), v = vr + vi i, as (exponent, (re, im))
+    pairs."""
+    sums = {}
+    for a, b, (re, im) in coeffs:
+        for e, vr, vi in part:
+            cr, ci = re * vr - im * vi, re * vi + im * vr
+            for k, x in _shifted_power(e, b, p, q):
+                key = tuple(map(add, a, x))
+                old = sums.get(key)
+                sums[key] = ((cr * k, ci * k) if old is None
+                             else (old[0] + cr * k, old[1] + ci * k))
+    return tuple(sums.items())
 
 
 def identity(n):

@@ -154,15 +154,33 @@ def _rows(columns):
 
 
 def reduce_candidates(candidates):
-    """A maximal linearly independent subset of the candidate forms.
+    """A maximal linearly independent subset of the candidate forms, each
+    one polynomial times one blade, in their order.
 
     Distinct factorial-power labels can realize the same polynomial (all
     degree-one powers are plain coordinates), so the raw candidate list may
     be dependent; solving on a reduced basis keeps kernel dimensions equal
-    to dimensions of actual solution spaces.
+    to dimensions of actual solution spaces.  Coordinates of different
+    blades are disjoint, so a candidate is kept exactly when its polynomial
+    is independent of those of the earlier candidates on its blade: the
+    pivots of the column-by-column elimination of all candidates.  The
+    polynomials are ranked once per distinct sequence that a blade carries.
     """
-    _, pivots = rref(_rows([form_coordinates(form) for _, form in candidates]))
-    return [candidates[i] for i in pivots]
+    by_blade = {}
+    for i, (label, form) in enumerate(candidates):
+        if len(form.terms) > 1:
+            raise ValueError(f"candidate {label} lies on more than one blade")
+        for blade, poly in form.terms.items():
+            by_blade.setdefault(blade, []).append((i, poly.terms))
+    ranked = {}
+    kept = []
+    for members in by_blade.values():
+        key = tuple(tuple(terms.items()) for _, terms in members)
+        pivots = ranked.get(key)
+        if pivots is None:
+            pivots = ranked[key] = rref(_rows([terms for _, terms in members]))[1]
+        kept += [members[j][0] for j in pivots]
+    return [candidates[i] for i in sorted(kept)]
 
 
 def assemble_matrix(operators, candidates, n, h):

@@ -109,6 +109,18 @@ def test_bad_env_thread_value_exits_2(capsys, monkeypatch):
     assert "bad LATCLIF_THREADS value 'x'" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "poly", "--n", "1"],
+    ["oracle", "--n", "1", "--N", "3"],
+], ids=["verify", "oracle"])
+def test_jobs_below_one_exits_2(capsys, argv, jobs):
+    code, out, err = run(capsys, *argv, "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert f"error: --jobs must be at least 1, not {jobs}" in err
+
+
 def test_apply_star_laplacian(capsys, tmp_path):
     path = x_squared_file(tmp_path)
     code, out, _ = run(capsys, "apply", "compose(dX,dX)", path)

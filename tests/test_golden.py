@@ -1,11 +1,7 @@
 """Reports pinned byte for byte against recorded stdout and exit codes,
 and the case driver that decides every suite check."""
 
-import subprocess
-import sys
-import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -17,79 +13,7 @@ from latclif.operators import Operator, gamma, verify_identity
 from latclif.scalars import ZERO, Scalar
 from latclif.universal import Torus, delta_form, g_power
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
-# Every pinned run: name, argv, exit code and tier; its stdout is in
-# golden/<name>.out.  Tier-1 runs the "tier1" rows in process.  The "ci"
-# rows, at n=4 to 6, take seconds each; one CI step runs them through
-# `PYTHONPATH=src python tests/test_golden.py`, each in a fresh interpreter.
-PINNED = [
-    ("monogenic-n2-p0q0", "monogenic --n 2 --p 0 --q 0", 0, "tier1"),
-    ("monogenic-n2-p1q1", "monogenic --n 2 --p 1 --q 1", 0, "tier1"),
-    ("monogenic-n2-p2q1", "monogenic --n 2 --p 2 --q 1", 0, "tier1"),
-    ("monogenic-n3-p1q1-spinor", "monogenic --n 3 --p 1 --q 1 --spinor", 0, "tier1"),
-    ("monogenic-n2-p1q1-ambient", "monogenic --n 2 --p 1 --q 1 --ambient", 0, "tier1"),
-    # the solver at a mesh width other than 1
-    ("monogenic-n2-p1q1-ambient-h1_3", "monogenic --n 2 --p 1 --q 1 --ambient --h 1/3", 0,
-     "tier1"),
-    ("verify-monogenic-n3", "verify --suite monogenic --n 3", 0, "tier1"),
-    ("monogenic-n4-p0q0", "monogenic --n 4 --p 0 --q 0", 0, "tier1"),
-    ("monogenic-n4-p1q1", "monogenic --n 4 --p 1 --q 1", 0, "tier1"),
-    ("verify-monogenic-n4", "verify --suite monogenic --n 4", 0, "tier1"),
-    ("verify-core-n3", "verify --suite core --n 3", 0, "tier1"),
-    # exits 1: the two dirac value checks and five plus-convention
-    # relations fail by design
-    ("verify-all-n1-N3", "verify --suite all --n 1 --N 3", 1, "tier1"),
-    ("verify-all-n2-N4", "verify --suite all --n 2 --N 4", 1, "tier1"),
-    # six step generators on reduced paths
-    ("verify-reduction-n3-N3", "verify --suite reduction --n 3 --N 3", 0, "tier1"),
-    ("verify-universal-n3-N3", "verify --suite universal --n 3 --N 3", 0, "tier1"),
-    ("verify-endo-n3", "verify --suite endo --n 3", 0, "tier1"),
-    ("verify-endo-n2-h1_2", "verify --suite endo --n 2 --h 1/2", 0, "tier1"),
-    # mesh widths that put powers of 2 or 3 into the normal-form denominators
-    ("verify-endo-n3-h1_3", "verify --suite endo --n 3 --h 1/3", 0, "tier1"),
-    ("verify-intertwine-n3-h1_2", "verify --suite intertwine --n 3 --h 1/2", 0, "tier1"),
-    ("verify-intertwine-n3", "verify --suite intertwine --n 3", 0, "tier1"),
-    ("verify-intertwine-n2-h1_3", "verify --suite intertwine --n 2 --h 1/3", 0, "tier1"),
-    # exits 1: the two dirac value checks fail by design
-    ("verify-dirac-n3", "verify --suite dirac --n 3", 1, "tier1"),
-    ("verify-dirac-n2-h1_3", "verify --suite dirac --n 2 --h 1/3", 1, "tier1"),
-    ("verify-dirac-n3-h1_2", "verify --suite dirac --n 3 --h 1/2", 1, "tier1"),
-    ("verify-forms-n4", "verify --suite forms --n 4", 0, "tier1"),
-    ("verify-poly-n3", "verify --suite poly --n 3", 0, "tier1"),
-    ("verify-poly-n4", "verify --suite poly --n 4", 0, "tier1"),
-    ("verify-core-n4", "verify --suite core --n 4", 0, "ci"),
-    ("monogenic-n4-p2q0", "monogenic --n 4 --p 2 --q 0", 0, "ci"),
-    ("monogenic-n4-p0q2", "monogenic --n 4 --p 0 --q 2", 0, "ci"),
-    ("verify-universal-n4-N3", "verify --suite universal --n 4 --N 3", 0, "ci"),
-    # 64 nodes: the widest base of the int-coded derivative
-    ("verify-universal-n3-N4", "verify --suite universal --n 3 --N 4", 0, "ci"),
-    ("verify-reduction-n4-N3", "verify --suite reduction --n 4 --N 3", 0, "ci"),
-    ("verify-endo-n4", "verify --suite endo --n 4", 0, "ci"),
-    # the translations of the contraction recursion at h != 1
-    ("verify-endo-n4-h1_3", "verify --suite endo --n 4 --h 1/3", 0, "ci"),
-    # exits 1, as at n=3
-    ("verify-dirac-n4", "verify --suite dirac --n 4", 1, "ci"),
-    ("verify-intertwine-n4", "verify --suite intertwine --n 4", 0, "ci"),
-    # the one n=4 pin at h != 1
-    ("verify-intertwine-n4-h1_3", "verify --suite intertwine --n 4 --h 1/3", 0, "ci"),
-    # the identity suites at n=5
-    ("verify-endo-n5", "verify --suite endo --n 5", 0, "ci"),
-    # exits 1, as at n=3
-    ("verify-dirac-n5", "verify --suite dirac --n 5", 1, "ci"),
-    ("verify-intertwine-n5", "verify --suite intertwine --n 5", 0, "ci"),
-    ("verify-monogenic-n5", "verify --suite monogenic --n 5", 0, "ci"),
-    # the identity suites at n=6, over 4096 blades
-    ("verify-endo-n6", "verify --suite endo --n 6", 0, "ci"),
-    # exits 1, as at n=3
-    ("verify-dirac-n6", "verify --suite dirac --n 6", 1, "ci"),
-    ("verify-intertwine-n6", "verify --suite intertwine --n 6", 0, "ci"),
-]
-
-
-def pinned(tier):
-    return {name: (argv.split(), code) for name, argv, code, t in PINNED if t == tier}
+from pinned import GOLDEN, PINNED, pinned
 
 
 @pytest.mark.parametrize("name", list(pinned("tier1")))
@@ -106,20 +30,6 @@ def test_every_golden_file_is_one_pinned_run():
     assert len(set(names)) == len(names)
     assert sorted(names) == sorted(p.stem for p in GOLDEN.glob("*.out"))
     assert {tier for _, _, _, tier in PINNED} == {"tier1", "ci"}
-
-
-def run_pinned():
-    """Run each "ci" row in a fresh interpreter and compare its stdout and
-    exact exit code with the pinned ones; returns the failure count."""
-    failures = 0
-    for name, (argv, exit_code) in pinned("ci").items():
-        start = time.perf_counter()
-        run = subprocess.run([sys.executable, "-m", "latclif", *argv], stdout=subprocess.PIPE)
-        ok = run.returncode == exit_code and run.stdout == (GOLDEN / f"{name}.out").read_bytes()
-        print(f"{'ok' if ok else 'FAIL'} {name}: exit {run.returncode} (pinned {exit_code}),"
-              f" {time.perf_counter() - start:.1f} s", flush=True)
-        failures += not ok
-    return failures
 
 
 # -- the case driver behind every suite check ---------------------------------
@@ -272,6 +182,3 @@ def test_checks_draw_from_their_own_generators():
     ):
         assert lines_by_name(build()) == lines_by_name(build()[::-1])
 
-
-if __name__ == "__main__":
-    sys.exit(1 if run_pinned() else 0)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from latclif import dirac, normal, operators, polynomials
-from latclif.coeffs import diff
+from latclif.coeffs import ExactPolynomial, diff
 from latclif.dirac import build_family
+from latclif.forms import Form
 from latclif.operators import (
     Operator,
     compose,
@@ -161,6 +162,44 @@ def test_the_normal_ordered_product_acts_as_the_two_words_composed(data):
             for image, d in word_image({left: 1}, middle).items():
                 composed[image] = composed.get(image, 0) + c * d
         assert word_image(product, blade) == {m: c for m, c in composed.items() if c}
+
+
+# -- the closed-form action on a batch ------------------------------------------
+
+VALUES = st.sampled_from([ONE, Scalar(-1), Scalar(Fraction(1, 2)), Scalar(Fraction(2, 3), 1), I,
+                          Scalar(Fraction(-3, 5))])
+
+
+def polys(n, h):
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    return st.dictionaries(exps, VALUES, min_size=1, max_size=3).map(
+        lambda terms: ExactPolynomial(n, h, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_act_on_a_batch_is_act_on_each_vector_and_the_tree_walk(data):
+    n = data.draw(st.sampled_from([1, 2]))
+    h = data.draw(st.sampled_from(MESHES))
+    op = data.draw(trees(n, 1))
+    blades = st.integers(0, 4**n - 1)
+    poly = data.draw(polys(n, h))
+    others = data.draw(st.lists(polys(n, h), min_size=2, max_size=3))
+    several = data.draw(st.lists(blades, min_size=2, max_size=4, unique=True))
+    one = data.draw(blades)
+    spread = data.draw(st.dictionaries(blades, polys(n, h), min_size=2, max_size=4))
+    forms = ([Form.blade(poly, b) for b in several]  # one polynomial under several blades
+             + [Form.blade(p, one) for p in others]  # several polynomials under one blade
+             + [Form(n, h, dict.fromkeys(several, poly)),
+                # the same polynomial over another common denominator
+                Form(n, h, {one: others[0], several[0]: poly}),
+                # spread over blades and monomials, like a kernel element
+                Form(n, h, spread)])
+    vectors = [form_coordinates(form) for form in forms]
+    nf = op.normal_form(n, h)
+    batch = normal.act(nf, h, vectors)
+    assert batch == [normal.act(nf, h, [vec])[0] for vec in vectors]
+    assert batch == [form_coordinates(op(form)) for form in forms]
 
 
 # -- shared nodes -------------------------------------------------------------

@@ -6,13 +6,16 @@ import pytest
 from latclif.coeffs import ExactPolynomial
 from latclif.dirac import build_family
 from latclif.forms import Form, all_blades
+from latclif.linalg import rref
 from latclif.operators import Operator, verify_identities
 from latclif.polynomials import (
+    _rows,
     assemble_matrix,
     check_basicness,
     check_monomial_principle,
     classical_scaling_residual,
     factorial_power,
+    form_coordinates,
     hermitian_monogenic_basis,
     homogeneous_space,
     independent_over_scalars,
@@ -187,6 +190,21 @@ def test_reduce_candidates_removes_duplicates():
     assert len(raw) == 4
     reduced = reduce_candidates(raw)
     assert len(reduced) == 3  # x1*x2 appears twice among the products
+
+
+def test_reduced_candidates_are_the_pivots_of_the_whole_matrix():
+    x, y = (ExactPolynomial.coordinate(2, 1, axis) for axis in (1, 2))
+    one, xy = ExactPolynomial.constant(2, 1), x.mul(y)
+    a, b, c, d = all_blades(2)[3:7]
+    # blades a and c carry one sequence, b and d others with dependent entries
+    on = [(a, x), (b, x), (a, y), (c, x), (d, y), (b, x), (a, x.add(y)), (c, y),
+          (d, x), (b, one), (c, x.add(y)), (a, xy), (d, y.scale(Scalar(2))), (c, xy)]
+    candidates = [(f"c{i}", Form.blade(poly, blade)) for i, (blade, poly) in enumerate(on)]
+    _, pivots = rref(_rows([form_coordinates(form) for _, form in candidates]))
+    assert reduce_candidates(candidates) == [candidates[i] for i in pivots]
+    assert len(pivots) == 10
+    with pytest.raises(ValueError, match="candidate two lies on more than one blade"):
+        reduce_candidates([("two", Form(2, 1, {a: x, b: y}))])
 
 
 def test_gamma_eigenvalue_consequence():
