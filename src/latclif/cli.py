@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import dirac as dirac_mod
 from .coeffs import EmptyValidityError
@@ -182,7 +183,9 @@ def cmd_roundtrip(args):
     return 0 if ok and byte_stable else 1
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="latclif",
         description="Exact verification engine for discrete lattice form algebras.",

@@ -23,9 +23,11 @@ two operators are equal exactly when their normal forms are (Ore, Ann.
 Math. 34, 1933; Chyzak and Salvy, J. Symbolic Comput. 26, 1998).
 
 Products normal-order by one rule, a_m a+_m = 1 - a+_m a_m, with distinct
-modes anticommuting.  ``blade_word`` reads a blade map's words off by a
-triangular solve over the blades in order of degree: a+_S a_B sends B to
-|S>, and every other word that reaches B has T a proper subset of B.
+modes anticommuting.  ``gamma`` and ``vartheta`` declare their one word
+each (``mode_word``).  ``blade_word`` solves for the words of a blade map
+that declares none, ``vartheta_recursive``, by a triangular solve over
+all 4^n blades in order of degree: a+_S a_B sends B to |S>, and every
+other word that reaches B has T a proper subset of B.
 
 A normal form is a pair (den, words): a positive int den and a flat dict
 from (a, b, S, T), a the exponents of x and b the shifts of T, to the
@@ -156,6 +158,11 @@ def coefficient_word(n, axis, terms):
     return combination(
         (c, (1, {(_unit(n, axis, k), _unit(n, axis, s), 0, 0): (1, 0)})) for c, k, s in terms
     )
+
+
+def mode_word(n, axis, k, s, t):
+    """The normal form T_axis^k a+_S a_T, for the bitmasks S and T."""
+    return 1, {((0,) * n, _unit(n, axis, k), s, t): (1, 0)}
 
 
 def blade_word(blades, n):

@@ -16,9 +16,11 @@ generators ``xi(s, j) = gamma(s, j) + vartheta(-s, j)/2``, the Clifford
 generators ``upsilon(s, j) = xi(+, j) + s xi(-, j)`` and the shift-free
 ``witt(s, j)`` are named combinations of them.  Operator identities are
 decided by normal form (:mod:`latclif.normal`): a coefficientwise
-primitive declares its words in x and T, a blade map's words are read off
-its blade map, each node builds its normal form on first use, for one
-(n, h), and two sides are equal exactly when their normal forms are.
+primitive declares its words in x and T, ``gamma`` and ``vartheta``
+declare their one word each, the creator or annihilator of their mode
+with its shift, and only the word of ``vartheta_recursive`` is solved
+from its blade map.  Each node builds its normal form on first use, for
+one (n, h), and two sides are equal exactly when their normal forms are.
 
 Nodes are shared.  The builders of primitives and of ``xi``, ``upsilon``
 and ``witt`` return one object per argument tuple, for the process.
@@ -57,7 +59,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from . import normal
 from .coeffs import (
@@ -236,14 +238,19 @@ def _translate(coeff, b):
     return coeff
 
 
-def _blade_map(name, blades):
+def _blade_map(name, blades, word=None):
     """The primitive that sends c * B to the sum of sign * T^b(c) * B' over
     the (sign, B', b) of ``blades(B, n)``, on forms of dimension n; the
     translation b is given as sorted (axis, k) pairs.
 
-    ``blades`` is memoized per blade.  The function and the word both read it.
+    ``word(n)`` is the declared normal form on forms of dimension n.  A map
+    that declares none has its word solved from ``blades`` by
+    :func:`latclif.normal.blade_word`, which reads every blade; its
+    ``blades`` is then memoized per blade, for the solve and the function.
     """
-    blades = cache(blades)
+    if word is None:
+        blades = cache(blades)
+        word = partial(normal.blade_word, blades)
 
     def apply(form):
         n = form.n
@@ -252,13 +259,15 @@ def _blade_map(name, blades):
             for blade, coeff in form.terms.items() for sign, image, b in blades(blade, n)
         ))
 
-    return Operator("prim", name=name, fn=apply,
-                    word=lambda n, h: normal.blade_word(blades, n))
+    return Operator("prim", name=name, fn=apply, word=lambda n, h: word(n))
 
 
 @cache
 def gamma(sign, axis):
-    """Exterior product with dx_axis^sign (left multiplication)."""
+    """Exterior product with dx_axis^sign (left multiplication).
+
+    Its word is T^(sign e_axis) a+_m, the creator of the mode m of dx_axis^sign.
+    """
     sign = _sgn(sign)
     step = ((axis, sign),)
 
@@ -266,7 +275,8 @@ def gamma(sign, axis):
         prod = blade_mul(single_blade(sign, axis, n), blade)
         return () if prod is None else (prod + (step,),)
 
-    return _blade_map(f"gamma({_sign_char(sign)},{axis})", blades)
+    return _blade_map(f"gamma({_sign_char(sign)},{axis})", blades,
+                      lambda n: normal.mode_word(n, axis, sign, single_blade(sign, axis, n), 0))
 
 
 @cache
@@ -276,8 +286,9 @@ def vartheta(sign, axis):
     Closed action on a one-term form F*B: when dx_axis^sign occurs in B it
     is removed with the parity of its canonical position, the number of
     factors below its bit, and F picks up the translation opposite to the
-    removed factor; otherwise the term dies.  Cross-checked against the
-    defining contraction recursion.
+    removed factor; otherwise the term dies.  Its word is
+    T^(-sign e_axis) a_m, the annihilator of the mode m of dx_axis^sign.
+    Cross-checked against the defining contraction recursion.
     """
     sign = _sgn(sign)
     step = ((axis, -sign),)
@@ -288,7 +299,8 @@ def vartheta(sign, axis):
             return ()
         return ((-1 if (blade & (bit - 1)).bit_count() & 1 else 1, blade ^ bit, step),)
 
-    return _blade_map(f"vartheta({_sign_char(sign)},{axis})", blades)
+    return _blade_map(f"vartheta({_sign_char(sign)},{axis})", blades,
+                      lambda n: normal.mode_word(n, axis, -sign, 0, single_blade(sign, axis, n)))
 
 
 @cache

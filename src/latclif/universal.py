@@ -356,18 +356,44 @@ class UForm:
         return self._raw({p: (-a, -b) for p, (a, b) in self.num.items()}, self.den)
 
     # -- algebra ---------------------------------------------------------
+    @cached_property
+    def _starts(self):
+        """The paths by start node, each as (path after it, numerator)."""
+        out = {}
+        for q, c in self.num.items():
+            out.setdefault(q[0], []).append((q[1:], c))
+        return out
+
+    @cached_property
+    def _ends(self):
+        """The paths by end node, each as (path, numerator)."""
+        out = {}
+        for p, c in self.num.items():
+            out.setdefault(p[-1], []).append((p, c))
+        return out
+
     def uproduct(self, other):
-        """Concatenation product: b_{..,p} * b_{q,..} = delta_{pq} b_{..,p,..}."""
+        """Concatenation product: b_{..,p} * b_{q,..} = delta_{pq} b_{..,p,..}.
+
+        The loop runs over the terms of the smaller factor, each matched
+        against the other factor's paths by end or start node, an index
+        each form builds once.
+        """
         self._compatible(other)
-        # the right factor's paths by start node, each as (path after it, numerator)
-        tails = {}
-        for q, c in other.num.items():
-            tails.setdefault(q[0], []).append((q[1:], c))
-        pairs = (
-            (p + tail, (a * x - b * y, a * y + b * x))
-            for p, (a, b) in self.num.items()
-            for tail, (x, y) in tails.get(p[-1], ())
-        )
+        if len(self.num) <= len(other.num):
+            tails = other._starts
+            pairs = (
+                (p + tail, (a * x - b * y, a * y + b * x))
+                for p, (a, b) in self.num.items()
+                for tail, (x, y) in tails.get(p[-1], ())
+            )
+        else:
+            heads = self._ends
+            pairs = (
+                (p + q[1:], (a * x - b * y, a * y + b * x))
+                for q, (x, y) in other.num.items()
+                for p, (a, b) in heads.get(q[0], ())
+            )
         return self._raw(*_summed(pairs, self.den * other.den, self.reduction))
 
     def uderiv(self):

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from latclif.cli import main
+from latclif.cli import build_parser, main
 from latclif.coeffs import ExactPolynomial
 from latclif.formfile import parse_form, write_form
 from latclif.forms import Form
@@ -284,6 +284,34 @@ def test_python_dash_m_runs_the_cli():
     bad = subprocess.run([sys.executable, "-m", "latclif", "verify", "--suite", "core",
                           "--n", "0"], capture_output=True, text=True, env=env, timeout=120)
     assert bad.returncode == 2
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    # the parser is built once per process, so a call after a usage error
+    # must print what it prints alone, in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    bad = ["monogenic", "--n", "1", "--p", "0"]
+    good = ["monogenic", "--n", "1", "--p", "0", "--q", "0"]
+    assert build_parser() is build_parser()
+    in_process = []
+    for argv in (bad, good):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    alone = []
+    for argv in (bad, good):
+        proc = subprocess.run([sys.executable, "-m", "latclif", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in alone] == [2, 0]
+    assert "the following arguments are required: --q" in alone[0][2]
+    assert in_process == alone
 
 
 def test_expression_parser_families():

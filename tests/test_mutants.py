@@ -1,10 +1,12 @@
 """Single-point faults, each with the checks it must turn into FAIL lines:
-faults in the operator layer against the endo suite at n = 2, faults in
-the normal-form layer against the endo and dirac suites at n = 2, faults
-on the monogenic solver's path against the monogenic suite at n = 1, a
-fault in the closed-form action that builds the solver's matrix against
-the tree walk that certifies it, at n = 2, and a fault in the column index
-of the reduced row echelon form against an ambient solve at n = 2.
+faults in the operator layer against the endo suite at n = 2, a fault in
+the blade product against the link from gamma's declared word to its
+function, faults in the normal-form layer against the endo and dirac
+suites at n = 2, faults on the monogenic solver's path against the
+monogenic suite at n = 1, a fault in the closed-form action that builds
+the solver's matrix against the tree walk that certifies it, at n = 2,
+and a fault in the column index of the reduced row echelon form against
+an ambient solve at n = 2.
 
 The builders of primitives and of the named operators ``xi``, ``upsilon``
 and ``witt`` are ``functools.cache``d, and each node keeps its normal forms
@@ -24,6 +26,8 @@ from latclif import linalg, normal, operators, polynomials, suites
 from latclif.cli import main
 from latclif.forms import Form, single_blade
 from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
+
+from test_normal import link_failure
 
 BUILDERS = [build for build in vars(operators).values()
             if hasattr(build, "cache_clear") and build.__module__ == operators.__name__]
@@ -101,11 +105,6 @@ MUTANTS = {
     "xi-without-half": (drop_the_half_in_xi, {
         "endo.xi-witt", "endo.upsilon-signature",
     }),
-    "blade-mul-sign": (blade_mul_with_one_sign_flipped, {
-        "endo.fermi.gamma-gamma-same", "endo.fermi.gamma-gamma-mixed",
-        "endo.fermi.gamma-vartheta-mixed", "endo.fermi.gamma-vartheta-same",
-        "endo.xi-witt", "endo.upsilon-signature",
-    }),
     # decided by normal form; the witness comes from walking the recursion
     "recursion-moves-the-wrong-way": (recursion_moves_the_wrong_way, {
         "endo.vartheta-recursion",
@@ -135,6 +134,16 @@ def test_each_fault_fails_exactly_its_checks(monkeypatch, fresh_primitives, muta
 
 def test_without_a_fault_every_endo_check_passes(fresh_primitives):
     assert all(passed for _, passed in endo_lines().values())
+
+
+def test_a_flipped_blade_product_sign_fails_only_the_link_of_gamma(
+        monkeypatch, fresh_primitives):
+    """gamma and vartheta declare their words, so no normal form reads
+    ``blade_mul``: under the fault every endo check, decided by normal
+    form, still passes, and the link from gamma's word to its fn fails."""
+    blade_mul_with_one_sign_flipped(monkeypatch)
+    assert all(passed for _, passed in endo_lines().values())
+    assert link_failure(gamma(1, 1), 2, Fraction(1)) == "1*dx2-"
 
 
 def test_the_recursion_fault_fails_with_an_evaluation_witness(monkeypatch, fresh_primitives):

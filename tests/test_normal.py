@@ -84,9 +84,34 @@ def test_the_recursion_has_the_normal_form_of_the_closed_form():
                             == vartheta(s, j).normal_form(n, h)), (n, h, s, j)
 
 
+def blade_map_of(op, n, h):
+    """The blade map of a primitive that sends each blade to at most one
+    signed blade, read off its fn: B -> the (sign, B', b) with
+    op(c B) = sign T^b(c) B', b found from the images of x_1 ... x_n."""
+    zero = (0,) * n
+    one = ExactPolynomial.constant(n, h)
+    xs = [ExactPolynomial.coordinate(n, h, j) for j in range(1, n + 1)]
+
+    def blades(blade, _):
+        images = op.fn(Form.blade(one, blade)).terms
+        if not images:
+            return ()
+        [(image, c)] = images.items()
+        sign = 1 if c.terms[zero] == ONE else -1
+        # the image of x_j B is sign (x_j + b_j h) B'
+        moves = [op.fn(Form.blade(x, blade)).terms[image].terms.get(zero, Scalar(0))
+                 for x in xs]
+        steps = tuple((j, int(m.re / (sign * h))) for j, m in enumerate(moves, start=1) if m)
+        return ((sign, image, steps),)
+
+    return blades
+
+
 def test_the_blade_maps_are_one_word_each():
-    # read off the blade maps: gamma(s, j) = T^(s e_j) a+_m, vartheta(s, j)
-    # and its recursion T^(-s e_j) a_m, with m the mode of dx_j^s
+    # gamma(s, j) declares T^(s e_j) a+_m and vartheta(s, j) declares
+    # T^(-s e_j) a_m, with m the mode of dx_j^s; each is the word that the
+    # triangular solve reads off the primitive's own blade map, as is the
+    # solved word of the recursion
     h = Fraction(1, 2)
     for n in (1, 2, 3, 4):
         zero = (0,) * n
@@ -95,10 +120,11 @@ def test_the_blade_maps_are_one_word_each():
                 mode = 1 << (j - 1 if s < 0 else n + j - 1)
                 step = tuple(s if i == j else 0 for i in range(1, n + 1))
                 back = tuple(-k for k in step)
-                assert gamma(s, j).normal_form(n, h) == (1, {(zero, step, mode, 0): (1, 0)})
                 closed = (1, {(zero, back, 0, mode): (1, 0)})
-                assert vartheta(s, j).normal_form(n, h) == closed
-                assert vartheta_recursive(s, j).normal_form(n, h) == closed
+                for op, word in ((gamma(s, j), (1, {(zero, step, mode, 0): (1, 0)})),
+                                 (vartheta(s, j), closed), (vartheta_recursive(s, j), closed)):
+                    assert op.normal_form(n, h) == word, op.name
+                    assert normal.blade_word(blade_map_of(op, n, h), n) == word, op.name
 
 
 # -- the layout: Gaussian-integer numerators over one denominator -----------------

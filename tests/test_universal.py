@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from latclif import suites, universal
 from latclif.scalars import ONE, ZERO, Scalar
@@ -508,6 +508,37 @@ def test_integer_layout_matches_scalar_reference(data):
     for form, ref in expected:
         assert coordinate_terms(form) == ref
         assert_lowest(form)
+
+
+@given(st.data())
+def test_uproduct_matches_the_reference_with_the_larger_factor_on_each_side(data):
+    # the product loops over the smaller factor and reads the larger one's
+    # paths by end node (larger on the left) or by start node (on the right)
+    n, N = data.draw(st.sampled_from(SHAPES))
+    reduced = data.draw(st.booleans())
+    torus = Torus(n, N)
+    red = Reduction(torus) if reduced else None
+    raw_small = data.draw(coordinate_forms(torus, data.draw(st.integers(0, 2))))
+    small = UForm(torus, raw_small, red)
+    ref_small = reference_sum(torus, raw_small.items(), reduced)
+    starts, ends = [p[0] for p in ref_small], [p[-1] for p in ref_small]
+    degree = data.draw(st.integers(0, 2))
+    raw_large = {}
+    for _ in range(3):
+        raw_large.update(data.draw(coordinate_forms(torus, degree, ends)))
+        # reversed, the paths drawn from the small factor's starts end there
+        raw_large.update((p[::-1], c) for p, c in
+                         data.draw(coordinate_forms(torus, degree, starts)).items())
+    large = UForm(torus, raw_large, red)
+    assume(len(large.num) > len(small.num))
+    ref_large = reference_sum(torus, raw_large.items(), reduced)
+    for _ in range(2):  # the second round reads the indices the first one built
+        for left, right, ref_left, ref_right in ((small, large, ref_small, ref_large),
+                                                 (large, small, ref_large, ref_small)):
+            product = left.uproduct(right)
+            assert coordinate_terms(product) == reference_uproduct(torus, ref_left, ref_right,
+                                                                   reduced)
+            assert_lowest(product)
 
 
 @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
