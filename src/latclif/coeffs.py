@@ -14,10 +14,16 @@ followed by one gcd over the whole result, and a ``Scalar`` is made only
 when a value is read.  An ``ExactPolynomial`` never truncates; shifts act
 by exact binomial substitution.  Axes are numbered 1..n throughout the
 public API.
+
+A translation T^b is spelled one way across the package: b is a length-n
+tuple of int steps, one per axis, as the words of :mod:`latclif.normal`
+carry it.  :func:`translate` applies it to a coefficient, :func:`unit`
+gives the one-axis tuples and :func:`bump` moves one entry.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -322,6 +328,18 @@ class BoxFunction:
         return f"BoxFunction(n={self.n}, support={self.support}, validity={self.validity})"
 
 
+def bump(e, axis, k):
+    """The tuple ``e`` with k added to its entry for ``axis``."""
+    i = axis - 1
+    return e[:i] + (e[i] + k,) + e[i + 1:]
+
+
+@functools.cache
+def unit(n, axis, k):
+    """The length-n tuple k e_axis."""
+    return bump((0,) * n, axis, k)
+
+
 def multi_indices(n, total):
     """All multi-indices of the given total degree, lexicographic."""
     if n == 1:
@@ -363,8 +381,7 @@ class ExactPolynomial:
     def coordinate(cls, n, h, axis):
         if not 1 <= axis <= n:
             raise ValueError(f"axis {axis} out of range 1..{n}")
-        e = tuple(1 if i == axis - 1 else 0 for i in range(n))
-        return cls(n, h, {e: ONE})
+        return cls(n, h, {unit(n, axis, 1): ONE})
 
     def _compatible(self, other):
         if not isinstance(other, ExactPolynomial):
@@ -432,10 +449,7 @@ class ExactPolynomial:
                 yield e[:i] + (j,) + e[i + 1:], coeff
 
     def coord_mul(self, axis):
-        i = axis - 1
-        return self._raw(
-            {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in self.terms.items()}
-        )
+        return self._raw({bump(e, axis, 1): c for e, c in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -526,6 +540,16 @@ class ExactPolynomial:
 def shift(c, axis, sign):
     """Translation T_h^{sign * axis}."""
     return c.shift(axis, sign)
+
+
+def translate(c, b):
+    """T^b c for the length-n shift tuple b: c moved k steps along each
+    axis whose entry k is nonzero, by one ``shift``, which takes any int
+    number of steps."""
+    for axis, k in enumerate(b, 1):
+        if k:
+            c = c.shift(axis, k)
+    return c
 
 
 def diff(c, axis, sign):

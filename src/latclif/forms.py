@@ -14,7 +14,8 @@ list their terms in the order of (minus axes, plus axes).
 A blade factor dx_j^s is the pair (s, j), s = -1 or +1: the unit step
 s*e_j of the lattice graph that the generator stands for.  The canonical
 order is the natural order of these pairs.  Multiplying a coefficient past
-a blade shifts it by each factor's step in turn.  This single rule
+a blade translates it by the sum of the factors' steps, the blade's
+length-n shift tuple ``blade_info(blade, n).shift``.  This single rule
 reproduces the non-commutativity of functions and 1-forms in the reduced
 universal calculus, and :func:`to_universal` / :func:`from_universal`
 provide the exact bridge used by the oracle suite.
@@ -46,6 +47,7 @@ from .coeffs import (
     box_points,
     cube,
     diff,
+    translate,
 )
 from .scalars import ZERO, Scalar, accumulate, as_scalar
 from .universal import Reduction, Torus, UForm, grassmann_sort
@@ -65,18 +67,21 @@ class BladeInfo(NamedTuple):
     plus: tuple  # the axes of its plus factors, ascending
     factors: tuple  # the (s, j) of its factors dx_j^s, in canonical order
     label: str
+    shift: tuple  # the net step of a coefficient moved left past the blade, per axis
 
 
 @functools.cache
 def blade_info(blade, n):
-    """The axes, factors and label of the blade mask ``blade`` in dimension n;
-    sorting blades by ``blade_info(b, n)[:2]`` puts them in canonical order."""
+    """The axes, factors, label and shift of the blade mask ``blade`` in
+    dimension n; sorting blades by ``blade_info(b, n)[:2]`` puts them in
+    canonical order."""
     axes = range(1, n + 1)
     minus = tuple(a for a in axes if blade >> (a - 1) & 1)
     plus = tuple(a for a in axes if blade >> (n + a - 1) & 1)
     factors = tuple((-1, a) for a in minus) + tuple((1, a) for a in plus)
     label = "^".join(f"dx{a}{'+' if s > 0 else '-'}" for s, a in factors) or "1"
-    return BladeInfo(minus, plus, factors, label)
+    shift = tuple((blade >> (n + a - 1) & 1) - (blade >> (a - 1) & 1) for a in axes)
+    return BladeInfo(minus, plus, factors, label, shift)
 
 
 def spot_text(spot, n):
@@ -120,8 +125,15 @@ def blade_from_factors(factors, n):
 
 @functools.cache
 def all_blades(n):
-    """All 4^n blades, in canonical sort order, as a tuple built once per n."""
-    return tuple(sorted(range(1 << 2 * n), key=lambda b: blade_info(b, n)[:2]))
+    """All 4^n blades, in canonical sort order, as a tuple built once per n.
+
+    The order of (minus axes, plus axes) is the product of the 2^n axis
+    sets, each in the order of its ascending axis tuple: minus set outer,
+    plus set inner.
+    """
+    axes = range(1, n + 1)
+    sets = sorted(range(1 << n), key=lambda m: tuple(a for a in axes if m >> (a - 1) & 1))
+    return tuple(minus | plus << n for minus in sets for plus in sets)
 
 
 def _cancelled(coeff):
@@ -238,15 +250,11 @@ class Form:
 
         def triples():
             for b1, f in self.terms.items():
-                steps = blade_info(b1, self.n).factors
+                shift = blade_info(b1, self.n).shift
                 for b2, g in other.terms.items():
                     prod = blade_mul(b1, b2)
-                    if prod is None:
-                        continue
-                    moved = g
-                    for sign, axis in steps:
-                        moved = moved.shift(axis, sign)
-                    yield prod[0], prod[1], f.mul(moved)
+                    if prod is not None:
+                        yield prod[0], prod[1], f.mul(translate(g, shift))
 
         return Form.collect(self.n, self.h, triples())
 
@@ -336,8 +344,7 @@ def _reversal(form, conjugate):
             sgn, nb = blade_from_factors(((-s, a) for s, a in reversed(factors)), form.n)
             c = coeff.conj() if conjugate else coeff
             # the coefficient re-enters from the right of the reversed blade
-            for sign, axis in blade_info(nb, form.n).factors:
-                c = c.shift(axis, sign)
+            c = translate(c, blade_info(nb, form.n).shift)
             yield (-sgn if len(factors) % 2 else sgn), nb, c
 
     return Form.collect(form.n, form.h, triples())

@@ -35,8 +35,8 @@ Gaussian-integer numerator (re, im) of the coefficient (re + im i) / den.
 No stored numerator is zero, the gcd of den and all the numerators is 1,
 and zero is ``ZERO``, (1, {}).  So two normal forms are equal exactly when
 the pairs are, and a product or combination is int arithmetic over one
-common denominator, reduced by one gcd pass.  A normal form is never
-changed after it is built.
+common denominator, reduced by :func:`latclif.scalars.lowest_terms`.  A
+normal form is never changed after it is built.
 
 ``act`` applies a normal form to sparse vectors over (blade mask,
 monomial) in closed form.  A word acts on a polynomial part P times a
@@ -51,11 +51,12 @@ walk of :mod:`latclif.operators` certifies what it finds.
 from __future__ import annotations
 
 from functools import cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import add
 
+from .coeffs import unit
 from .forms import inversion_parity
-from .scalars import from_triple
+from .scalars import from_triple, lowest_terms
 
 ZERO = (1, {})
 
@@ -149,26 +150,22 @@ def identity(n):
     return 1, {(zero, zero, 0, 0): (1, 0)}
 
 
-def _unit(n, axis, k):
-    return tuple(k if i == axis - 1 else 0 for i in range(n))
-
-
 def coefficient_word(n, axis, terms):
     """Sum of c * x_axis^k T_axis^s over the (Scalar c, k, s) of ``terms``."""
     return combination(
-        (c, (1, {(_unit(n, axis, k), _unit(n, axis, s), 0, 0): (1, 0)})) for c, k, s in terms
+        (c, (1, {(unit(n, axis, k), unit(n, axis, s), 0, 0): (1, 0)})) for c, k, s in terms
     )
 
 
 def mode_word(n, axis, k, s, t):
     """The normal form T_axis^k a+_S a_T, for the bitmasks S and T."""
-    return 1, {((0,) * n, _unit(n, axis, k), s, t): (1, 0)}
+    return 1, {((0,) * n, unit(n, axis, k), s, t): (1, 0)}
 
 
 def blade_word(blades, n):
     """The normal form of the map that sends each blade B to the sum of
-    sign * T^b B' over the (sign, B', b) of ``blades(B, n)``; b is given as
-    sorted (axis, k) pairs.
+    sign * T^b B' over the (sign, B', b) of ``blades(B, n)``, b the
+    length-n shift tuple of the translation.
 
     A triangular solve over the blades in order of degree: the coefficient
     of a+_S a_B at shift b is that of T^b |S> in what remains of the image
@@ -176,15 +173,10 @@ def blade_word(blades, n):
     acted on B.
     """
     zero = (0,) * n
-    shifts = {}
     found = []  # (b, S, T, c)
     for blade in sorted(range(1 << 2 * n), key=int.bit_count):
         rest = {}
-        for sign, image, steps in blades(blade, n):
-            shift = shifts.get(steps)
-            if shift is None:
-                moves = dict(steps)
-                shift = shifts[steps] = tuple(moves.get(axis, 0) for axis in range(1, n + 1))
+        for sign, image, shift in blades(blade, n):
             key = shift, image
             rest[key] = rest.get(key, 0) + sign
         for shift, s, t, c in found:
@@ -193,7 +185,8 @@ def blade_word(blades, n):
                 key = shift, hit[1]
                 rest[key] = rest.get(key, 0) - hit[0] * c
         found += [(shift, s, blade, c) for (shift, s), c in rest.items() if c]
-    return _reduced(1, {(zero, shift, s, t): (c, 0) for shift, s, t, c in found})
+    # int coefficients, none zero: already in lowest terms over 1
+    return 1, {(zero, shift, s, t): (c, 0) for shift, s, t, c in found}
 
 
 def combination(pairs):
@@ -210,7 +203,8 @@ def combination(pairs):
             re, im = re * cr - im * ci, re * ci + im * cr
             s = out.get(word)
             out[word] = (re, im) if s is None else (s[0] + re, s[1] + im)
-    return _reduced(den, out)
+    words, den = lowest_terms(out, den)
+    return den, words
 
 
 def product(left, right, h):
@@ -243,7 +237,8 @@ def product(left, right, h):
                     old = out.get(word)
                     out[word] = ((re * m, im * m) if old is None
                                  else (old[0] + re * m, old[1] + im * m))
-    return _reduced(left_den * right_den * q ** top, out)
+    words, den = lowest_terms(out, left_den * right_den * q ** top)
+    return den, words
 
 
 @cache
@@ -279,15 +274,3 @@ def _word_product(s, t, u, v):
         out += [(-sign if flips & 1 else sign, s2, t2)
                 for sign, s2, t2 in _word_product(s, t ^ low, u ^ low, v)]
     return tuple(out)
-
-
-def _reduced(den, words):
-    """The normal form of the numerators ``words`` over ``den``: no zero
-    numerator, and the common factor of den and every numerator divided out."""
-    out = {word: c for word, c in words.items() if c[0] or c[1]}
-    if not out:
-        return ZERO
-    g = gcd(den, *(x for c in out.values() for x in c))
-    if g != 1:
-        out = {word: (re // g, im // g) for word, (re, im) in out.items()}
-    return den // g, out

@@ -64,12 +64,15 @@ from functools import cache, partial
 from . import normal
 from .coeffs import (
     ExactPolynomial,
+    bump,
     coord_shift_mul,
     diff,
     multi_indices,
     shift,
     skew_diff,
     sym_diff,
+    translate,
+    unit,
 )
 from .forms import (
     Form,
@@ -224,24 +227,10 @@ def _sign_char(sign):
     return "+" if sign > 0 else "-"
 
 
-def _moved(b, axis, k):
-    """The translation b followed by T_axis^k, as sorted (axis, k) pairs."""
-    steps = dict(b)
-    steps[axis] = steps.get(axis, 0) + k
-    return tuple(sorted((a, m) for a, m in steps.items() if m))
-
-
-def _translate(coeff, b):
-    """T^b applied to a coefficient."""
-    for axis, k in b:
-        coeff = coeff.shift(axis, k)
-    return coeff
-
-
 def _blade_map(name, blades, word=None):
     """The primitive that sends c * B to the sum of sign * T^b(c) * B' over
-    the (sign, B', b) of ``blades(B, n)``, on forms of dimension n; the
-    translation b is given as sorted (axis, k) pairs.
+    the (sign, B', b) of ``blades(B, n)``, on forms of dimension n, b the
+    length-n shift tuple of the translation.
 
     ``word(n)`` is the declared normal form on forms of dimension n.  A map
     that declares none has its word solved from ``blades`` by
@@ -255,7 +244,7 @@ def _blade_map(name, blades, word=None):
     def apply(form):
         n = form.n
         return Form.collect(n, form.h, (
-            (sign, image, _translate(coeff, b))
+            (sign, image, translate(coeff, b))
             for blade, coeff in form.terms.items() for sign, image, b in blades(blade, n)
         ))
 
@@ -269,11 +258,10 @@ def gamma(sign, axis):
     Its word is T^(sign e_axis) a+_m, the creator of the mode m of dx_axis^sign.
     """
     sign = _sgn(sign)
-    step = ((axis, sign),)
 
     def blades(blade, n):
         prod = blade_mul(single_blade(sign, axis, n), blade)
-        return () if prod is None else (prod + (step,),)
+        return () if prod is None else (prod + (unit(n, axis, sign),),)
 
     return _blade_map(f"gamma({_sign_char(sign)},{axis})", blades,
                       lambda n: normal.mode_word(n, axis, sign, single_blade(sign, axis, n), 0))
@@ -291,13 +279,13 @@ def vartheta(sign, axis):
     Cross-checked against the defining contraction recursion.
     """
     sign = _sgn(sign)
-    step = ((axis, -sign),)
 
     def blades(blade, n):
         bit = single_blade(sign, axis, n)
         if not blade & bit:
             return ()
-        return ((-1 if (blade & (bit - 1)).bit_count() & 1 else 1, blade ^ bit, step),)
+        return ((-1 if (blade & (bit - 1)).bit_count() & 1 else 1, blade ^ bit,
+                 unit(n, axis, -sign)),)
 
     return _blade_map(f"vartheta({_sign_char(sign)},{axis})", blades,
                       lambda n: normal.mode_word(n, axis, -sign, 0, single_blade(sign, axis, n)))
@@ -314,26 +302,26 @@ def vartheta_recursive(sign, axis):
 
     def contract(b, factors, n):
         # a coefficient translated by b sits left of the factor list;
-        # returns [(sign, translation, factors)]
+        # returns [(sign, shift tuple, factors)]
         if not factors:
             return []
         (s, a), rest = factors[0], factors[1:]
-        inner = _moved(b, a, -s)  # move the coefficient past the factor
+        inner = bump(b, a, -s)  # move the coefficient past the factor
         out = []
         if a == axis and s == sign:
-            out.append((1, _moved(inner, axis, sign), rest))
+            out.append((1, bump(inner, axis, sign), rest))
         for sgn2, b2, f2 in contract(inner, rest, n):
             prod = blade_from_factors(((s, a),) + f2, n)
             if prod is None:
                 continue
             sgn, nb = prod
-            out.append((-sgn2 if sgn > 0 else sgn2, _moved(b2, a, s), blade_info(nb, n).factors))
+            out.append((-sgn2 if sgn > 0 else sgn2, bump(b2, a, s), blade_info(nb, n).factors))
         return out
 
     def blades(blade, n):
         # the factors come out sorted, so each blade_from_factors has sign +1
         return tuple((sgn, blade_from_factors(factors, n)[1], b) for sgn, b, factors
-                     in contract(((axis, -sign),), blade_info(blade, n).factors, n))
+                     in contract(unit(n, axis, -sign), blade_info(blade, n).factors, n))
 
     return _blade_map(f"varthetaRec({_sign_char(sign)},{axis})", blades)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from . import normal
-from .coeffs import ExactPolynomial, coord_shift_mul, diff, multi_indices
+from .coeffs import ExactPolynomial, bump, coord_shift_mul, diff, multi_indices
 from .dirac import DEFAULT_CONVENTION, build_family
 from .forms import Form, all_blades, blade_info, spot_text
 from .linalg import bareiss_rank, kernel_basis, rank, rref, scalars_to_gaussian
@@ -62,13 +62,13 @@ def monomial_principle(n, h, sign, alpha):
     fp = factorial_power(n, h, sign, alpha)
     for axis in range(1, n + 1):
         raised = coord_shift_mul(fp.poly, axis, sign)
-        target = factorial_power(n, h, sign, _bump(alpha, axis, 1)).poly
+        target = factorial_power(n, h, sign, bump(alpha, axis, 1)).poly
         yield f"raise-ax{axis}", raised, target
         lowered = diff(fp.poly, axis, -sign)
         if alpha[axis - 1] == 0:
             expect = ExactPolynomial.zero(n, h)
         else:
-            expect = factorial_power(n, h, sign, _bump(alpha, axis, -1)).poly.scale(
+            expect = factorial_power(n, h, sign, bump(alpha, axis, -1)).poly.scale(
                 Scalar(alpha[axis - 1])
             )
         yield f"lower-ax{axis}", lowered, expect
@@ -83,11 +83,6 @@ def check_monomial_principle(n, h, sign, alpha):
         witness = None if spot is None else f"monomial {spot[0]} -> {spot[1]}"
         reports.append(OperatorReport(name, spot is None, witness))
     return reports
-
-
-def _bump(alpha, axis, delta):
-    i = axis - 1
-    return alpha[:i] + (alpha[i] + delta,) + alpha[i + 1:]
 
 
 def check_basicness(fp):

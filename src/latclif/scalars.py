@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 # real numerator and denominator, then the imaginary sign, numerator and denominator
@@ -179,6 +180,21 @@ def _reduced(a, b, d):
 
 # The public name of _reduced, for layers that keep Gaussian-rational numerators.
 from_triple = _reduced
+
+
+def lowest_terms(nums, den):
+    """A dict of Gaussian-integer numerators (re, im) over the positive int
+    ``den``, as ``(nums, den)`` in lowest terms: no zero numerator, zero as
+    the empty dict over 1, and no common factor of den and every part."""
+    nums = {key: c for key, c in nums.items() if c[0] or c[1]}
+    if not nums:
+        return nums, 1
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(nums.values()))
+        if g != 1:
+            nums = {key: (re // g, im // g) for key, (re, im) in nums.items()}
+            den //= g
+    return nums, den
 
 
 def _ratio_text(num, den):

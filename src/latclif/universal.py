@@ -60,10 +60,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from operator import ne
 
-from .scalars import ONE, Scalar, as_scalar, from_triple
+from .scalars import ONE, Scalar, as_scalar, from_triple, lowest_terms
 
 
 class Torus:
@@ -239,24 +239,7 @@ def _summed(pairs, den, reduction=None):
                 c = (-c[0], -c[1])
         old = num.get(path)
         num[path] = c if old is None else (old[0] + c[0], old[1] + c[1])
-    return _lowest(num, den)
-
-
-def _lowest(num, den):
-    """``(num, den)`` without zero numerators and in lowest terms.
-
-    Zero is the empty dict over 1; otherwise the gcd of ``den`` and every
-    numerator part is divided out, so the layout of a form is unique.
-    """
-    num = {p: c for p, c in num.items() if c[0] or c[1]}
-    if not num:
-        return num, 1
-    if den != 1:
-        g = gcd(den, *itertools.chain.from_iterable(num.values()))
-        if g != 1:
-            num = {p: (a // g, b // g) for p, (a, b) in num.items()}
-            den //= g
-    return num, den
+    return lowest_terms(num, den)
 
 
 class UForm:
@@ -350,7 +333,7 @@ class UForm:
         if not (x or y):
             return self._raw({}, 1)
         num = {p: (a * x - b * y, a * y + b * x) for p, (a, b) in self.num.items()}
-        return self._raw(*_lowest(num, self.den * e))
+        return self._raw(*lowest_terms(num, self.den * e))
 
     def neg(self):
         return self._raw({p: (-a, -b) for p, (a, b) in self.num.items()}, self.den)
@@ -400,17 +383,20 @@ class UForm:
         """Alternating insertion sum over all nodes and slots, then the quotient.
 
         Node l inserted at slot s of a path (before its s-th node) gives
-        (-1)^s times the longer path, for every l other than the nodes on
-        either side of the slot.  Without a reduction each stored path of
-        r nodes is coded once as an int in base M = N^n, a leading digit 1
-        followed by its node numbers: the 1 keeps apart paths of different
-        lengths and paths that start at node 0.  With P = M^(r-s), the head
-        (the 1 and the first s nodes) and the tail are ``divmod(code, P)``,
-        and the insertion of l is the int ``head*M*P + l*P + tail``, so the
-        keys of one slot step through a range by P.  The numerators are
-        summed under those int keys, a sum dropped as soon as it cancels,
-        and the keys are read back into tuples of node numbers once, at the
-        end.  Under a reduction see :meth:`_reduced_uderiv`.
+        (-1)^s times the longer path, for every node l.  A node equal to a
+        neighbour of the slot makes the same longer path as that neighbour
+        inserted at the adjacent slot, with the opposite sign, so the two
+        cancel within the path's own loop.  Without a reduction each stored
+        path of r nodes is coded once as an int in base M = N^n, a leading
+        digit 1 followed by its node numbers: the 1 keeps apart paths of
+        different lengths and paths that start at node 0.  With P = M^(r-s),
+        the head (the 1 and the first s nodes) and the tail are
+        ``divmod(code, P)``, and the insertion of l is the int
+        ``head*M*P + l*P + tail``, so the keys of one slot step through a
+        range by P.  The numerators are summed under those int keys, a sum
+        dropped as soon as it cancels, and the keys are read back into
+        tuples of node numbers once, at the end.  Under a reduction see
+        :meth:`_reduced_uderiv`.
         """
         if self.reduction is not None:
             return self._reduced_uderiv()
@@ -426,13 +412,8 @@ class UForm:
             for s in range(r + 1):
                 head, tail = divmod(code, P)
                 base = head * M * P + tail
-                # the keys that would repeat the node on either side of the slot
-                before = base + path[s - 1] * P if s else -1
-                after = base + path[s] * P if s < r else -1
                 c0, c1 = c = (a, b) if s % 2 == 0 else (-a, -b)
                 for key in range(base, base + M * P, P):
-                    if key == before or key == after:
-                        continue
                     old = get(key)
                     if old is None:
                         num[key] = c
@@ -445,7 +426,8 @@ class UForm:
                         else:
                             del num[key]
                 P //= M
-        return self._raw(*_lowest({_decoded(key, M): c for key, c in num.items()}, self.den))
+        return self._raw(*lowest_terms({_decoded(key, M): c for key, c in num.items()},
+                                       self.den))
 
     def _reduced_uderiv(self):
         """The derivative under a reduction: the insertion at the two ends of a path.

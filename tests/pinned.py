@@ -79,6 +79,8 @@ PINNED = [
     # exits 1, as at n=3
     ("verify-dirac-n6", "verify --suite dirac --n 6", 1, "ci"),
     ("verify-intertwine-n6", "verify --suite intertwine --n 6", 0, "ci"),
+    # 2 * 7 recursion solves over 16384 blades each
+    ("verify-endo-n7", "verify --suite endo --n 7", 0, "ci"),
     # the identity suites at n=8, over 65536 blades; exits 1, as at n=3
     ("verify-dirac-n8", "verify --suite dirac --n 8", 1, "ci"),
     ("verify-intertwine-n8", "verify --suite intertwine --n 8", 0, "ci"),

@@ -20,6 +20,8 @@ from latclif.coeffs import (
     skew_diff,
     star_laplacian,
     sym_diff,
+    translate,
+    unit,
 )
 from latclif.scalars import ONE, Scalar, as_scalar
 
@@ -454,3 +456,42 @@ def test_sample_agrees_with_dict_reference(n, h, data):
         lo = data.draw(st.integers(-4, 2))
         box.append((lo, lo + data.draw(st.integers(0, 4))))
     assert_agrees(p.sample(tuple(box)), reference_sample(p, tuple(box)))
+
+
+# -- translations: T^b as one call, against unit shifts one at a time ------------
+
+@st.composite
+def translations(draw):
+    """A polynomial or box coefficient, a shift tuple b with entries in -2..2,
+    and an order of its unit steps."""
+    n = draw(st.integers(1, 3))
+    h = draw(st.sampled_from(MESHES))
+    if draw(st.booleans()):
+        terms = {tuple(draw(st.integers(0, 3)) for _ in range(n)): draw(gaussian_rationals)
+                 for _ in range(draw(st.integers(0, 4)))}
+        c = ExactPolynomial(n, h, terms)
+    else:
+        c, _ = draw(box_pairs(n, h))
+    b = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+    steps = [(axis, 1 if k > 0 else -1) for axis, k in enumerate(b, 1) for _ in range(abs(k))]
+    return c, b, draw(st.permutations(steps))
+
+
+@given(translations())
+@settings(max_examples=120, deadline=None)
+def test_translate_is_the_unit_shifts_in_any_order(case):
+    c, b, steps = case
+    want = c
+    for axis, sign in steps:
+        want = shift(want, axis, sign)
+    got = translate(c, b)
+    if isinstance(c, BoxFunction):
+        assert (got.support, got.validity) == (want.support, want.validity)
+        assert (got.re, got.im, got.den) == (want.re, want.im, want.den)
+    else:
+        assert got.terms == want.terms
+
+
+def test_unit_is_one_cached_tuple_per_step():
+    assert unit(3, 2, -1) == (0, -1, 0)
+    assert unit(3, 2, -1) is unit(3, 2, -1)

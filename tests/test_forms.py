@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latclif.coeffs import ExactPolynomial, cube
+from latclif.coeffs import BoxFunction, ExactPolynomial, box_points, cube
 from latclif.formfile import dump_form, parse_form
 from latclif.forms import (
     BridgeError,
@@ -26,6 +26,7 @@ from latclif.forms import (
     single_blade,
     to_universal,
 )
+from latclif.operators import spanning_forms
 from latclif.polynomials import multi_indices
 from latclif.scalars import Scalar
 from latclif.universal import upath_form, Torus
@@ -82,9 +83,10 @@ def test_blade_count():
 def test_blade_masks_put_minus_factors_below_plus_factors():
     assert single_blade(-1, 1, 3) == 1 and single_blade(-1, 3, 3) == 4
     assert single_blade(1, 1, 3) == 8 and single_blade(1, 3, 3) == 32
-    assert blade_info(EMPTY_BLADE, 3) == ((), (), (), "1")
+    assert blade_info(EMPTY_BLADE, 3) == ((), (), (), "1", (0, 0, 0))
+    # dx3- and dx3+ move a coefficient by -e3 and +e3: a net shift of 0 on axis 3
     assert blade_info(0b100101, 3) == ((1, 3), (3,), ((-1, 1), (-1, 3), (1, 3)),
-                                      "dx1-^dx3-^dx3+")
+                                      "dx1-^dx3-^dx3+", (-1, 0, 0))
 
 
 # The mask product against the sequence rule of grassmann_sort, the
@@ -118,12 +120,24 @@ def test_mask_product_agrees_with_grassmann_sort(case):
         assert blade_from_factors(blade_info(blade, n).factors, n) == (1, blade)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_all_blades_come_in_axis_tuple_order(n):
     subsets = [axes for k in range(n + 1) for axes in itertools.combinations(range(1, n + 1), k)]
     expected = sorted((minus, plus) for minus in subsets for plus in subsets)
     assert [blade_info(b, n)[:2] for b in all_blades(n)] == expected
     assert sorted(all_blades(n)) == list(range(4 ** n))
+    # the order of the earlier sort of all 4^n blades by blade_info
+    assert all_blades(n) == tuple(sorted(range(4 ** n), key=lambda b: blade_info(b, n)[:2]))
+
+
+def test_the_first_spanning_form_reads_no_other_blade():
+    # all_blades builds its order from the 2^n axis sets, so reading the
+    # first spanning form at n = 8 leaves no BladeInfo for the 4^8 blades
+    all_blades.cache_clear()
+    blade_info.cache_clear()
+    label, form = next(spanning_forms(8, Fraction(1)))
+    assert label == "1*1" and list(form.terms) == [EMPTY_BLADE]
+    assert blade_info.cache_info().currsize < 100
 
 
 @st.composite
@@ -136,8 +150,9 @@ def blades(draw):
 @given(blades())
 def test_blade_info_round_trips_through_a_term_header(case):
     n, blade = case
-    minus, plus, factors, label = blade_info(blade, n)
+    minus, plus, factors, label, shift = blade_info(blade, n)
     assert factors == tuple((-1, a) for a in minus) + tuple((1, a) for a in plus)
+    assert shift == tuple(sum(s for s, a in factors if a == j) for j in range(1, n + 1))
     assert blade == sum(single_blade(s, a, n) for s, a in factors)
     assert label == ("^".join(f"dx{a}{'+' if s > 0 else '-'}" for s, a in factors) or "1")
     text = dump_form(Form.blade(const(n), blade))
@@ -154,6 +169,45 @@ def test_one_form_shifts_coefficient():
     lhs = Form.blade(const(n, h), single_blade(1, 1, n)).mul(Form.scalar(f))
     expect = Form.blade(f.shift(1, 1), single_blade(1, 1, n))
     assert lhs == expect
+
+
+def box_form(n, h, blade, lo, hi, seed):
+    """A one-term form with a box coefficient of random samples on [lo, hi]^n,
+    valid on [lo + 1, hi - 1]^n."""
+    rng = random.Random(seed)
+    support = cube(n, lo, hi)
+    samples = [Scalar(rng.randint(-4, 4), rng.randint(-2, 2)) for _ in box_points(support)]
+    return Form.blade(BoxFunction.from_samples(n, h, support, cube(n, lo + 1, hi - 1), samples),
+                      blade)
+
+
+def stepwise_mul(left, right):
+    """Form.mul with the coefficient moved past each factor of the left blade in turn."""
+    triples = []
+    for b1, f in left.terms.items():
+        for b2, g in right.terms.items():
+            prod = blade_mul(b1, b2)
+            if prod is not None:
+                for sign, axis in blade_info(b1, left.n).factors:
+                    g = g.shift(axis, sign)
+                triples.append((prod[0], prod[1], f.mul(g)))
+    return Form.collect(left.n, left.h, triples)
+
+
+def test_box_product_past_both_factors_of_an_axis_matches_the_stepwise_reference():
+    # dx1-^dx1+^dx2+ shifts by -e1, +e1 and +e2: a net shift of (0, 1)
+    n, h = 2, Fraction(1, 2)
+    blade = single_blade(-1, 1, n) | single_blade(1, 1, n) | single_blade(1, 2, n)
+    assert blade_info(blade, n).shift == (0, 1)
+    left = box_form(n, h, blade, -3, 3, 1).add(box_form(n, h, single_blade(1, 1, n), -3, 3, 2))
+    right = box_form(n, h, EMPTY_BLADE, -2, 4, 3).add(box_form(n, h, single_blade(-1, 2, n),
+                                                                 -2, 4, 4))
+    got, want = left.mul(right), stepwise_mul(left, right)
+    assert got.terms.keys() == want.terms.keys()
+    for blade, c in got.terms.items():
+        w = want.terms[blade]
+        assert (c.support, c.validity, c.re, c.im, c.den) == (
+            w.support, w.validity, w.re, w.im, w.den)
 
 
 def test_blade_factors_are_signed_steps():

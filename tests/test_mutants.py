@@ -88,7 +88,7 @@ def recursion_moves_the_wrong_way(monkeypatch):
     recursion itself is wrong, and its word and its fn with it.
     """
     source = inspect.getsource(operators.vartheta_recursive)
-    mutated = source.replace("_moved(b, a, -s)", "_moved(b, a, s)")
+    mutated = source.replace("bump(b, a, -s)", "bump(b, a, s)")
     assert mutated != source
     namespace = dict(vars(operators))
     exec(mutated, namespace)

@@ -101,8 +101,7 @@ def blade_map_of(op, n, h):
         # the image of x_j B is sign (x_j + b_j h) B'
         moves = [op.fn(Form.blade(x, blade)).terms[image].terms.get(zero, Scalar(0))
                  for x in xs]
-        steps = tuple((j, int(m.re / (sign * h))) for j, m in enumerate(moves, start=1) if m)
-        return ((sign, image, steps),)
+        return ((sign, image, tuple(int(m.re / (sign * h)) for m in moves)),)
 
     return blades
 
