@@ -3,10 +3,10 @@
 The factorial powers are built by the raising recursion (apply the
 operators x_j T^{s j} to the constant), satisfy the monomial principle and
 are eigenfunctions of the one-sided Euler operators.  Products of plus and
-minus factorial powers span the candidate space in which the coupled Euler
-eigenproblem and the hermitian monogenicity constraints are solved by
-exact kernel computation; an independent fraction-free rank oracle
-cross-checks every dimension.
+minus factorial powers, times the blades, span the candidate space in
+which the coupled Euler eigenproblem and the hermitian monogenicity
+constraints are solved by exact kernel computation; an independent
+fraction-free rank oracle cross-checks every dimension.
 """
 
 from __future__ import annotations
@@ -98,34 +98,23 @@ def check_basicness(fp):
 # Candidate spaces.
 
 def spinor_blades(n):
-    """Minimal left-ideal-like subset: blades with minus factors only."""
-    return [b for b in all_blades(n) if not blade_info(b, n).plus]
+    """Minimal left-ideal-like subset: the blades with minus factors only,
+    the masks with no bit at or above n, in canonical order."""
+    return [b for b in all_blades(n) if not b >> n]
 
 
-def homogeneous_space(n, h, p, q, blades=None):
-    """Products of plus and minus factorial powers over the chosen blades."""
-    blades = list(blades) if blades is not None else all_blades(n)
-    out = []
-    for ap in multi_indices(n, p):
-        fp_plus = factorial_power(n, h, 1, ap).poly
-        for am in multi_indices(n, q):
-            poly = fp_plus.mul(factorial_power(n, h, -1, am).poly)
-            for blade in blades:
-                label = f"(x)+^{ap}(x)-^{am}*{blade_info(blade, n).label}"
-                out.append((label, Form.blade(poly, blade)))
-    return out
+def homogeneous_space(n, h, p, q):
+    """The products of a plus factorial power of degree p and a minus one
+    of degree q, plus power outer; each power is built once."""
+    minus = [factorial_power(n, h, -1, am).poly for am in multi_indices(n, q)]
+    plus = (factorial_power(n, h, 1, ap).poly for ap in multi_indices(n, p))
+    return [fp.mul(fm) for fp in plus for fm in minus]
 
 
-def ambient_space(n, h, degree, blades=None):
-    """All monomials of total degree at most the bound, over chosen blades."""
-    blades = list(blades) if blades is not None else all_blades(n)
-    out = []
-    for total in range(degree + 1):
-        for e in multi_indices(n, total):
-            poly = ExactPolynomial(n, h, {e: ONE})
-            for blade in blades:
-                out.append((f"x^{e}*{blade_info(blade, n).label}", Form.blade(poly, blade)))
-    return out
+def ambient_space(n, h, degree):
+    """All monomials of total degree at most the bound."""
+    return [ExactPolynomial(n, h, {e: ONE})
+            for total in range(degree + 1) for e in multi_indices(n, total)]
 
 
 # ---------------------------------------------------------------------------
@@ -148,34 +137,16 @@ def _rows(columns):
     return [tuple(rows[k]) for k in sorted(rows)]
 
 
-def reduce_candidates(candidates):
-    """A maximal linearly independent subset of the candidate forms, each
-    one polynomial times one blade, in their order.
+def reduce_candidates(polys):
+    """A maximal linearly independent subset of the polynomials, in their
+    order: the pivots of one elimination of their coefficient columns.
 
-    Distinct factorial-power labels can realize the same polynomial (all
-    degree-one powers are plain coordinates), so the raw candidate list may
-    be dependent; solving on a reduced basis keeps kernel dimensions equal
-    to dimensions of actual solution spaces.  Coordinates of different
-    blades are disjoint, so a candidate is kept exactly when its polynomial
-    is independent of those of the earlier candidates on its blade: the
-    pivots of the column-by-column elimination of all candidates.  The
-    polynomials are ranked once per distinct sequence that a blade carries.
+    Distinct factorial-power products can realize the same polynomial (all
+    degree-one powers are plain coordinates), so the raw list may be
+    dependent; solving on a reduced basis keeps kernel dimensions equal to
+    dimensions of actual solution spaces.
     """
-    by_blade = {}
-    for i, (label, form) in enumerate(candidates):
-        if len(form.terms) > 1:
-            raise ValueError(f"candidate {label} lies on more than one blade")
-        for blade, poly in form.terms.items():
-            by_blade.setdefault(blade, []).append((i, poly.terms))
-    ranked = {}
-    kept = []
-    for members in by_blade.values():
-        key = tuple(tuple(terms.items()) for _, terms in members)
-        pivots = ranked.get(key)
-        if pivots is None:
-            pivots = ranked[key] = rref(_rows([terms for _, terms in members]))[1]
-        kept += [members[j][0] for j in pivots]
-    return [candidates[i] for i in sorted(kept)]
+    return [polys[j] for j in rref(_rows([poly.terms for poly in polys]))[1]]
 
 
 def assemble_matrix(operators, candidates, n, h):
@@ -186,7 +157,7 @@ def assemble_matrix(operators, candidates, n, h):
     (:func:`latclif.normal.act`) and contributes one row per basis element
     its images reach; column j is candidate j.
     """
-    vectors = [form_coordinates(form) for _, form in candidates]
+    vectors = [form_coordinates(form) for form in candidates]
     rows = []
     for op in operators:
         rows += _rows(normal.act(op.normal_form(n, h), h, vectors))
@@ -198,7 +169,7 @@ def solve_kernel(operators, candidates, n, h):
     rows = assemble_matrix(operators, candidates, n, h)
     forms = []
     for vec in kernel_basis(rows, len(candidates)):
-        forms.append(reduce(Form.add, (candidates[j][1].scale(c) for j, c in vec)))
+        forms.append(reduce(Form.add, (candidates[j].scale(c) for j, c in vec)))
     return forms, rows
 
 
@@ -208,13 +179,18 @@ def oracle_kernel_dimension(rows, ncols):
 
 
 def _candidate_space(n, h, p, q, blades, ambient):
-    """Independent candidates: the (p, q) factorial-power products, or with
-    ``ambient`` every monomial of total degree at most p + q."""
-    return reduce_candidates(
-        ambient_space(n, h, p + q, blades)
-        if ambient
-        else homogeneous_space(n, h, p, q, blades)
-    )
+    """The candidate span as one-term forms: each independent polynomial,
+    the (p, q) factorial-power products or with ``ambient`` every monomial
+    of total degree at most p + q, on each blade (all blades when
+    ``blades`` is None), polynomial outer and blade inner.
+
+    Coordinates of different blades are disjoint, so the forms are
+    independent exactly when the polynomials are: one rank of the
+    polynomials serves every blade.
+    """
+    polys = ambient_space(n, h, p + q) if ambient else homogeneous_space(n, h, p, q)
+    blades = all_blades(n) if blades is None else blades
+    return [Form.blade(poly, blade) for poly in reduce_candidates(polys) for blade in blades]
 
 
 def _relations(fam, p, q):
@@ -233,12 +209,12 @@ def _relations(fam, p, q):
     ]
 
 
-def joint_euler_eigenbasis(n, h, p, q, blades=None, ambient=False):
-    """Exact basis of the coupled Euler eigenspace inside the candidate span."""
-    candidates = _candidate_space(n, h, p, q, blades, ambient)
+def joint_euler_eigenbasis(n, h, p, q, ambient=False):
+    """Exact basis of the coupled Euler eigenspace inside the candidate span
+    on all blades."""
+    candidates = _candidate_space(n, h, p, q, None, ambient)
     euler = _relations(build_family(n), p, q)[:2]
-    basis, _ = solve_kernel([lhs - rhs for _, lhs, rhs in euler], candidates, n, h)
-    return basis, candidates
+    return solve_kernel([lhs - rhs for _, lhs, rhs in euler], candidates, n, h)[0]
 
 
 @dataclass

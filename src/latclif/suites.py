@@ -752,7 +752,7 @@ def monogenic_suite(n, h, convention=dirac_mod.DEFAULT_CONVENTION):
         return lines, ok
 
     def scaling_witness(rng):
-        basis, _ = joint_euler_eigenbasis(1, h, 1, 1, ambient=True)
+        basis = joint_euler_eigenbasis(1, h, 1, 1, ambient=True)
         yield "ambient eigenspace not empty", bool(basis), True
         violated = any(not classical_scaling_residual(b, 1, 1).is_zero() for b in basis)
         yield "an eigenvector violates the classical scaling law", violated, True

@@ -23,6 +23,8 @@ PINNED = [
     ("monogenic-n2-p1q1", "monogenic --n 2 --p 1 --q 1", 0, "tier1"),
     ("monogenic-n2-p2q1", "monogenic --n 2 --p 2 --q 1", 0, "tier1"),
     ("monogenic-n3-p1q1-spinor", "monogenic --n 3 --p 1 --q 1 --spinor", 0, "tier1"),
+    # the one spinor pin that prints elements
+    ("monogenic-n3-p0q0-spinor", "monogenic --n 3 --p 0 --q 0 --spinor", 0, "tier1"),
     ("monogenic-n2-p1q1-ambient", "monogenic --n 2 --p 1 --q 1 --ambient", 0, "tier1"),
     # the solver at a mesh width other than 1
     ("monogenic-n2-p1q1-ambient-h1_3", "monogenic --n 2 --p 1 --q 1 --ambient --h 1/3", 0,

@@ -5,8 +5,9 @@ function, faults in the normal-form layer against the endo and dirac
 suites at n = 2, faults on the monogenic solver's path against the
 monogenic suite at n = 1, a fault in the closed-form action that builds
 the solver's matrix against the tree walk that certifies it, at n = 2,
-and a fault in the column index of the reduced row echelon form against
-an ambient solve at n = 2.
+a fault in the column index of the reduced row echelon form against
+an ambient solve at n = 2, and a candidate reduction that keeps dependent
+polynomials against the monogenic suite at n = 2.
 
 The builders of primitives and of the named operators ``xi``, ``upsilon``
 and ``witt`` are ``functools.cache``d, and each node keeps its normal forms
@@ -336,3 +337,29 @@ def test_a_forgotten_fill_in_stops_the_ambient_solve_at_n2(monkeypatch, fresh_pr
     assert not failing(monogenic_lines())
     with pytest.raises(KeyError):
         main(["monogenic", "--n", "2", "--p", "1", "--q", "1", "--ambient"])
+
+
+def reduction_keeps_dependents(monkeypatch):
+    """``reduce_candidates`` returns the polynomials it is given, dependent
+    ones included."""
+    monkeypatch.setattr(polynomials, "reduce_candidates", lambda polys: polys)
+
+
+def test_a_reduction_that_keeps_dependents_fails_only_the_independence_check_at_n2(
+        monkeypatch, capsys, fresh_primitives):
+    """At n = 1 no product of factorial powers repeats, so the fault needs
+    n = 2, where the (1, 1) products hold x1*x2 twice.  The kernel then
+    gains the difference of the two copies on each of the 16 blades: 16
+    zero forms.  The oracle ranks the same rows and agrees, and a zero form
+    satisfies every relation, so ``latclif monogenic --n 2 --p 1 --q 1``
+    under this fault passes every CHECK; only the suite's independence
+    check and the golden of that run catch it."""
+    reduction_keeps_dependents(monkeypatch)
+    lines = check_lines(suites.monogenic_suite(2, Fraction(1)))
+    assert failing(lines) == {"monogenic.independence-11"}
+    assert lines["monogenic.independence-11"].endswith("FAIL rank 0 vs 16 elements")
+    assert main(["monogenic", "--n", "2", "--p", "1", "--q", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "DIM 1 1 16"
+    assert [line for line in out if line.startswith("CHECK ")] == [
+        "CHECK monogenic.certificates PASS", "CHECK monogenic.oracle-dimension PASS"]

@@ -5,11 +5,13 @@ import pytest
 
 from latclif.coeffs import ExactPolynomial
 from latclif.dirac import build_family
-from latclif.forms import Form, all_blades
+from latclif.forms import Form, all_blades, blade_info
 from latclif.linalg import rref
 from latclif.operators import Operator, verify_identities
 from latclif.polynomials import (
+    _candidate_space,
     _rows,
+    ambient_space,
     assemble_matrix,
     check_basicness,
     check_monomial_principle,
@@ -81,25 +83,63 @@ def test_lowering_example():
 
 
 def test_candidate_counts():
-    blades = all_blades(1)
-    assert len(homogeneous_space(1, 1, 0, 0, blades)) == 4
+    assert len(homogeneous_space(1, 1, 0, 0)) == 1
     for n, p, q in ((2, 1, 0), (2, 2, 1), (3, 1, 1)):
-        blades = all_blades(n)
-        count = len(homogeneous_space(n, 1, p, q, blades))
-        assert count == comb(p + n - 1, p) * comb(q + n - 1, q) * len(blades)
+        assert len(homogeneous_space(n, 1, p, q)) == comb(p + n - 1, p) * comb(q + n - 1, q)
+        assert len(ambient_space(n, 1, p + q)) == comb(p + q + n, n)
 
 
 def test_scalar_blade_candidates_for_10():
-    blades = [b for b in all_blades(2) if b.bit_count() == 0]
-    cands = homogeneous_space(2, 1, 1, 0, blades)
-    labels = {lbl for lbl, _ in cands}
-    assert len(cands) == 2
-    assert any("(1, 0)" in lbl for lbl in labels)
+    on_scalar = [form.terms[0] for form in _candidate_space(2, 1, 1, 0, None, False)
+                 if 0 in form.terms]
+    assert on_scalar == [ExactPolynomial.coordinate(2, 1, axis) for axis in (1, 2)]
+
+
+def flattened_reference(n, h, p, q, blades, ambient):
+    """The candidate span built flat: one one-term form per (polynomial,
+    blade), polynomial outer and blade inner, regrouped by blade and
+    ranked blade by blade; a candidate is kept when it is a pivot on its
+    blade.  As (blade, polynomial) pairs, in candidate order."""
+    blades = all_blades(n) if blades is None else blades
+    if ambient:
+        polys = [ExactPolynomial(n, h, {e: Scalar(1)})
+                 for total in range(p + q + 1) for e in multi_indices(n, total)]
+    else:
+        polys = [factorial_power(n, h, 1, ap).poly.mul(factorial_power(n, h, -1, am).poly)
+                 for ap in multi_indices(n, p) for am in multi_indices(n, q)]
+    flat = [Form.blade(poly, blade) for poly in polys for blade in blades]
+    by_blade = {}
+    for i, form in enumerate(flat):
+        (blade, poly), = form.terms.items()
+        by_blade.setdefault(blade, []).append((i, poly))
+    kept = []
+    for members in by_blade.values():
+        _, pivots = rref(_rows([form_coordinates(Form.scalar(poly)) for _, poly in members]))
+        kept += [members[j][0] for j in pivots]
+    return [next(iter(flat[i].terms.items())) for i in sorted(kept)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("ambient", [False, True])
+def test_candidate_space_matches_the_flattened_reference(n, ambient):
+    for h in (Fraction(1), Fraction(1, 3)):
+        for p, q in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1)):
+            for blades in (None, spinor_blades(n)):
+                candidates = _candidate_space(n, h, p, q, blades, ambient)
+                assert all(len(form.terms) == 1 for form in candidates)
+                pairs = [pair for form in candidates for pair in form.terms.items()]
+                assert pairs == flattened_reference(n, h, p, q, blades, ambient)
+
+
+def test_candidate_space_builds_no_blade_info():
+    blade_info.cache_clear()
+    for blades in (spinor_blades(6), None):
+        assert _candidate_space(6, 1, 1, 1, blades, False)
+    assert blade_info.cache_info().currsize == 0
 
 
 def test_x_squared_not_in_11_eigenspace():
-    basis, cands = joint_euler_eigenbasis(1, 1, 1, 1)
-    assert basis == []
+    assert joint_euler_eigenbasis(1, 1, 1, 1) == []
     # directly: E_z x^2 = 2x^2 + x != x^2
     fam = build_family(1)
     x = ExactPolynomial.coordinate(1, 1, 1)
@@ -110,8 +150,7 @@ def test_x_squared_not_in_11_eigenspace():
 
 
 def test_joint_eigenbasis_00_is_constants():
-    basis, cands = joint_euler_eigenbasis(1, 1, 0, 0)
-    assert len(basis) == 4
+    assert len(joint_euler_eigenbasis(1, 1, 0, 0)) == 4
 
 
 def test_monogenic_00_dimension():
@@ -163,7 +202,7 @@ def test_monogenic_spinor_subset():
 
 
 def test_ambient_includes_degenerate_solutions():
-    basis, cands = joint_euler_eigenbasis(1, 1, 1, 1, ambient=True)
+    basis = joint_euler_eigenbasis(1, 1, 1, 1, ambient=True)
     assert len(basis) == 4  # x times each blade
     found_violation = any(
         not classical_scaling_residual(b, 1, 1).is_zero() for b in basis
@@ -174,7 +213,7 @@ def test_ambient_includes_degenerate_solutions():
 def test_assembled_rows_each_have_a_nonzero_entry():
     fam = build_family(2)
     ops = [fam.E_z - Operator.constant(1), fam.E_zdag - Operator.constant(1), fam.dz, fam.dzdag]
-    candidates = reduce_candidates(homogeneous_space(2, 1, 1, 1))
+    candidates = _candidate_space(2, 1, 1, 1, None, False)
     rows = assemble_matrix(ops, candidates, 2, Fraction(1))
     assert rows
     for row in rows:
@@ -186,7 +225,7 @@ def test_assembled_rows_each_have_a_nonzero_entry():
 
 
 def test_reduce_candidates_removes_duplicates():
-    raw = homogeneous_space(2, 1, 1, 1, [all_blades(2)[0]])
+    raw = homogeneous_space(2, 1, 1, 1)
     assert len(raw) == 4
     reduced = reduce_candidates(raw)
     assert len(reduced) == 3  # x1*x2 appears twice among the products
@@ -195,16 +234,10 @@ def test_reduce_candidates_removes_duplicates():
 def test_reduced_candidates_are_the_pivots_of_the_whole_matrix():
     x, y = (ExactPolynomial.coordinate(2, 1, axis) for axis in (1, 2))
     one, xy = ExactPolynomial.constant(2, 1), x.mul(y)
-    a, b, c, d = all_blades(2)[3:7]
-    # blades a and c carry one sequence, b and d others with dependent entries
-    on = [(a, x), (b, x), (a, y), (c, x), (d, y), (b, x), (a, x.add(y)), (c, y),
-          (d, x), (b, one), (c, x.add(y)), (a, xy), (d, y.scale(Scalar(2))), (c, xy)]
-    candidates = [(f"c{i}", Form.blade(poly, blade)) for i, (blade, poly) in enumerate(on)]
-    _, pivots = rref(_rows([form_coordinates(form) for _, form in candidates]))
-    assert reduce_candidates(candidates) == [candidates[i] for i in pivots]
-    assert len(pivots) == 10
-    with pytest.raises(ValueError, match="candidate two lies on more than one blade"):
-        reduce_candidates([("two", Form(2, 1, {a: x, b: y}))])
+    polys = [x, y, x.add(y), one, x, xy, y.scale(Scalar(2)), xy.add(one), x.sub(one)]
+    _, pivots = rref(_rows([form_coordinates(Form.scalar(poly)) for poly in polys]))
+    assert pivots == [0, 1, 3, 5]
+    assert reduce_candidates(polys) == [polys[i] for i in pivots]
 
 
 def test_gamma_eigenvalue_consequence():
