@@ -23,7 +23,7 @@ closes.  See the README for the worked algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 
 from .operators import (
     Operator,
@@ -59,34 +59,32 @@ def dirac_kahler(n):
     return Operator("sum", tuple(parts), (ONE, I) * n)
 
 
-@dataclass
 class DiracFamily:
-    """Every operator of the Dirac layer for a fixed dimension."""
+    """Every operator of the Dirac layer for a fixed dimension and convention.
 
-    n: int
-    convention: str
-    d_plus: Operator = field(repr=False)
-    d_minus: Operator = field(repr=False)
-    dirac: Operator = field(repr=False)
-    dz: Operator = field(repr=False)
-    dzdag: Operator = field(repr=False)
-    dX: Operator = field(repr=False)
-    dXbar: Operator = field(repr=False)
-    z: Operator = field(repr=False)
-    zdag: Operator = field(repr=False)
-    X: Operator = field(repr=False)
-    Xbar: Operator = field(repr=False)
-    E_z: Operator = field(repr=False)
-    E_zdag: Operator = field(repr=False)
-    beta: Operator = field(repr=False)
-    Gamma_z: Operator = field(repr=False)
-    Gamma_zdag: Operator = field(repr=False)
-    E_X: Operator = field(repr=False)
-    Gamma_X: Operator = field(repr=False)
-    Gamma_Xbar: Operator = field(repr=False)
+    The operators are the attributes named by the keywords of the
+    constructor: d_plus, d_minus, dirac, dz, dzdag, dX, dXbar, z, zdag, X,
+    Xbar, E_z, E_zdag, beta, Gamma_z, Gamma_zdag, E_X, Gamma_X and
+    Gamma_Xbar.
+    """
+
+    def __init__(self, n, convention, **operators):
+        self.n = n
+        self.convention = convention
+        self.__dict__.update(operators)
+
+    def __repr__(self):
+        return f"DiracFamily(n={self.n}, convention={self.convention!r})"
 
 
+@functools.cache
 def build_family(n, convention=DEFAULT_CONVENTION):
+    """The family of dimension n under ``convention``, built once per process.
+
+    A family depends on nothing but its arguments and no caller changes
+    one, so its nodes, and the normal forms they keep, live as long as the
+    process.
+    """
     axes = range(1, n + 1)
     d_plus, d_minus = dirac_pm(n, 1), dirac_pm(n, -1)
     # The hermitian Dirac operator and its conjugate: (d_plus, d_minus) under

@@ -35,10 +35,10 @@ which drops a polynomial sum that cancels and keeps every box sum.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from fractions import Fraction
-from typing import NamedTuple
 
 from .coeffs import (
     BoxFunction,
@@ -60,14 +60,11 @@ class BridgeError(Exception):
 EMPTY_BLADE = 0
 
 
-class BladeInfo(NamedTuple):
-    """What a blade mask reads as in dimension n."""
-
-    minus: tuple  # the axes of its minus factors, ascending
-    plus: tuple  # the axes of its plus factors, ascending
-    factors: tuple  # the (s, j) of its factors dx_j^s, in canonical order
-    label: str
-    shift: tuple  # the net step of a coefficient moved left past the blade, per axis
+# What a blade mask reads as in dimension n: the axes of its minus factors
+# and of its plus factors, each ascending; the (s, j) of its factors dx_j^s,
+# in canonical order; its label; and its shift, the net step of a coefficient
+# moved left past the blade, per axis.
+BladeInfo = collections.namedtuple("BladeInfo", "minus plus factors label shift")
 
 
 @functools.cache
@@ -120,7 +117,10 @@ def blade_from_factors(factors, n):
     if canon is None:
         return None
     sgn, keys = canon
-    return sgn, sum(single_blade(s, a, n) for s, a in keys)
+    blade = EMPTY_BLADE
+    for s, a in keys:
+        blade |= single_blade(s, a, n)
+    return sgn, blade
 
 
 @functools.cache

@@ -57,7 +57,6 @@ is discussed in the README.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
@@ -424,13 +423,18 @@ def nabla_tilde(axis):
 # ---------------------------------------------------------------------------
 # Identity verification over spanning sets.
 
-@dataclass
 class OperatorReport:
     """Result of checking one operator identity on a test set."""
 
-    name: str
-    passed: bool
-    witness: str | None = None
+    def __init__(self, name, passed, witness=None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+
+    def __eq__(self, other):
+        if not isinstance(other, OperatorReport):
+            return NotImplemented
+        return (self.name, self.passed, self.witness) == (other.name, other.passed, other.witness)
 
 
 def spanning_coeffs(n, h):

@@ -11,7 +11,6 @@ fraction-free rank oracle cross-checks every dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import normal
@@ -23,13 +22,13 @@ from .operators import Operator, OperatorReport, verify_identities
 from .scalars import ONE, ZERO, Scalar
 
 
-@dataclass
 class FactorialPower:
     """A discrete monomial (x)_s^(alpha) with its realized polynomial."""
 
-    sign: int
-    alpha: tuple
-    poly: ExactPolynomial
+    def __init__(self, sign, alpha, poly):
+        self.sign = sign
+        self.alpha = alpha
+        self.poly = poly
 
     @property
     def degree(self):
@@ -213,22 +212,24 @@ def joint_euler_eigenbasis(n, h, p, q, ambient=False):
     """Exact basis of the coupled Euler eigenspace inside the candidate span
     on all blades."""
     candidates = _candidate_space(n, h, p, q, None, ambient)
-    euler = _relations(build_family(n), p, q)[:2]
+    # the convention passed as every caller passes it: the family cache keys
+    # the arguments as given, so a defaulted call would build a second family
+    euler = _relations(build_family(n, DEFAULT_CONVENTION), p, q)[:2]
     return solve_kernel([lhs - rhs for _, lhs, rhs in euler], candidates, n, h)[0]
 
 
-@dataclass
 class MonogenicBasis:
     """Joint eigenvectors annihilated by both hermitian Dirac operators."""
 
-    n: int
-    p: int
-    q: int
-    convention: str
-    elements: list = field(default_factory=list)
-    certificates: list = field(default_factory=list)  # {name: passed} per element
-    witness: str | None = None  # the first failing certificate and its residual
-    oracle_dimension: int = 0
+    def __init__(self, n, p, q, convention):
+        self.n = n
+        self.p = p
+        self.q = q
+        self.convention = convention
+        self.elements = []
+        self.certificates = []  # {name: passed} per element
+        self.witness = None  # the first failing certificate and its residual
+        self.oracle_dimension = 0
 
     @property
     def dimension(self):
@@ -257,15 +258,20 @@ def hermitian_monogenic_basis(
     result = MonogenicBasis(n=n, p=p, q=q, convention=convention)
     result.elements = elements
     result.oracle_dimension = oracle_kernel_dimension(rows, len(candidates))
-    # the four defining relations built the kernel from normal forms, so the
-    # tree walk certifies them; the Gamma relations built nothing, and the
-    # action of their normal forms decides them
+    # a kernel vector of independent candidates is never the zero form, and
+    # the zero form satisfies every relation, so each element is first
+    # certified nonzero; the four defining relations built the kernel from
+    # normal forms, so the tree walk certifies them; the Gamma relations
+    # built nothing, and the action of their normal forms decides them
     coords = [form_coordinates(el) for el in elements]
     residuals = [(name, normal.act((lhs - rhs).normal_form(n, h), h, coords))
                  for name, lhs, rhs in relations[4:]]
     for k, el in enumerate(elements):
         label = f"element {k}"
-        reports = verify_identities(relations[:4], [(label, el)])
+        zero = el.is_zero()
+        reports = [OperatorReport("nonzero", not zero,
+                                  f"on {label}: the zero form" if zero else None)]
+        reports += verify_identities(relations[:4], [(label, el)])
         for name, images in residuals:
             witness = None
             if images[k]:

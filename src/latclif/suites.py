@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dirac as dirac_mod
@@ -97,12 +96,12 @@ from .universal import (
 )
 
 
-@dataclass
 class Check:
     """One named verification unit."""
 
-    name: str
-    fn: object
+    def __init__(self, name, fn):
+        self.name = name
+        self.fn = fn
 
     def run(self):
         """Returns (lines, passed)."""

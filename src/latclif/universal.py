@@ -58,7 +58,6 @@ the graded-bracket identity that the reduction suite checks against it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
 from operator import ne
@@ -147,31 +146,28 @@ def grassmann_sort(keys):
     return (-1 if inversions % 2 else 1), tuple(sorted(keys))
 
 
-@dataclass(frozen=True)
 class Reduction:
     """The symmetric nearest-neighbour reduction: steps +-e_j only.
 
     ``neighbours[m][k]`` is the number of node m moved by the k-th step of
     :func:`allowed_steps`; ``k`` is also the step's generator key, since
     that list is in generator order.  ``_keys[m]`` inverts row m: it maps a
-    neighbour's number to k.
+    neighbour's number to k.  Two reductions are equal when their tori are.
     """
 
-    torus: Torus
-    neighbours: tuple = field(init=False, repr=False, compare=False)
-    _keys: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        torus = self.torus
+    def __init__(self, torus):
         if torus.N < 3:
             raise ValueError("reductions need N >= 3")
+        self.torus = torus
         shifts = [torus.shift_table(torus.unit_step(axis, sign))
                   for axis, sign in allowed_steps(torus)]
-        neighbours = tuple(zip(*shifts))
-        object.__setattr__(self, "neighbours", neighbours)
-        object.__setattr__(self, "_keys", tuple(
-            {b: k for k, b in enumerate(row)} for row in neighbours
-        ))
+        self.neighbours = tuple(zip(*shifts))
+        self._keys = tuple({b: k for k, b in enumerate(row)} for row in self.neighbours)
+
+    def __eq__(self, other):
+        if not isinstance(other, Reduction):
+            return NotImplemented
+        return self.torus == other.torus
 
     @cached_property
     def adjacency_form(self):

@@ -9,6 +9,7 @@ pytest:
     PYTHONPATH=src python tests/pinned.py
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -95,14 +96,24 @@ def pinned(tier):
 
 def run_pinned():
     """Run each "ci" row in a fresh interpreter and compare its stdout and
-    exact exit code with the pinned ones; returns the failure count."""
+    exact exit code with the pinned ones; returns the failure count.
+
+    Each row prints its wall time and its peak resident set size.  The
+    runner reaps each child with ``os.wait4``, so the size is that child's
+    alone."""
     failures = 0
     for name, (argv, exit_code) in pinned("ci").items():
         start = time.perf_counter()
-        run = subprocess.run([sys.executable, "-m", "latclif", *argv], stdout=subprocess.PIPE)
-        ok = run.returncode == exit_code and run.stdout == (GOLDEN / f"{name}.out").read_bytes()
-        print(f"{'ok' if ok else 'FAIL'} {name}: exit {run.returncode} (pinned {exit_code}),"
-              f" {time.perf_counter() - start:.1f} s", flush=True)
+        with subprocess.Popen([sys.executable, "-m", "latclif", *argv],
+                              stdout=subprocess.PIPE) as child:
+            stdout = child.stdout.read()
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+        ok = child.returncode == exit_code and stdout == (GOLDEN / f"{name}.out").read_bytes()
+        # ru_maxrss is in KiB on Linux
+        print(f"{'ok' if ok else 'FAIL'} {name}: exit {child.returncode} (pinned {exit_code}),"
+              f" {time.perf_counter() - start:.1f} s, {usage.ru_maxrss / 1024:.0f} MB",
+              flush=True)
         failures += not ok
     return failures
 

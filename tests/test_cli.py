@@ -20,6 +20,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def src_env():
+    """The environment of a fresh interpreter that imports latclif from this checkout."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def x_squared_file(tmp_path, n=1, h=1):
     x = ExactPolynomial.coordinate(n, h, 1)
     path = tmp_path / "xsq.form"
@@ -244,9 +252,7 @@ def test_one_term_form_at_n12_answers_at_once(tmp_path):
     # a table of all 4^n blades, so each command gets a 10 s timeout
     path = tmp_path / "n12.form"
     path.write_text(N12_FORM)
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = src_env()
 
     def cli(*args):
         return subprocess.run([sys.executable, "-m", "latclif", *args], capture_output=True,
@@ -273,9 +279,7 @@ end
 
 
 def test_python_dash_m_runs_the_cli():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = src_env()
     args = ["verify", "--suite", "core", "--n", "1"]
     proc = subprocess.run([sys.executable, "-m", "latclif", *args],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -286,13 +290,22 @@ def test_python_dash_m_runs_the_cli():
     assert bad.returncode == 2
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect_nor_typing():
+    # each costs every process milliseconds of import; -S keeps the site
+    # module's own imports out of the count
+    probe = ("import sys, latclif.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
     # the parser is built once per process, so a call after a usage error
     # must print what it prints alone, in a fresh interpreter
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = src_env()
     bad = ["monogenic", "--n", "1", "--p", "0"]
     good = ["monogenic", "--n", "1", "--p", "0", "--q", "0"]
     assert build_parser() is build_parser()

@@ -214,6 +214,11 @@ def test_family_shares_each_dirac_operator(convention):
         assert fam.d_plus is fam.dz and fam.d_minus is fam.dzdag
 
 
+@pytest.mark.parametrize("convention", [PLUS, MINUS])
+def test_a_process_builds_each_family_once(convention):
+    assert build_family(N, convention) is build_family(N, convention)
+
+
 def test_unknown_convention_rejected():
     with pytest.raises(ValueError, match="unknown convention"):
         build_family(N, "sideways")

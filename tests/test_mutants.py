@@ -7,15 +7,17 @@ monogenic suite at n = 1, a fault in the closed-form action that builds
 the solver's matrix against the tree walk that certifies it, at n = 2,
 a fault in the column index of the reduced row echelon form against
 an ambient solve at n = 2, and a candidate reduction that keeps dependent
-polynomials against the monogenic suite at n = 2.
+polynomials against the monogenic suite and command at n = 2.
 
-The builders of primitives and of the named operators ``xi``, ``upsilon``
-and ``witt`` are ``functools.cache``d, and each node keeps its normal forms
-for as long as it lives.  So every fault runs between two resets of every cached
-builder of :mod:`latclif.operators`: no node built before the fault is read
-under it, and none built under it outlives it.  Composite nodes are shared
-by (kind, parts, coefficients), with parts compared by identity, so a
-composite built on the fresh primitives is never one built before.
+The builders of primitives, of the named operators ``xi``, ``upsilon``
+and ``witt`` and of the Dirac families (``dirac.build_family``) are
+``functools.cache``d, and each node keeps its normal forms for as long as it
+lives.  So every fault runs between two resets of every cached builder of
+:mod:`latclif.operators` and of ``dirac.build_family``: no node or family
+built before the fault is read under it, and none built under it outlives
+it.  Composite nodes are shared by (kind, parts, coefficients), with parts
+compared by identity, so a composite built on the fresh primitives is never
+one built before.
 """
 
 import inspect
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import pytest
 
-from latclif import linalg, normal, operators, polynomials, suites
+from latclif import dirac, linalg, normal, operators, polynomials, suites
 from latclif.cli import main
 from latclif.forms import Form, single_blade
 from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
@@ -32,6 +34,7 @@ from test_normal import link_failure
 
 BUILDERS = [build for build in vars(operators).values()
             if hasattr(build, "cache_clear") and build.__module__ == operators.__name__]
+BUILDERS.append(dirac.build_family)
 
 
 def reset_builders():
@@ -119,7 +122,7 @@ def endo_lines():
 
 def test_the_reset_covers_every_cached_builder():
     names = {build.__name__ for build in BUILDERS}
-    assert {"gamma", "vartheta", "shift_op", "xi", "upsilon", "witt"} <= names
+    assert {"gamma", "vartheta", "shift_op", "xi", "upsilon", "witt", "build_family"} <= names
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
@@ -345,21 +348,23 @@ def reduction_keeps_dependents(monkeypatch):
     monkeypatch.setattr(polynomials, "reduce_candidates", lambda polys: polys)
 
 
-def test_a_reduction_that_keeps_dependents_fails_only_the_independence_check_at_n2(
+def test_a_reduction_that_keeps_dependents_fails_the_certificates_and_independence_at_n2(
         monkeypatch, capsys, fresh_primitives):
     """At n = 1 no product of factorial powers repeats, so the fault needs
     n = 2, where the (1, 1) products hold x1*x2 twice.  The kernel then
     gains the difference of the two copies on each of the 16 blades: 16
     zero forms.  The oracle ranks the same rows and agrees, and a zero form
-    satisfies every relation, so ``latclif monogenic --n 2 --p 1 --q 1``
-    under this fault passes every CHECK; only the suite's independence
-    check and the golden of that run catch it."""
+    satisfies every relation; the certificate that each element is nonzero
+    and the suite's independence check catch it."""
     reduction_keeps_dependents(monkeypatch)
     lines = check_lines(suites.monogenic_suite(2, Fraction(1)))
-    assert failing(lines) == {"monogenic.independence-11"}
+    assert failing(lines) == {"monogenic.certificates-11", "monogenic.independence-11"}
+    assert lines["monogenic.certificates-11"].endswith(
+        "FAIL nonzero on element 0: the zero form")
     assert lines["monogenic.independence-11"].endswith("FAIL rank 0 vs 16 elements")
-    assert main(["monogenic", "--n", "2", "--p", "1", "--q", "1"]) == 0
+    assert main(["monogenic", "--n", "2", "--p", "1", "--q", "1"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "DIM 1 1 16"
     assert [line for line in out if line.startswith("CHECK ")] == [
-        "CHECK monogenic.certificates PASS", "CHECK monogenic.oracle-dimension PASS"]
+        "CHECK monogenic.certificates FAIL nonzero on element 0: the zero form",
+        "CHECK monogenic.oracle-dimension PASS"]

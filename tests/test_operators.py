@@ -312,8 +312,10 @@ def acted(op, form):
 
 
 def test_a_dropped_tree_is_collected():
+    # the family lives as long as the process; a composite of its members
+    # that no cache holds does not
     fam = build_family(2)
-    node = fam.Gamma_X
+    node = commutator(fam.Gamma_X, fam.dz)
     for _, form in TF:
         assert acted(node, form) == form_coordinates(node(form))
     ref = weakref.ref(node)

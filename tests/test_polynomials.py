@@ -174,7 +174,8 @@ def test_monogenic_grid(n, pq):
 @pytest.mark.parametrize("convention", ["plus", "minus"])
 def test_certificates_agree_with_the_tree_walk_on_all_six_relations(convention):
     """The Gamma relations are decided by the action of their normal forms;
-    the verdicts and the witness are those of walking all six relations."""
+    every element is nonzero, and the verdicts and the witness are those of
+    walking all six relations."""
     h = Fraction(1, 2)
     witnesses = []
     for n, p, q, ambient in ((1, 0, 0, False), (2, 0, 0, False), (2, 1, 1, True)):
@@ -184,7 +185,7 @@ def test_certificates_agree_with_the_tree_walk_on_all_six_relations(convention):
         walked = None
         for k, el in enumerate(mb.elements):
             reports = verify_identities(relations, [(f"element {k}", el)])
-            assert mb.certificates[k] == {r.name: r.passed for r in reports}
+            assert mb.certificates[k] == {"nonzero": True, **{r.name: r.passed for r in reports}}
             walked = walked or next((f"{r.name} {r.witness}" for r in reports if r.witness),
                                     None)
         assert mb.witness == walked
