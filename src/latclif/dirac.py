@@ -77,14 +77,20 @@ class DiracFamily:
         return f"DiracFamily(n={self.n}, convention={self.convention!r})"
 
 
-@functools.cache
 def build_family(n, convention=DEFAULT_CONVENTION):
     """The family of dimension n under ``convention``, built once per process.
 
     A family depends on nothing but its arguments and no caller changes
     one, so its nodes, and the normal forms they keep, live as long as the
-    process.
+    process.  A cache keys the arguments as given, so the cached builder
+    always receives the convention: a call that leaves it to the default
+    shares the family.
     """
+    return _build_family(n, convention)
+
+
+@functools.cache
+def _build_family(n, convention):
     axes = range(1, n + 1)
     d_plus, d_minus = dirac_pm(n, 1), dirac_pm(n, -1)
     # The hermitian Dirac operator and its conjugate: (d_plus, d_minus) under

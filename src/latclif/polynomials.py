@@ -7,6 +7,15 @@ minus factorial powers, times the blades, span the candidate space in
 which the coupled Euler eigenproblem and the hermitian monogenicity
 constraints are solved by exact kernel computation; an independent
 fraction-free rank oracle cross-checks every dimension.
+
+The solve has two stages, since the kernel of the stacked relations
+[E; D] is the kernel of D on the kernel of E.  The first solves the two
+Euler relations over every candidate; the second builds the rows of the
+two Dirac relations on the first stage's kernel vectors alone, and none
+when no vector survives.  Both Euler operators count the total degree, so
+on a homogeneous span with p + q >= 1 nothing survives the first stage.
+The second stage's kernel, in the first stage's basis, is already the
+basis that one stacked solve returns (see :func:`hermitian_monogenic_basis`).
 """
 
 from __future__ import annotations
@@ -157,6 +166,8 @@ def assemble_matrix(operators, candidates, n, h):
     its images reach; column j is candidate j.
     """
     vectors = [form_coordinates(form) for form in candidates]
+    if not vectors:  # no column: build no normal form
+        return []
     rows = []
     for op in operators:
         rows += _rows(normal.act(op.normal_form(n, h), h, vectors))
@@ -195,7 +206,9 @@ def _candidate_space(n, h, p, q, blades, ambient):
 def _relations(fam, p, q):
     """The relations of a monogenic element of bidegree (p, q), as (name,
     operator, constant operator) triples; the first four define the
-    solution space, and every solution is certified against all six."""
+    solution space, solved in two stages: the two Euler relations over the
+    candidates, then the two Dirac relations on the Euler kernel.  Every
+    solution is certified against all six."""
     return [
         (name, op, Operator.constant(c)) for name, op, c in (
             ("euler-z", fam.E_z, p),
@@ -208,14 +221,20 @@ def _relations(fam, p, q):
     ]
 
 
+def _euler_stage(fam, h, p, q, blades, ambient):
+    """Stage one of the monogenic solve: the kernel of the two Euler
+    relations of ``fam`` on the candidate span, as (kernel forms, Euler
+    rows, number of candidates)."""
+    candidates = _candidate_space(fam.n, h, p, q, blades, ambient)
+    euler = _relations(fam, p, q)[:2]
+    survivors, rows = solve_kernel([lhs - rhs for _, lhs, rhs in euler], candidates, fam.n, h)
+    return survivors, rows, len(candidates)
+
+
 def joint_euler_eigenbasis(n, h, p, q, ambient=False):
     """Exact basis of the coupled Euler eigenspace inside the candidate span
-    on all blades."""
-    candidates = _candidate_space(n, h, p, q, None, ambient)
-    # the convention passed as every caller passes it: the family cache keys
-    # the arguments as given, so a defaulted call would build a second family
-    euler = _relations(build_family(n, DEFAULT_CONVENTION), p, q)[:2]
-    return solve_kernel([lhs - rhs for _, lhs, rhs in euler], candidates, n, h)[0]
+    on all blades: stage one of the monogenic solve."""
+    return _euler_stage(build_family(n), h, p, q, None, ambient)[0]
 
 
 class MonogenicBasis:
@@ -249,23 +268,41 @@ class MonogenicBasis:
 def hermitian_monogenic_basis(
     n, h, p, q, convention=DEFAULT_CONVENTION, spinor=False, ambient=False
 ):
-    """Solve the coupled eigenproblem with zero hermitian Dirac constraints."""
-    blades = spinor_blades(n) if spinor else None
-    candidates = _candidate_space(n, h, p, q, blades, ambient)
-    relations = _relations(build_family(n, convention), p, q)
-    elements, rows = solve_kernel([lhs - rhs for _, lhs, rhs in relations[:4]],
-                                  candidates, n, h)
+    """Solve the coupled eigenproblem with zero hermitian Dirac constraints.
+
+    The Euler stage's kernel vectors come from ``kernel_basis``: vector i
+    is 1 at its free column f_i, 0 at every other free column, and f_i is
+    its largest column.  The Dirac stage's kernel vectors w, over those
+    vectors in order, have the same shape, so element g, the sum of w_i
+    times vector i, is 1 at f_g, 0 at every other f_g', and f_g is its
+    largest column.  A kernel vector that is 0 at the largest columns of
+    such a basis is 0, so the basis is unique: it is the one
+    ``kernel_basis`` returns for the stacked relations, in the same order,
+    and the elements are those of one stacked solve.
+
+    The oracle ranks, by its own route, the Euler rows over every
+    candidate and the Dirac rows on the Euler kernel vectors: the kernel
+    has the dimension of the Euler kernel less the rank of the Dirac rows.
+    """
+    fam = build_family(n, convention)
+    survivors, euler_rows, ncols = _euler_stage(
+        fam, h, p, q, spinor_blades(n) if spinor else None, ambient)
+    relations = _relations(fam, p, q)
+    elements, dirac_rows = solve_kernel([lhs - rhs for _, lhs, rhs in relations[2:4]],
+                                        survivors, n, h)
     result = MonogenicBasis(n=n, p=p, q=q, convention=convention)
     result.elements = elements
-    result.oracle_dimension = oracle_kernel_dimension(rows, len(candidates))
+    result.oracle_dimension = (oracle_kernel_dimension(euler_rows, ncols)
+                               - bareiss_rank(scalars_to_gaussian(dirac_rows)))
     # a kernel vector of independent candidates is never the zero form, and
     # the zero form satisfies every relation, so each element is first
     # certified nonzero; the four defining relations built the kernel from
     # normal forms, so the tree walk certifies them; the Gamma relations
-    # built nothing, and the action of their normal forms decides them
+    # built nothing, and the action of their normal forms, built only when
+    # there is an element, decides them
     coords = [form_coordinates(el) for el in elements]
     residuals = [(name, normal.act((lhs - rhs).normal_form(n, h), h, coords))
-                 for name, lhs, rhs in relations[4:]]
+                 for name, lhs, rhs in relations[4:] if coords]
     for k, el in enumerate(elements):
         label = f"element {k}"
         zero = el.is_zero()

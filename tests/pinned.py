@@ -77,6 +77,8 @@ PINNED = [
     ("verify-dirac-n5", "verify --suite dirac --n 5", 1, "ci"),
     ("verify-intertwine-n5", "verify --suite intertwine --n 5", 0, "ci"),
     ("verify-monogenic-n5", "verify --suite monogenic --n 5", 0, "ci"),
+    # 4096 elements at (0, 0); the Euler relations alone decide the rest
+    ("verify-monogenic-n6", "verify --suite monogenic --n 6", 0, "ci"),
     # the identity suites at n=6, over 4096 blades
     ("verify-endo-n6", "verify --suite endo --n 6", 0, "ci"),
     # exits 1, as at n=3

@@ -219,6 +219,10 @@ def test_a_process_builds_each_family_once(convention):
     assert build_family(N, convention) is build_family(N, convention)
 
 
+def test_a_defaulted_call_shares_the_family():
+    assert build_family(N) is build_family(N, MINUS)
+
+
 def test_unknown_convention_rejected():
     with pytest.raises(ValueError, match="unknown convention"):
         build_family(N, "sideways")

@@ -9,15 +9,15 @@ a fault in the column index of the reduced row echelon form against
 an ambient solve at n = 2, and a candidate reduction that keeps dependent
 polynomials against the monogenic suite and command at n = 2.
 
-The builders of primitives, of the named operators ``xi``, ``upsilon``
-and ``witt`` and of the Dirac families (``dirac.build_family``) are
-``functools.cache``d, and each node keeps its normal forms for as long as it
-lives.  So every fault runs between two resets of every cached builder of
-:mod:`latclif.operators` and of ``dirac.build_family``: no node or family
-built before the fault is read under it, and none built under it outlives
-it.  Composite nodes are shared by (kind, parts, coefficients), with parts
-compared by identity, so a composite built on the fresh primitives is never
-one built before.
+The builders of primitives, of the named operators ``xi``, ``upsilon`` and
+``witt`` and of the Dirac families (``dirac._build_family``, behind
+``dirac.build_family``) are ``functools.cache``d, and each node keeps its
+normal forms for as long as it lives.  So every fault runs between two resets
+of every cached builder of :mod:`latclif.operators` and
+:mod:`latclif.dirac`: no node or family built before the fault is read under
+it, and none built under it outlives it.  Composite nodes are shared by
+(kind, parts, coefficients), with parts compared by identity, so a composite
+built on the fresh primitives is never one built before.
 """
 
 import inspect
@@ -32,9 +32,8 @@ from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
 
 from test_normal import link_failure
 
-BUILDERS = [build for build in vars(operators).values()
-            if hasattr(build, "cache_clear") and build.__module__ == operators.__name__]
-BUILDERS.append(dirac.build_family)
+BUILDERS = [build for module in (operators, dirac) for build in vars(module).values()
+            if hasattr(build, "cache_clear") and build.__module__ == module.__name__]
 
 
 def reset_builders():
@@ -122,7 +121,7 @@ def endo_lines():
 
 def test_the_reset_covers_every_cached_builder():
     names = {build.__name__ for build in BUILDERS}
-    assert {"gamma", "vartheta", "shift_op", "xi", "upsilon", "witt", "build_family"} <= names
+    assert {"gamma", "vartheta", "shift_op", "xi", "upsilon", "witt", "_build_family"} <= names
 
 
 @pytest.mark.parametrize("mutant", list(MUTANTS))
@@ -270,8 +269,24 @@ def sums_ignore_their_coefficients(monkeypatch):
     monkeypatch.setattr(Operator, "__call__", ignoring)
 
 
+def euler_stage_drops_a_survivor(monkeypatch):
+    """Stage one of the solve drops its first kernel vector; the oracle
+    ranks the Euler rows itself, so its dimension keeps the vector."""
+    euler_stage = polynomials._euler_stage
+
+    def dropping(*args):
+        survivors, rows, ncols = euler_stage(*args)
+        return survivors[1:], rows, ncols
+
+    monkeypatch.setattr(polynomials, "_euler_stage", dropping)
+
+
 SOLVER_MUTANTS = {
+    # each stage of the solve returns its kernel through solve_kernel
     "solve-kernel-drops-a-vector": (drop_the_first_kernel_vector, {
+        "monogenic.oracle-dimension-00", "monogenic.dim00-n1-is-4",
+    }),
+    "euler-stage-drops-a-survivor": (euler_stage_drops_a_survivor, {
         "monogenic.oracle-dimension-00", "monogenic.dim00-n1-is-4",
     }),
     # the matrix comes from normal forms and stays right; the certificates

@@ -5,8 +5,10 @@ import pytest
 
 from latclif.coeffs import ExactPolynomial
 from latclif.dirac import build_family
+from latclif.formfile import dump_form
 from latclif.forms import Form, all_blades, blade_info
-from latclif.linalg import rref
+from latclif import polynomials
+from latclif.linalg import kernel_basis, rref
 from latclif.operators import Operator, verify_identities
 from latclif.polynomials import (
     _candidate_space,
@@ -23,8 +25,10 @@ from latclif.polynomials import (
     independent_over_scalars,
     joint_euler_eigenbasis,
     multi_indices,
+    oracle_kernel_dimension,
     _relations,
     reduce_candidates,
+    solve_kernel,
     spinor_blades,
 )
 from latclif.scalars import Scalar
@@ -194,6 +198,67 @@ def test_certificates_agree_with_the_tree_walk_on_all_six_relations(convention):
         assert all(w.startswith("gamma-z on element 0: ") for w in witnesses)
     else:
         assert witnesses == [None] * 3
+
+
+def stacked_reference(n, h, p, q, convention, spinor, ambient):
+    """The monogenic solve in one stage: the kernel of the four defining
+    relations stacked over every candidate, and the oracle's rank of the
+    same rows."""
+    blades = spinor_blades(n) if spinor else None
+    candidates = polynomials._candidate_space(n, h, p, q, blades, ambient)
+    relations = _relations(build_family(n, convention), p, q)[:4]
+    elements, rows = solve_kernel([lhs - rhs for _, lhs, rhs in relations], candidates, n, h)
+    return elements, oracle_kernel_dimension(rows, len(candidates))
+
+
+def assert_staged_equals_stacked(n, h, p, q, spinor, ambient, convention="minus"):
+    mb = hermitian_monogenic_basis(n, h, p, q, convention, spinor=spinor, ambient=ambient)
+    elements, oracle = stacked_reference(n, h, p, q, convention, spinor, ambient)
+    assert [dump_form(el) for el in mb.elements] == [dump_form(el) for el in elements]
+    assert mb.oracle_dimension == oracle == len(elements)
+    assert mb.certified
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("spinor, ambient", [(False, False), (True, False), (False, True),
+                                             (True, True)])
+def test_the_staged_solve_equals_the_stacked_one(n, spinor, ambient):
+    for h in (Fraction(1), Fraction(1, 3)):
+        for p, q in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            assert_staged_equals_stacked(n, h, p, q, spinor, ambient)
+    if n == 2 and ambient:
+        # Euler blocks three columns wide: x D+ x^2 = 2x^2 + h x
+        assert_staged_equals_stacked(n, Fraction(1), 2, 1, spinor, ambient)
+
+
+def test_the_staged_solve_equals_the_stacked_one_on_euler_vectors_of_several_candidates(
+        monkeypatch):
+    """Every Euler kernel vector of the real candidate spans is a single
+    candidate.  Each candidate plus the next spans the same space, and on
+    those candidates the Euler kernel vectors span several columns."""
+    candidate_space = polynomials._candidate_space
+
+    def mixed(*args):
+        forms = candidate_space(*args)
+        return [a.add(b) for a, b in zip(forms, forms[1:])] + forms[-1:]
+
+    monkeypatch.setattr(polynomials, "_candidate_space", mixed)
+    for n, h in ((1, Fraction(1)), (2, Fraction(1)), (2, Fraction(1, 3))):
+        _, rows, ncols = polynomials._euler_stage(build_family(n), h, 1, 1, None, True)
+        assert max(len(vec) for vec in kernel_basis(rows, ncols)) > 1
+        assert_staged_equals_stacked(n, h, 1, 1, False, True)
+        assert_staged_equals_stacked(n, h, 0, 0, True, False)
+
+
+def test_no_euler_survivor_builds_no_dirac_or_gamma_normal_form():
+    """On a homogeneous span with p + q >= 1 the Euler stage keeps nothing,
+    so no normal form of the later four relations is built (at a mesh
+    width that no other test uses)."""
+    # the nodes are shared while they live, so these are the solver's
+    ops = [lhs - rhs for _, lhs, rhs in _relations(build_family(2), 1, 1)]
+    mb = hermitian_monogenic_basis(2, Fraction(1, 7), 1, 1)
+    assert mb.dimension == mb.oracle_dimension == 0
+    assert [(2, 1, 7) in op._normal for op in ops] == [True, True, False, False, False, False]
 
 
 def test_monogenic_spinor_subset():
