@@ -226,20 +226,12 @@ def _sign_char(sign):
     return "+" if sign > 0 else "-"
 
 
-def _blade_map(name, blades, word=None):
+def _blade_map(name, blades, word):
     """The primitive that sends c * B to the sum of sign * T^b(c) * B' over
     the (sign, B', b) of ``blades(B, n)``, on forms of dimension n, b the
-    length-n shift tuple of the translation.
-
-    ``word(n)`` is the declared normal form on forms of dimension n.  A map
-    that declares none has its word solved from ``blades`` by
-    :func:`latclif.normal.blade_word`, which reads every blade; its
-    ``blades`` is then memoized per blade, for the solve and the function.
+    length-n shift tuple of the translation, with the normal form
+    ``word(n)`` on forms of dimension n.
     """
-    if word is None:
-        blades = cache(blades)
-        word = partial(normal.blade_word, blades)
-
     def apply(form):
         n = form.n
         return Form.collect(n, form.h, (
@@ -295,34 +287,34 @@ def vartheta_recursive(sign, axis):
     """The contraction recursion taken literally, for cross-checking.
 
     The recursion only ever translates and negates its coefficient, so it
-    runs once per blade, on a sign and a translation.
+    runs once per blade, on a sign and a translation.  Its word is solved
+    from its blade map by :func:`latclif.normal.blade_word`, which reads
+    each blade once.
     """
     sign = _sgn(sign)
 
-    def contract(b, factors, n):
-        # a coefficient translated by b sits left of the factor list;
-        # returns [(sign, shift tuple, factors)]
-        if not factors:
+    def contract(b, blade, n):
+        # a coefficient translated by b sits left of the blade;
+        # returns [(sign, image blade, shift tuple)]
+        if not blade:
             return []
-        (s, a), rest = factors[0], factors[1:]
+        s, a = blade_info(blade, n).factors[0]
+        rest = blade ^ single_blade(s, a, n)
         inner = bump(b, a, -s)  # move the coefficient past the factor
         out = []
         if a == axis and s == sign:
-            out.append((1, bump(inner, axis, sign), rest))
-        for sgn2, b2, f2 in contract(inner, rest, n):
-            prod = blade_from_factors(((s, a),) + f2, n)
-            if prod is None:
-                continue
-            sgn, nb = prod
-            out.append((-sgn2 if sgn > 0 else sgn2, bump(b2, a, s), blade_info(nb, n).factors))
+            out.append((1, rest, bump(inner, axis, sign)))
+        for sgn2, image, b2 in contract(inner, rest, n):
+            # image lies in rest, so the factor never repeats
+            sgn, nb = blade_from_factors(((s, a),) + blade_info(image, n).factors, n)
+            out.append((-sgn2 if sgn > 0 else sgn2, nb, bump(b2, a, s)))
         return out
 
     def blades(blade, n):
-        # the factors come out sorted, so each blade_from_factors has sign +1
-        return tuple((sgn, blade_from_factors(factors, n)[1], b) for sgn, b, factors
-                     in contract(unit(n, axis, -sign), blade_info(blade, n).factors, n))
+        return contract(unit(n, axis, -sign), blade, n)
 
-    return _blade_map(f"varthetaRec({_sign_char(sign)},{axis})", blades)
+    return _blade_map(f"varthetaRec({_sign_char(sign)},{axis})", blades,
+                      partial(normal.blade_word, blades))
 
 
 @cache

@@ -61,6 +61,7 @@ def _tokenize(text):
 _SIGNED = {
     "gamma": operators.gamma,
     "vartheta": operators.vartheta,
+    "varthetaRec": operators.vartheta_recursive,
     "xi": operators.xi,
     "upsilon": operators.upsilon,
     "witt": operators.witt,

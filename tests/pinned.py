@@ -86,6 +86,8 @@ PINNED = [
     ("verify-intertwine-n6", "verify --suite intertwine --n 6", 0, "ci"),
     # 2 * 7 recursion solves over 16384 blades each
     ("verify-endo-n7", "verify --suite endo --n 7", 0, "ci"),
+    # 2 * 8 recursion solves over 65536 blades each
+    ("verify-endo-n8", "verify --suite endo --n 8", 0, "ci"),
     # the identity suites at n=8, over 65536 blades; exits 1, as at n=3
     ("verify-dirac-n8", "verify --suite dirac --n 8", 1, "ci"),
     ("verify-intertwine-n8", "verify --suite intertwine --n 8", 0, "ci"),

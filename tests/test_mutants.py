@@ -1,5 +1,6 @@
 """Single-point faults, each with the checks it must turn into FAIL lines:
-faults in the operator layer against the endo suite at n = 2, a fault in
+faults in the operator layer and in the sequence sign rule that the
+contraction recursion reads against the endo suite at n = 2, a fault in
 the blade product against the link from gamma's declared word to its
 function, faults in the normal-form layer against the endo and dirac
 suites at n = 2, faults on the monogenic solver's path against the
@@ -7,7 +8,9 @@ monogenic suite at n = 1, a fault in the closed-form action that builds
 the solver's matrix against the tree walk that certifies it, at n = 2,
 a fault in the column index of the reduced row echelon form against
 an ambient solve at n = 2, and a candidate reduction that keeps dependent
-polynomials against the monogenic suite and command at n = 2.
+polynomials against the monogenic suite and command at n = 2.  Beside
+them, the premise of the recursion's solved word: the solve reads each
+blade once, so nothing memoizes the recursion.
 
 The builders of primitives, of the named operators ``xi``, ``upsilon`` and
 ``witt`` and of the Dirac families (``dirac._build_family``, behind
@@ -21,11 +24,12 @@ built on the fresh primitives is never one built before.
 """
 
 import inspect
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from latclif import dirac, linalg, normal, operators, polynomials, suites
+from latclif import dirac, forms, linalg, normal, operators, polynomials, suites
 from latclif.cli import main
 from latclif.forms import Form, single_blade
 from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
@@ -99,6 +103,23 @@ def recursion_moves_the_wrong_way(monkeypatch):
         monkeypatch.setattr(module, "vartheta_recursive", namespace["vartheta_recursive"])
 
 
+def grassmann_sort_with_the_opposite_sign(monkeypatch):
+    """The sequence rule returns the opposite sign for every ordering.
+
+    It is patched where :func:`latclif.forms.blade_from_factors` reads it,
+    so each step of the contraction recursion puts its factor back with the
+    wrong sign, while the mask products of ``gamma`` and ``vartheta`` and
+    every declared word are untouched.
+    """
+    grassmann_sort = forms.grassmann_sort
+
+    def flipped(keys):
+        out = grassmann_sort(keys)
+        return None if out is None else (-out[0], out[1])
+
+    monkeypatch.setattr(forms, "grassmann_sort", flipped)
+
+
 def drop_the_half_in_xi(monkeypatch):
     monkeypatch.setattr(operators, "xi", xi_without_its_half)
     monkeypatch.setattr(suites, "xi", xi_without_its_half)
@@ -110,6 +131,9 @@ MUTANTS = {
     }),
     # decided by normal form; the witness comes from walking the recursion
     "recursion-moves-the-wrong-way": (recursion_moves_the_wrong_way, {
+        "endo.vartheta-recursion",
+    }),
+    "grassmann-sort-with-the-opposite-sign": (grassmann_sort_with_the_opposite_sign, {
         "endo.vartheta-recursion",
     }),
 }
@@ -154,6 +178,33 @@ def test_the_recursion_fault_fails_with_an_evaluation_witness(monkeypatch, fresh
     [line] = endo_lines()["endo.vartheta-recursion"][0]
     assert line == ("CHECK endo.vartheta-recursion FAIL closed form vs recursion (1,1):"
                     " on x1*dx1+: blade 1 at (0, 0) = -2")
+
+
+def test_the_opposite_sequence_sign_fails_with_an_evaluation_witness(
+        monkeypatch, fresh_primitives):
+    grassmann_sort_with_the_opposite_sign(monkeypatch)
+    [line] = endo_lines()["endo.vartheta-recursion"][0]
+    assert line == ("CHECK endo.vartheta-recursion FAIL closed form vs recursion (1,1):"
+                    " on 1*dx1-^dx1+: blade dx1- at (0, 0) = -2")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_recursion_solve_reads_each_blade_once(monkeypatch, fresh_primitives, n):
+    reads = Counter()
+    blade_word = normal.blade_word
+
+    def counted(blades, n):
+        def read(blade, n):
+            reads[blade] += 1
+            return blades(blade, n)
+        return blade_word(read, n)
+
+    monkeypatch.setattr(normal, "blade_word", counted)
+    for s in (1, -1):
+        for j in range(1, n + 1):
+            reads.clear()
+            operators.vartheta_recursive(s, j).normal_form(n, Fraction(1))
+            assert reads == Counter(range(4 ** n))
 
 
 # -- the normal-form layer ------------------------------------------------------

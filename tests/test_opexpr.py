@@ -12,11 +12,15 @@ from latclif.coeffs import ExactPolynomial
 from latclif.dirac import build_family
 from latclif.formfile import write_form
 from latclif.forms import Form
-from latclif.operators import Operator, spanning_forms, verify_identity
+from latclif.operators import (
+    Operator, gamma, spanning_forms, upsilon, vartheta_recursive, verify_identity, witt, xi,
+)
 from latclif.opexpr import (
     _AXIS_ONLY, _FAMILY, _SIGNED, MAX_DEPTH, ExprError, parse_expression,
 )
 from latclif.scalars import Scalar
+
+from test_normal import primitives
 
 SIGNS = ["+", "-"]
 AXES = ["0", "1", "2", "3", "-1", "1/2"]
@@ -137,3 +141,14 @@ def test_family_atom_text_parses_back(n, atom):
     op = getattr(build_family(n), _FAMILY[atom])
     again = parse_expression(op.to_text(), n)
     assert verify_identity(atom, again, op, n, Fraction(1)).passed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_signed_and_axis_only_atom_parses_back_to_its_node(n):
+    named = [build(s, j) for build in (xi, upsilon, witt) for s in (1, -1)
+             for j in range(1, n + 1)]
+    for op in primitives(n) + named:
+        assert parse_expression(op.to_text(), n) is op, op.to_text()
+    op = vartheta_recursive(1, 1) * gamma(1, 1)
+    assert op.to_text() == "compose(varthetaRec(+,1),gamma(+,1))"
+    assert parse_expression(op.to_text(), n) is op
