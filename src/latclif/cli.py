@@ -20,7 +20,7 @@ from .coeffs import EmptyValidityError
 from .formfile import FormFileError, dump_form, parse_form, read_form
 from .opexpr import ExprError, parse_expression
 from .polynomials import hermitian_monogenic_basis
-from .suites import SUITE_BUILDERS, SUITE_NEEDS_TORUS, SuiteMarginError, check_line
+from .suites import SUITE_BUILDERS, SUITE_NEEDS_TORUS, check_line
 
 
 class ConfigError(Exception):
@@ -66,28 +66,24 @@ def _validate(args, suites):
         raise ConfigError("box margin too small for the deepest operator (need >= 2)")
 
 
-def _run_checks(checks):
-    """Run checks in order; returns (lines, ok)."""
-    lines = []
-    ok = True
-    for check in checks:
-        ls, passed = check.run()
-        lines.extend(ls)
-        ok = ok and passed
-    return lines, ok
-
-
 def _run_suites(args, suites):
+    """Run the suites' checks in order and print their lines; a check that
+    runs out of box margin replaces the whole report with its one line."""
     _validate(args, suites)
     _check_jobs(args)
     checks = []
     for name in suites:
         checks.extend(SUITE_BUILDERS[name](args))
-    try:
-        lines, ok = _run_checks(checks)
-    except SuiteMarginError as exc:
-        print(f"CHECK {exc.check_name} ERROR margin exhausted: {exc}")
-        return 3
+    lines = []
+    ok = True
+    for check in checks:
+        try:
+            ls, passed = check.run()
+        except EmptyValidityError as exc:
+            print(f"CHECK {check.name} ERROR margin exhausted: {check.name}: {exc}")
+            return 3
+        lines.extend(ls)
+        ok = ok and passed
     for line in lines:
         print(line)
     return 0 if ok else 1

@@ -119,6 +119,10 @@ def parse_form(text):
     i = 1
     while i < len(lines) and not lines[i].startswith("term"):
         key, _, value = lines[i].partition(" ")
+        if key not in ("n", "h", "coeff"):
+            raise FormFileError(f"unknown header field {key!r}")
+        if key in fields:
+            raise FormFileError(f"duplicate header field {key!r}")
         fields[key] = value.strip()
         i += 1
     try:

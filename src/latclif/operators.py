@@ -82,7 +82,7 @@ from .forms import (
     single_blade,
     spot_text,
 )
-from .scalars import MINUS_ONE, ONE, Scalar, as_scalar, interned
+from .scalars import MINUS_ONE, ONE, Scalar, as_scalar
 
 
 class Operator:
@@ -130,8 +130,7 @@ class Operator:
         return self.scaled(MINUS_ONE)
 
     def scaled(self, s):
-        # the tree walk recognises the coefficients 1 and -1 by identity
-        return _node("sum", (self,), (interned(as_scalar(s)),))
+        return _node("sum", (self,), (as_scalar(s),))
 
     # -- evaluation --------------------------------------------------------
     def __call__(self, form):
@@ -142,7 +141,7 @@ class Operator:
                 form = op(form)
             return form
         return Form.collect(form.n, form.h, (
-            (-1, b, f) if c is MINUS_ONE else (1, b, f if c is ONE else f.scale(c))
+            (-1, b, f) if c == MINUS_ONE else (1, b, f if c == ONE else f.scale(c))
             for c, op in zip(self.coeffs, self.parts) for b, f in op(form).terms.items()))
 
     def normal_form(self, n, h):

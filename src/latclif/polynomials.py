@@ -34,8 +34,7 @@ from .scalars import ONE, ZERO, Scalar
 class FactorialPower:
     """A discrete monomial (x)_s^(alpha) with its realized polynomial."""
 
-    def __init__(self, sign, alpha, poly):
-        self.sign = sign
+    def __init__(self, alpha, poly):
         self.alpha = alpha
         self.poly = poly
 
@@ -53,7 +52,7 @@ def factorial_power(n, h, sign, alpha):
     for axis, mult in enumerate(alpha, start=1):
         for _ in range(mult):
             poly = coord_shift_mul(poly, axis, sign)
-    return FactorialPower(sign, alpha, poly)
+    return FactorialPower(alpha, poly)
 
 
 def euler_operator(poly, sign):
@@ -240,11 +239,7 @@ def joint_euler_eigenbasis(n, h, p, q, ambient=False):
 class MonogenicBasis:
     """Joint eigenvectors annihilated by both hermitian Dirac operators."""
 
-    def __init__(self, n, p, q, convention):
-        self.n = n
-        self.p = p
-        self.q = q
-        self.convention = convention
+    def __init__(self):
         self.elements = []
         self.certificates = []  # {name: passed} per element
         self.witness = None  # the first failing certificate and its residual
@@ -290,7 +285,7 @@ def hermitian_monogenic_basis(
     relations = _relations(fam, p, q)
     elements, dirac_rows = solve_kernel([lhs - rhs for _, lhs, rhs in relations[2:4]],
                                         survivors, n, h)
-    result = MonogenicBasis(n=n, p=p, q=q, convention=convention)
+    result = MonogenicBasis()
     result.elements = elements
     result.oracle_dimension = (oracle_kernel_dimension(euler_rows, ncols)
                                - bareiss_rank(scalars_to_gaussian(dirac_rows)))

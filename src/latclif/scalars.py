@@ -227,16 +227,6 @@ def accumulate(terms, pairs):
     return terms
 
 
-def interned(c):
-    """The one shared Scalar equal to ``c``.
-
-    ``Operator.scaled`` passes its factor through it, so a factor of 1 or
-    -1 is ``ONE`` or ``MINUS_ONE``, which the tree walk recognises by
-    identity and does not multiply by.
-    """
-    return _INTERNED.setdefault(c.triple, c)
-
-
 def as_scalar(value) -> Scalar:
     """Coerce ints, Fractions and text into a Scalar."""
     if isinstance(value, Scalar):
@@ -252,4 +242,3 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 MINUS_ONE = Scalar(-1)
 I = Scalar(0, 1)
-_INTERNED = {ONE.triple: ONE, MINUS_ONE.triple: MINUS_ONE}

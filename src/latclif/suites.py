@@ -27,7 +27,6 @@ from fractions import Fraction
 from . import dirac as dirac_mod
 from .coeffs import (
     BoxFunction,
-    EmptyValidityError,
     ExactPolynomial,
     coord_shift_mul,
     cube,
@@ -105,16 +104,7 @@ class Check:
 
     def run(self):
         """Returns (lines, passed)."""
-        try:
-            return self.fn()
-        except EmptyValidityError as exc:
-            raise SuiteMarginError(self.name, str(exc)) from exc
-
-
-class SuiteMarginError(Exception):
-    def __init__(self, check_name, detail):
-        super().__init__(f"{check_name}: {detail}")
-        self.check_name = check_name
+        return self.fn()
 
 
 def check_line(name, passed, witness=None):

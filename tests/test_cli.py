@@ -187,6 +187,16 @@ def test_apply_box_margin_error(capsys, tmp_path):
     assert code == 3
 
 
+def test_verify_box_margin_error_names_the_check_and_exits_3(capsys, monkeypatch):
+    from latclif import suites
+
+    monkeypatch.setitem(suites.SUITE_BUILDERS, "core",
+                        lambda cfg: suites.core_suite(cfg.n, cfg.h, 0))
+    assert main(["verify", "--suite", "core", "--n", "1"]) == 3
+    assert capsys.readouterr().out == ("CHECK core.commutativity ERROR margin exhausted:"
+                                       " core.commutativity: supports do not overlap\n")
+
+
 def test_apply_box_validity_report(capsys, tmp_path):
     from latclif.coeffs import cube
 

@@ -107,6 +107,8 @@ MALFORMED = {
     "validity-outside-support": BOX_HEAD + "term - 1\n  support 0:0\n  validity 0:1\n"
     "  v 0 1\nend\n",
     "empty-validity": BOX_HEAD + BOX_TERM.replace("0:0", "1:0").format(BOX_VALUES),
+    "unknown-header-field": "latclif-form 1\nn 1\nfoo bar\nh 1\ncoeff poly\n",
+    "duplicate-header-field": "latclif-form 1\nn 2\nn 1\nh 1\ncoeff poly\n",
 }
 
 
@@ -119,6 +121,16 @@ def test_well_formed_box_fixture_parses():
 def test_malformed_input_raises_form_file_error(case):
     with pytest.raises(FormFileError):
         parse_form(MALFORMED[case])
+
+
+@pytest.mark.parametrize("header, message", [
+    ("n 1\nh 1\ncoeff poly\nfoo bar\n", "unknown header field 'foo'"),
+    ("n 2\nh 1\nn 1\ncoeff poly\n", "duplicate header field 'n'"),
+    ("n 1\nh 1\ncoeff poly\ncoeff box\n", "duplicate header field 'coeff'"),
+], ids=["unknown", "repeated-n", "repeated-coeff"])
+def test_each_header_field_is_known_and_given_once(header, message):
+    with pytest.raises(FormFileError, match=f"^{message}$"):
+        parse_form("latclif-form 1\n" + header)
 
 
 # Field values a mutation may put in place of a valid one: a zero denominator,

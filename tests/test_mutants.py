@@ -7,8 +7,11 @@ suites at n = 2, faults on the monogenic solver's path against the
 monogenic suite at n = 1, a fault in the closed-form action that builds
 the solver's matrix against the tree walk that certifies it, at n = 2,
 a fault in the column index of the reduced row echelon form against
-an ambient solve at n = 2, and a candidate reduction that keeps dependent
-polynomials against the monogenic suite and command at n = 2.  Beside
+an ambient solve at n = 2, a candidate reduction that keeps dependent
+polynomials against the monogenic suite and command at n = 2, and a shift
+T that moves two steps, vartheta with its signs swapped and a reduced
+calculus that keeps a diagonal step against the whole report of
+``verify --suite all --n 2 --N 4``.  Beside
 them, the premise of the recursion's solved word: the solve reads each
 blade once, so nothing memoizes the recursion.
 
@@ -29,11 +32,13 @@ from fractions import Fraction
 
 import pytest
 
-from latclif import dirac, forms, linalg, normal, operators, polynomials, suites
+from latclif import coeffs, dirac, forms, linalg, normal, operators, opexpr, polynomials, suites
 from latclif.cli import main
 from latclif.forms import Form, single_blade
 from latclif.operators import ONE, Operator, _sgn, _sign_char, gamma, vartheta
+from latclif.universal import Reduction
 
+from pinned import GOLDEN
 from test_normal import link_failure
 
 BUILDERS = [build for module in (operators, dirac) for build in vars(module).values()
@@ -434,3 +439,118 @@ def test_a_reduction_that_keeps_dependents_fails_the_certificates_and_independen
     assert [line for line in out if line.startswith("CHECK ")] == [
         "CHECK monogenic.certificates FAIL nonzero on element 0: the zero form",
         "CHECK monogenic.oracle-dimension PASS"]
+
+
+# -- the whole report at n = 2 --------------------------------------------------
+
+def shift_moves_two_steps(monkeypatch):
+    """T_h^{s j}, ``coeffs.shift``, moves its coefficient by 2h.
+
+    It is patched wherever it is bound by name, so the coefficientwise
+    ``T`` operator and the core suite's own shifts move two steps, while
+    the differences and the blade maps, which translate through the
+    coefficients' own ``shift`` methods, and every normal form are
+    untouched.
+    """
+    shift = coeffs.shift
+    for module in (coeffs, operators, suites):
+        monkeypatch.setattr(module, "shift", lambda c, axis, sign: shift(c, axis, 2 * sign))
+
+
+def vartheta_with_its_signs_swapped(monkeypatch):
+    """vartheta(s, j) removes dx_j^-s and translates by +s e_j: every sign
+    it reads is swapped, in its blade map and in its word alike, while its
+    name stays vartheta(s, j)."""
+    source = inspect.getsource(operators.vartheta)
+    mutated = (source.replace("single_blade(sign, axis, n)", "single_blade(-sign, axis, n)")
+               .replace("unit(n, axis, -sign)", "unit(n, axis, sign)")
+               .replace("mode_word(n, axis, -sign,", "mode_word(n, axis, sign,"))
+    assert mutated.count("single_blade(-sign, axis, n)") == 2
+    assert "unit(n, axis, sign)" in mutated and "mode_word(n, axis, sign," in mutated
+    namespace = dict(vars(operators))
+    exec(mutated, namespace)
+    for module in (operators, suites):
+        monkeypatch.setattr(module, "vartheta", namespace["vartheta"])
+    monkeypatch.setitem(opexpr._SIGNED, "vartheta", namespace["vartheta"])
+
+
+def canonicalize_accepts_a_diagonal_step(monkeypatch):
+    """A path with a diagonal step, +-e_j +- e_k, is kept as it stands, with
+    sign +1, where the reduced calculus kills it.
+
+    The reduction suite builds its forms from the neighbour table, so no
+    one-step path that it canonicalizes is diagonal; the fault shows on
+    the longer paths of the products it checks.
+    """
+    canonicalize = Reduction.canonicalize
+
+    def accepting(self, path):
+        torus = self.torus
+        nodes = torus.nodes()
+        for a, b in zip(path, path[1:]):
+            step = sorted(x for x in torus.sub(nodes[b], nodes[a]) if x)
+            if len(step) == 2 and all(x in (1, torus.N - 1) for x in step):
+                return 1, path
+        return canonicalize(self, path)
+
+    monkeypatch.setattr(Reduction, "canonicalize", accepting)
+
+
+# fault -> the checks of ``verify --suite all --n 2 --N 4`` that it turns
+# from PASS into FAIL; every other line keeps its verdict
+REPORT_MUTANTS = {
+    # only the checks that read ``shift`` by name see the fault: no check
+    # links the T operator's function to its word
+    "shift-moves-two-steps": (shift_moves_two_steps, {
+        "CHECK core.shift-interrelation", "CHECK core.product-rule",
+    }),
+    "vartheta-with-its-signs-swapped": (vartheta_with_its_signs_swapped, {
+        "CHECK endo.fermi.gamma-vartheta-same", "CHECK endo.fermi.gamma-vartheta-mixed",
+        "CHECK endo.xi-witt", "CHECK endo.upsilon-signature", "CHECK endo.vartheta-recursion",
+        "CHECK dirac.isotropy-z", "CHECK dirac.isotropy-zdag", "CHECK dirac.isotropy-dz",
+        "CHECK dirac.isotropy-dzdag", "CHECK dirac.orthogonality-vector",
+        "CHECK dirac.orthogonality-dirac", "CHECK dirac.square-variable-eq",
+        "CHECK dirac.laplacian-dX", "CHECK dirac.laplacian-dXbar",
+        "CHECK dirac.laplacian-hermitian", "CHECK dirac.intertwining-default",
+        "CHECK dirac.convention-unique", "CHECK monogenic.certificates-00",
+        "RELATION EX=EXbar(Xbar-side) CONVENTION minus",
+        "RELATION EX=EXbar(Xbar-side) CONVENTION plus",
+        "RELATION EX=Ez+Ezdag(z-side) CONVENTION minus",
+        "RELATION acomm(z,dz)=beta+Ez CONVENTION minus",
+        "RELATION acomm(z,dzdag)=0 CONVENTION minus",
+        "RELATION acomm(zdag,dz)=0 CONVENTION minus",
+        "RELATION acomm(zdag,dzdag)=n-beta+Ezdag CONVENTION minus",
+    }),
+    "canonicalize-accepts-a-diagonal-step": (canonicalize_accepts_a_diagonal_step, {
+        "CHECK reduction.no-intermediate-edges",
+    }),
+}
+
+
+HEAD_WIDTHS = {"CHECK": 2, "RELATION": 4, "DIM": 3}
+
+
+def verdicts(report):
+    """The verdict of each line of a report, by the line's head: CHECK name,
+    RELATION name CONVENTION convention, or DIM p q, whose verdict is the
+    dimension."""
+    out = {}
+    for line in report.splitlines():
+        words = line.split()
+        width = HEAD_WIDTHS[words[0]]
+        out[" ".join(words[:width])] = words[width]
+    return out
+
+
+@pytest.mark.parametrize("mutant", list(REPORT_MUTANTS))
+def test_each_fault_turns_exactly_its_lines_of_the_n2_report_into_fail(
+        monkeypatch, capsys, fresh_primitives, mutant):
+    inject, expected = REPORT_MUTANTS[mutant]
+    golden = verdicts((GOLDEN / "verify-all-n2-N4.out").read_text())
+    assert expected <= {head for head, verdict in golden.items() if verdict == "PASS"}
+    inject(monkeypatch)
+    assert main(["verify", "--suite", "all", "--n", "2", "--N", "4"]) == 1
+    faulty = verdicts(capsys.readouterr().out)
+    assert faulty.keys() == golden.keys()
+    assert {head for head in golden if faulty[head] != golden[head]} == expected
+    assert all(faulty[head] == "FAIL" for head in expected)
